@@ -9,6 +9,7 @@ and provides an independent matrix-witness oracle for the criterion.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from math import gcd, lcm
@@ -16,7 +17,8 @@ from math import gcd, lcm
 from . import gf
 from .errors import BadReduction, Inadmissible, IntegrityError, OracleError
 from .intpoly import IntPoly, psi, s_polynomial
-from .numkit import divisors, euler_phi, genus, moebius, mult_order_signed
+from .numkit import (divisors, euler_phi, genus, is_prime, lucas_v, moebius,
+                     mult_order_signed)
 
 # modulus that controls existence of order-m rotations in PSL(2,q)
 _M_MODULUS = {3: 3, 4: 8, 6: 12}
@@ -38,8 +40,18 @@ class FieldData:
     q: int          # p**d
 
 
+def _check_prime(p: int) -> None:
+    if not (2 <= p < 1 << 64 and is_prime(p)):
+        raise Inadmissible(f"p={p} is not a prime below 2^64")
+
+
 def field_data(m: int, n: int, p: int) -> FieldData:
     """Degree and order of the field F_q carrying the type-{m,n} maps in char p."""
+    _check_prime(p)
+    return _field_data(m, n, p)
+
+
+def _field_data(m: int, n: int, p: int) -> FieldData:
     if m not in _M_MODULUS:
         raise Inadmissible(f"m={m} is unsupported")
     if (m - 2) * (n - 2) <= 4:
@@ -103,44 +115,124 @@ def _class_sort_key(factor: tuple[int, ...], p: int):
 def map_census(m: int, n: int, p: int, *, traces: bool = True) -> CensusRecord:
     """Full classification of the type-{m,n} Macbeath maps in characteristic p.
 
-    `traces=False` skips the optional square-root representative t on each
-    class (the expensive part of a record); everything else is unchanged.
+    Split primes (d = 1) take the Lucas-ladder route, every other prime the
+    factorization of f1 mod p; both give the same record.  `traces=False`
+    skips the optional square-root representative t on each class (the
+    expensive part of a record); everything else is unchanged.
     """
+    return _map_census(m, n, p, traces, split_route=True)
+
+
+def _map_census(m: int, n: int, p: int, traces: bool, split_route: bool) -> CensusRecord:
+    # split_route=False factors f1 on every prime: the reference the split
+    # route is tested against
     f1 = s_polynomial(m, n)
-    factored = gf.reduce_and_factor(f1, p)
-    if not factored.squarefree:
-        raise BadReduction(f"f1 for type {{{m},{n}}} is not squarefree mod {p}")
-    fd = field_data(m, n, p)
-    degrees = {len(g) - 1 for g, _ in factored.factors}
-    if len(degrees) != 1:
-        raise IntegrityError(f"unequal factor degrees {degrees} for ({m},{n},{p})")
-    e = degrees.pop()
-    if fd.d % e:
-        raise IntegrityError(f"factor degree {e} does not divide d={fd.d}")
-    shift = _T_SQUARE_SHIFT[m]
-    classes = []
-    for factor, _ in sorted(factored.factors,
-                            key=lambda fm: _class_sort_key(fm[0], p)):
-        ctx = gf.FieldCtx(p, factor, ambient_d=fd.d, validate=False)
-        s = ctx.gen()
-        character = gf.chi(s)
-        if character == 0:
-            raise BadReduction(
-                f"s = 0 occurs for ({m},{n},{p}); no generating triple has t^2 = {shift}")
-        t = gf.sqrt_in_field(ctx.elem(shift) - s) if traces else None
-        classes.append(TraceClass(factor, e, s, character,
-                                  INNER if character == 1 else OUTER, t))
+    _check_prime(p)
+    try:
+        fd = _field_data(m, n, p)
+    except Inadmissible:
+        fd = None  # raised again by the factorization route, after its squarefree check
+    if split_route and fd is not None and fd.d == 1:
+        classes = _split_classes(m, n, p, f1, traces)
+    else:
+        fd, classes = _factored_classes(m, n, p, f1, fd, traces)
+    e = classes[0].e
     k = sum(1 for c in classes if c.regularity == INNER)
     l = len(classes) - k
     half_phi = euler_phi(n) // 2
     if k + l != half_phi // e:
         raise IntegrityError(f"class count {k + l} != phi(n)/2e for ({m},{n},{p})")
     closed_form = half_phi // fd.d if half_phi % fd.d == 0 else -1
-    record = CensusRecord(
+    return CensusRecord(
         m, n, p, fd, genus(m, n, fd.q), tuple(classes), k, l,
         _parity(m, n, p, fd.d, l),
         closed_form, closed_form != k + l)
-    return record
+
+
+def _trace_class(m: int, n: int, p: int, factor: tuple[int, ...], d: int,
+                 t_value: int | None, traces: bool) -> TraceClass:
+    ctx = gf.FieldCtx(p, factor, ambient_d=d, validate=False)
+    s = ctx.gen()
+    character = gf.chi(s)
+    shift = _T_SQUARE_SHIFT[m]
+    if character == 0:
+        raise BadReduction(
+            f"s = 0 occurs for ({m},{n},{p}); no generating triple has t^2 = {shift}")
+    t = None
+    if traces:
+        t = (gf.sqrt_in_field(ctx.elem(shift) - s) if t_value is None
+             else ctx.elem(t_value))
+    return TraceClass(factor, len(factor) - 1, s, character,
+                      INNER if character == 1 else OUTER, t)
+
+
+def _factored_classes(m: int, n: int, p: int, f1: IntPoly, fd: FieldData | None,
+                      traces: bool) -> tuple[FieldData, list[TraceClass]]:
+    """Classes from the irreducible factors of f1 mod p (any d)."""
+    factored = gf.reduce_and_factor(f1, p)
+    if not factored.squarefree:
+        raise BadReduction(f"f1 for type {{{m},{n}}} is not squarefree mod {p}")
+    if fd is None:
+        fd = _field_data(m, n, p)
+    degrees = {len(g) - 1 for g, _ in factored.factors}
+    if len(degrees) != 1:
+        raise IntegrityError(f"unequal factor degrees {degrees} for ({m},{n},{p})")
+    e = degrees.pop()
+    if fd.d % e:
+        raise IntegrityError(f"factor degree {e} does not divide d={fd.d}")
+    factors = sorted((g for g, _ in factored.factors),
+                     key=lambda g: _class_sort_key(g, p))
+    return fd, [_trace_class(m, n, p, g, fd.d, None, traces) for g in factors]
+
+
+@functools.lru_cache(maxsize=None)
+def _split_plan(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """N, the exponents N/q for the primes q | N, and the trace indices j.
+
+    With z of order N, the traces t_j = z^j + z^-j for 1 <= j < n/2 and
+    gcd(j, N) = 1 give each of the phi(n)/2 roots of f1 once (for even n,
+    t_{n-j} = -t_j would give the same root again).
+    """
+    n_mod = n if n % 2 else 2 * n
+    exponents = tuple(n_mod // q for q in divisors(n_mod) if q > 1 and is_prime(q))
+    indices = tuple(j for j in range(1, (n + 1) // 2) if gcd(j, n_mod) == 1)
+    return n_mod, exponents, indices
+
+
+def _split_classes(m: int, n: int, p: int, f1: IntPoly,
+                   traces: bool) -> list[TraceClass]:
+    """Classes on a split prime (p = +-1 mod N) from Lucas sequences, no factoring.
+
+    With eps = +-1 the sign of p mod N and c a parameter with Legendre(c^2 - 4)
+    = eps, z + 1/z = c has a root z in F_p or in the norm-one torus of F_{p^2},
+    so z^(p - eps) = 1 and t_1 = V_{(p-eps)/N}(c) is the trace of an element of
+    order dividing N, of order exactly N when no V_{N/q}(t_1) equals 2.  The
+    s-values s_j = shift - V_j(t_1)^2 must multiply out to f1 mod p.
+    """
+    n_mod, exponents, indices = _split_plan(n)
+    eps = 1 if p % n_mod == 1 else -1
+    half = (p - 1) // 2
+    for c in range(3, p):
+        if pow(c * c - 4, half, p) != eps % p:
+            continue
+        t1 = lucas_v((p - eps) // n_mod, c, p)
+        if all(lucas_v(k, t1, p) != 2 for k in exponents):
+            break
+    else:
+        raise IntegrityError(f"no trace of order {n_mod} found mod {p}")
+    shift = _T_SQUARE_SHIFT[m]
+    t_values = [lucas_v(j, t1, p) for j in indices]
+    s_values = [(shift - t * t) % p for t in t_values]
+    product = [1]
+    for s in s_values:
+        # multiply by x - s, coefficients ascending
+        product = [(a - s * b) % p for a, b in zip([0] + product, product + [0])]
+    if product != [c % p for c in f1.coeffs]:
+        raise IntegrityError(f"split-route s-values do not multiply out to f1 mod {p}")
+    if len(set(s_values)) != len(s_values):
+        raise BadReduction(f"f1 for type {{{m},{n}}} is not squarefree mod {p}")
+    return [_trace_class(m, n, p, ((-s) % p, 1), 1, min(t, p - t), traces)
+            for s, t in sorted(zip(s_values, t_values))]
 
 
 def _chi_of_integer(value: int, p: int, d: int) -> int:

@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "csv", "json"),
                         default="table")
     common.add_argument("--output", help="write the report here instead of stdout")
-    common.add_argument("--workers", type=int, default=density.default_workers(),
+    common.add_argument("--workers", type=int,
                         help="parallel workers for sweeps (default: "
                              "MACBEATH_WORKERS or 1)")
     common.add_argument("--seed", type=int, default=0,
@@ -335,6 +335,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.workers is None:
+            args.workers = density.default_workers()
         return args.func(args)
     except Error as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

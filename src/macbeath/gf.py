@@ -634,7 +634,9 @@ def _tonelli_shanks(a: FieldElem) -> FieldElem:
     while big_q % 2 == 0:
         big_q //= 2
         s += 1
-    index = 2
+    # in a field of even degree every prime-field constant is a square, so
+    # the walk starts at x (index p) there instead of at the constant 2
+    index = ctx.p if ctx.degree % 2 == 0 else 2
     while True:
         z = ctx.element_at(index)
         if not z.is_zero() and _euler_sign(z) == -1:

@@ -308,6 +308,7 @@ def psi_at_one(n: int) -> PsiOne:
 _SHIFT = {3: 1, 4: 0, 6: -1}
 
 
+@functools.lru_cache(maxsize=None)
 def s_polynomial(m: int, n: int) -> IntPoly:
     """Monic polynomial of degree phi(n)/2 whose roots are the s-parameters
     of trace classes for maps of type {m,n}.

@@ -87,6 +87,8 @@ def primes_upto(bound: int) -> list[int]:
     """All primes <= bound, ascending (segmented sieve)."""
     if bound < 2:
         return []
+    if bound <= _SEGMENT:
+        return _small_primes(bound)
     out = []
     for p in iter_primes():
         if p > bound:
@@ -137,8 +139,10 @@ class PrimeStream:
 
 def primes_in_classes(stream: PrimeStream) -> list[int]:
     """Materialize a PrimeStream as an ascending list of primes."""
-    out = []
     m = stream.modulus
+    if stream.bound is not None and 2 <= stream.bound <= _SEGMENT:
+        return [p for p in _small_primes(stream.bound) if p % m in stream.residues]
+    out = []
     for p in iter_primes():
         if stream.bound is not None and p > stream.bound:
             break
@@ -147,6 +151,24 @@ def primes_in_classes(stream: PrimeStream) -> list[int]:
             if stream.first is not None and len(out) == stream.first:
                 break
     return out
+
+
+def lucas_v(k: int, c: int, p: int) -> int:
+    """V_k(c) mod p, where V_0 = 2, V_1 = c and V_{i+1} = c*V_i - V_{i-1}.
+
+    A ladder over the pair (V_i, V_{i+1}), one doubling step per bit of k, so
+    it costs O(log k) products mod p.  V_k(z + 1/z) = z^k + z^-k.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    c %= p
+    v, w = 2 % p, c
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            v, w = (v * w - c) % p, (w * w - 2) % p
+        else:
+            v, w = (v * v - 2) % p, (v * w - c) % p
+    return v
 
 
 def mult_order_signed(p: int, modulus: int) -> int:
@@ -227,6 +249,8 @@ def prime_power_decompose(q: int) -> tuple[int, int]:
     """Write q = p**d with p prime, or raise ValueError."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
+    if q < 1 << 64 and is_prime(q):
+        return q, 1
     for d in range(q.bit_length(), 0, -1):
         p = _integer_nth_root(q, d)
         if p**d == q and is_prime(p):

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from macbeath import census as census_module
 from macbeath import gf
 from macbeath.census import (
     cps_discriminant,
@@ -12,7 +15,7 @@ from macbeath.census import (
     record_to_json,
     route_product,
 )
-from macbeath.errors import BadReduction, Inadmissible
+from macbeath.errors import BadReduction, Error, Inadmissible
 from macbeath.numkit import primes_upto
 
 
@@ -42,6 +45,9 @@ def test_field_data_errors():
         field_data(6, 7, 3)  # no order-6 elements in char 3
     with pytest.raises(Inadmissible):
         field_data(3, 6, 5)  # not hyperbolic
+    for p in (-13, 0, 1, 15, (1 << 64) + 13):
+        with pytest.raises(Inadmissible, match="not a prime below 2"):
+            field_data(3, 7, p)
 
 
 def test_census_3_7_13():
@@ -270,3 +276,96 @@ def test_csv_rows():
     assert len(rows) == 3
     assert rows[0][:3] == (3, 7, 13)
     assert {row[13] for row in rows} == {"inner", "outer"}
+
+
+# ---------------------------------------------------------------------------
+# split-prime (Lucas ladder) route against the factorization route
+
+
+def _outcome(m, n, p, traces, split_route):
+    try:
+        return census_module._map_census(m, n, p, traces, split_route)
+    except Error as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _without_traces(record):
+    data = json.loads(record_to_json(record))
+    for c in data["classes"]:
+        c["t"] = None
+    return json.dumps(data, sort_keys=True)
+
+
+@pytest.mark.parametrize("m, bound", [(3, 5000), (4, 2000), (6, 2000)])
+def test_split_route_matches_factorization_route(m, bound):
+    shift = census_module._T_SQUARE_SHIFT[m]
+    checked = 0
+    primes = primes_upto(bound)
+    for n in range(4, 41):
+        if (m - 2) * (n - 2) <= 4:
+            continue
+        n_mod = n if n % 2 else 2 * n
+        for p in primes:
+            if p % n_mod not in (1, n_mod - 1) and n_mod % p:
+                continue  # d > 1: no split route
+            try:
+                if field_data(m, n, p).d != 1:
+                    continue  # d > 1 takes the factorization route itself
+            except Inadmissible:
+                pass  # p | N, or no order-m rotations: both routes must fail alike
+            ref = _outcome(m, n, p, False, False)
+            got = _outcome(m, n, p, False, True)
+            got_traced = _outcome(m, n, p, True, True)
+            if isinstance(ref, tuple):
+                assert got == got_traced == ref, (m, n, p)
+                continue
+            assert record_to_json(got) == record_to_json(ref), (m, n, p)
+            # with traces on only t may change: each t is the smaller root of
+            # shift - s, and every tenth prime is compared whole
+            assert _without_traces(got_traced) == record_to_json(ref), (m, n, p)
+            for c in got_traced.classes:
+                (t,) = c.t.coeffs or (0,)
+                assert (t * t + c.s.coeffs[0] - shift) % p == 0 and 2 * t <= p
+            if checked % 10 == 0:
+                ref_traced = _outcome(m, n, p, True, False)
+                assert record_to_json(got_traced) == record_to_json(ref_traced), (m, n, p)
+            checked += 1
+    assert checked > 400
+
+
+def test_split_route_errors_match_on_bad_p():
+    for p in (-13, 0, 1, 15, 91, 1 << 64, (1 << 64) + 13):
+        for split_route in (True, False):
+            with pytest.raises(Inadmissible, match="not a prime below 2"):
+                census_module._map_census(3, 7, p, False, split_route)
+    # bad (m, n) is reported before p is looked at, as by the factorization route
+    for split_route in (True, False):
+        with pytest.raises(Inadmissible, match="m=5 is unsupported"):
+            census_module._map_census(5, 7, 15, False, split_route)
+        with pytest.raises(Inadmissible, match="not hyperbolic"):
+            census_module._map_census(3, 6, 15, False, split_route)
+
+
+def test_split_route_never_factors(monkeypatch):
+    def no_factoring(*args):
+        raise AssertionError("reduce_and_factor called on a split prime")
+
+    monkeypatch.setattr(gf, "reduce_and_factor", no_factoring)
+    r = map_census(3, 7, 13)
+    assert [c.s.coeffs for c in r.classes] == [(4,), (6,), (7,)]
+    with pytest.raises(AssertionError):
+        map_census(3, 7, 2)  # d = 3 keeps the factorization route
+
+
+def test_extension_square_roots_skip_prime_field_walk(monkeypatch):
+    calls = []
+    original = gf.FieldCtx.element_at
+
+    def counting(self, index):
+        calls.append(index)
+        return original(self, index)
+
+    monkeypatch.setattr(gf.FieldCtx, "element_at", counting)
+    r = map_census(3, 13, 18013)
+    assert r.field.d == 2 and all(c.t is not None for c in r.classes)
+    assert len(calls) < 100

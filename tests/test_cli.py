@@ -139,3 +139,24 @@ def test_output_file(tmp_path, capsys):
                        "--output", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["coefficients"] == [-2, 0, 1]
+
+
+@pytest.mark.parametrize("p", ["-13", "0", "1", "15", str((1 << 64) + 13)])
+def test_classify_rejects_non_prime_p(capsys, p):
+    code, out, err = run(capsys, "classify", "--n", "7", f"--p={p}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: inadmissible:") and "Traceback" not in err
+
+
+def test_workers_env_is_resolved_inside_main(capsys, monkeypatch):
+    monkeypatch.setenv("MACBEATH_WORKERS", "abc")
+    code, out, err = run(capsys, "psi", "--n", "7")
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid-input:") and "Traceback" not in err
+    monkeypatch.setenv("MACBEATH_WORKERS", "2")
+    code, out, _ = run(capsys, "psi", "--n", "7", "--format", "json")
+    assert code == 0 and json.loads(out)["meta"]["workers"] == 2
+    code, out, _ = run(capsys, "psi", "--n", "7", "--format", "csv")
+    assert code == 0 and "workers=2 " in out.splitlines()[0]
+    code, out, _ = run(capsys, "psi", "--n", "7", "--format", "json", "--workers", "1")
+    assert json.loads(out)["meta"]["workers"] == 1

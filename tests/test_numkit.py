@@ -11,6 +11,7 @@ from macbeath.numkit import (
     euler_phi,
     genus,
     is_prime,
+    lucas_v,
     moebius,
     mult_order_signed,
     primes_in_classes,
@@ -76,6 +77,45 @@ def test_primes_in_classes_examples():
 def test_primes_in_classes_bound_mode():
     got = primes_in_classes(PrimeStream.up_to(7, {1, 6}, 100))
     assert got == [13, 29, 41, 43, 71, 83, 97]
+
+
+@pytest.mark.parametrize("bound", [(1 << 17) - 1, 1 << 17, (1 << 17) + 1])
+def test_bounded_sieve_matches_segmented_path(bound):
+    segmented = []
+    for p in numkit.iter_primes():
+        if p > bound:
+            break
+        segmented.append(p)
+    assert primes_upto(bound) == segmented
+    stream = PrimeStream.plus_minus_one(14, bound=bound)
+    assert primes_in_classes(stream) == [p for p in segmented if p % 14 in (1, 13)]
+
+
+def test_first_k_stream_matches_bounded_stream():
+    first = primes_in_classes(PrimeStream.plus_minus_one(38, first=2000))
+    assert first[-1] > 1 << 17  # the stream runs past the first segment
+    bounded = primes_in_classes(PrimeStream.plus_minus_one(38, bound=first[-1]))
+    assert first == bounded
+    assert primes_in_classes(PrimeStream.up_to(7, {1}, 1)) == []
+
+
+def test_lucas_v_matches_recurrence():
+    for p in (2, 3, 13, 10007):
+        for c in (0, 1, 5, p - 1):
+            seq = [2 % p, c % p]
+            for _ in range(40):
+                seq.append((c * seq[-1] - seq[-2]) % p)
+            assert [lucas_v(k, c, p) for k in range(len(seq))] == seq
+    with pytest.raises(ValueError):
+        lucas_v(-1, 3, 13)
+
+
+def test_lucas_v_is_a_power_trace():
+    # c = z + 1/z with z = 2 in F_13: V_k(c) = 2^k + 2^-k
+    p, z = 13, 2
+    c = (z + pow(z, -1, p)) % p
+    for k in (0, 1, 7, 12, 1000003):
+        assert lucas_v(k, c, p) == (pow(z, k, p) + pow(z, -k, p)) % p
 
 
 def test_prime_stream_validation():
@@ -149,6 +189,17 @@ def test_prime_power_decompose():
     assert numkit.prime_power_decompose(27) == (3, 3)
     assert numkit.prime_power_decompose(1024) == (2, 10)
     assert numkit.prime_power_decompose(9871) == (9871, 1)
+    for p in (2, 3, 13, 2**61 - 1, (1 << 64) - 59):  # the last is the largest 64-bit prime
+        assert numkit.prime_power_decompose(p) == (p, 1)
+    assert numkit.prime_power_decompose(13**5) == (13, 5)
+    assert numkit.prime_power_decompose((2**61 - 1) ** 2) == (2**61 - 1, 2)
+    assert numkit.prime_power_decompose(2**64) == (2, 64)
+    big = 2**89 - 1  # a Mersenne prime past the 64-bit range
+    with pytest.raises(ValueError):
+        numkit.prime_power_decompose(big)  # primality is only decided below 2^64
+    for composite in (12, 15, (1 << 64) - 1, 2**64 + 2):
+        with pytest.raises(ValueError):
+            numkit.prime_power_decompose(composite)
 
 
 def test_genus_paper_examples():
