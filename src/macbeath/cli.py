@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -127,7 +128,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    record = census.map_census(3, args.n, args.p)
+    # the oracle derives its own trace from each class, so none is kept here
+    record = census.map_census(3, args.n, args.p, traces=False)
     targets = record.classes if args.class_index is None \
         else (record.classes[args.class_index],)
     witnesses = [census.matrix_oracle(args.n, args.p, cls, record.field.d)
@@ -258,7 +260,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: parsing
+    leaves it unchanged, so callers must not modify it either."""
     parser = argparse.ArgumentParser(
         prog="macbeath",
         description="Inner/outer regularity census for Macbeath maps over PSL(2,q)")

@@ -134,10 +134,12 @@ def sweep(m: int, n: int, stream: PrimeStream | None = None, *,
           workers: int | None = None, cache_path: str | None = None) -> SweepResult:
     """Classify every prime admitted by the stream and tally the k values.
 
-    Bad-reduction (and otherwise inadmissible) primes are skipped and
-    reported in the tally.  Partitioning the work over several workers does
-    not change the result.
+    An unsupported m or a non-hyperbolic type raises Inadmissible before any
+    prime is classified; bad-reduction (and otherwise inadmissible) primes
+    are skipped and reported in the tally.  Partitioning the work over
+    several workers does not change the result.
     """
+    s_polynomial(m, n)  # an inadmissible type fails here, before any prime
     if stream is None:
         stream = default_stream(m, n, first=400)
     primes = primes_in_classes(stream)

@@ -126,33 +126,120 @@ def _deriv(a, p):
     return _trim([i * c % p for i, c in enumerate(a)][1:])
 
 
+class _PackedModulus:
+    """Arithmetic in F_p[x]/(f) on Kronecker-packed ints, for a fixed f.
+
+    A reduced residue a_0 + a_1 x + ... + a_{d-1} x^(d-1) (0 <= a_j < p) is
+    the int sum a_j * 2^(j*w): one slot of w bits per coefficient.  The
+    product of two packed residues is then one big-int product whose slot j
+    holds the j-th coefficient of the polynomial product, at most d*(p-1)^2
+    and so free of carries.  Reduction takes the top slots j >= d mod p and
+    adds each, times the packed row T_i = x^(d+i) mod f, into the low d
+    slots; a low slot then holds at most 2d*(p-1)^2 < (2d+1)*p^2 + p, which
+    w is chosen to cover.  A last pass reduces every low slot mod p.  Rows
+    exist for i < d, one more than a product needs, so that a squaring can
+    be multiplied by x (a shift by one slot) before the same reduction.
+    """
+
+    __slots__ = ("p", "d", "w", "mask", "low", "rows", "slots")
+
+    def __init__(self, f, p):
+        f = _monic(f, p)  # the remainder mod c*f is the remainder mod f
+        d = len(f) - 1
+        if d < 1:
+            raise ValueError("modulus must have degree >= 1")
+        w = ((2 * d + 1) * p * p + p).bit_length()
+        self.p, self.d, self.w = p, d, w
+        self.mask = (1 << w) - 1
+        self.low = (1 << d * w) - 1
+        # shift of slot j, highest first, for the normalizing pass
+        self.slots = tuple(range((d - 1) * w, -1, -w))
+        rows = []
+        row = [-c % p for c in f[:-1]]  # x^d mod f
+        for i in range(d):
+            rows.append(((d + i) * w, self.pack(row)))
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = [(a - top * b) % p for a, b in zip(row, f)]
+        self.rows = tuple(rows)
+
+    def pack(self, coeffs) -> int:
+        """A residue of degree < d, coefficients in 0..p-1, as one int."""
+        v, w = 0, self.w
+        for c in reversed(coeffs):
+            v = (v << w) | c
+        return v
+
+    def unpack(self, v: int) -> list[int]:
+        out, w, mask = [], self.w, self.mask
+        for _ in range(self.d):
+            out.append(v & mask)
+            v >>= w
+        return _trim(out)
+
+    def normalize(self, acc: int) -> int:
+        """Reduce each of the low d slots of acc mod p."""
+        p, w, mask = self.p, self.w, self.mask
+        out = 0
+        for s in self.slots:
+            out = (out << w) | ((acc >> s) & mask) % p
+        return out
+
+    def reduce(self, prod: int) -> int:
+        """A packed product (2d slots at most, unreduced) mod f."""
+        p, mask = self.p, self.mask
+        acc = prod & self.low
+        for s, row in self.rows:
+            c = ((prod >> s) & mask) % p
+            if c:
+                acc += c * row
+        return self.normalize(acc)
+
+    def pow(self, a: int, exp: int) -> int:
+        """a**exp mod f, left-to-right square and multiply."""
+        if exp == 0:
+            return 1
+        reduce = self.reduce
+        r = a
+        if self.d > 1 and a == 1 << self.w:
+            # a = x: multiplying by x is a shift by one slot, fused into
+            # the reduction of the preceding square
+            w = self.w
+            for bit in bin(exp)[3:]:
+                r = reduce((r * r) << w if bit == "1" else r * r)
+        else:
+            for bit in bin(exp)[3:]:
+                r = reduce(r * r)
+                if bit == "1":
+                    r = reduce(r * a)
+        return r
+
+    def frobenius_rows(self) -> list[int]:
+        """Packed x**(p*j) mod f for j < d (d >= 2), to apply Frobenius in
+        one pass."""
+        xp = self.pow(1 << self.w, self.p)
+        rows = [1]
+        for _ in range(self.d - 1):
+            rows.append(self.reduce(rows[-1] * xp))
+        return rows
+
+    def frobenius_map(self, h: int, rows) -> int:
+        """h(x)**p mod f: sum h_j * x**(p*j), accumulated packed."""
+        w, mask = self.w, self.mask
+        acc = 0
+        for row in rows:
+            c = h & mask
+            if c:
+                acc += c * row
+            h >>= w
+        return self.normalize(acc)
+
+
 def _pow_mod(base, exp, mod, p):
-    result = [1]
-    base = _rem(base, mod, p)
-    while exp:
-        if exp & 1:
-            result = _rem(_mul(result, base, p), mod, p)
-        base = _rem(_mul(base, base, p), mod, p)
-        exp >>= 1
-    return result
-
-
-def _frobenius_base(f, p):
-    """Table of x**(p*j) mod f for j < deg f, to apply Frobenius in one pass."""
-    xp = _pow_mod([0, 1], p, f, p)
-    base = [[1]]
-    for _ in range(len(f) - 2):
-        base.append(_rem(_mul(base[-1], xp, p), f, p))
-    return base
-
-
-def _frobenius_map(h, base, f, p):
-    """h(x)**p mod f given the precomputed power table."""
-    out: list[int] = []
-    for j, c in enumerate(h):
-        if c:
-            out = _add(out, _mul_scalar(base[j], c, p), p)
-    return out
+    ring = _PackedModulus(mod, p)
+    base = [c % p for c in _rem(base, mod, p)]
+    return ring.unpack(ring.pow(ring.pack(base), exp))
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +282,22 @@ def _ddf(f, p):
     if len(f) <= 2:
         return [(f, 1)] if len(f) == 2 else []
     out = []
-    base = _frobenius_base(f, p)
-    h = base[1] if len(base) > 1 else _pow_mod([0, 1], p, f, p)
+    ring = _PackedModulus(f, p)
+    rows = ring.frobenius_rows()
+    h = rows[1]  # x^p mod f, packed
     i = 1
     while 2 * i <= len(f) - 1:
-        g = _gcd(_sub(h, [0, 1], p), f, p)
+        g = _gcd(_sub(ring.unpack(h), [0, 1], p), f, p)
         if len(g) > 1:
             out.append((g, i))
             f = _quo(f, g, p)
-            if len(f) == 1:
-                return out
-            base = _frobenius_base(f, p)
-            h = _rem(h, f, p)
-        h = _frobenius_map(h, base, f, p)
+            if 2 * (i + 1) > len(f) - 1:
+                break
+            # f now divides the old f, so old residues reduce to new ones
+            old, ring = ring, _PackedModulus(f, p)
+            h = ring.pack(_rem(old.unpack(h), f, p))
+            rows = [ring.pack(_rem(old.unpack(r), f, p)) for r in rows[:len(f) - 1]]
+        h = ring.frobenius_map(h, rows)
         i += 1
     if len(f) > 1:
         out.append((f, len(f) - 1))
@@ -382,7 +472,7 @@ class FieldCtx:
     reduces to a computation inside F_{p^e}.
     """
 
-    __slots__ = ("p", "modulus", "degree", "ambient_d")
+    __slots__ = ("p", "modulus", "degree", "ambient_d", "_ring")
 
     def __init__(self, p: int, modulus, ambient_d: int | None = None, *,
                  validate: bool = True):
@@ -394,6 +484,7 @@ class FieldCtx:
         self.modulus = modulus
         self.degree = e
         self.ambient_d = e if ambient_d is None else ambient_d
+        self._ring = None
         if validate:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
@@ -403,6 +494,12 @@ class FieldCtx:
                 raise ValueError("field degree must divide the ambient degree")
             if not is_irreducible(list(modulus), p):
                 raise ValueError("modulus is not irreducible mod p")
+
+    def ring(self) -> _PackedModulus:
+        """Packed arithmetic mod the modulus, built on first use."""
+        if self._ring is None:
+            self._ring = _PackedModulus(self.modulus, self.p)
+        return self._ring
 
     @property
     def order(self) -> int:
@@ -464,7 +561,7 @@ class FieldElem:
         return FieldElem(self.ctx, tuple(coeffs))
 
     def _check(self, other: FieldElem):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("elements from different field contexts")
 
     def __add__(self, other: FieldElem) -> FieldElem:
@@ -480,8 +577,9 @@ class FieldElem:
 
     def __mul__(self, other: FieldElem) -> FieldElem:
         self._check(other)
-        prod = _mul(list(self.coeffs), list(other.coeffs), self.ctx.p)
-        return self._wrap(_rem(prod, list(self.ctx.modulus), self.ctx.p))
+        ring = self.ctx.ring()
+        return self._wrap(ring.unpack(ring.reduce(ring.pack(self.coeffs)
+                                                  * ring.pack(other.coeffs))))
 
     def inverse(self) -> FieldElem:
         if self.is_zero():
@@ -503,8 +601,8 @@ class FieldElem:
     def __pow__(self, exp: int) -> FieldElem:
         if exp < 0:
             return self.inverse() ** (-exp)
-        out = _pow_mod(list(self.coeffs), exp, list(self.ctx.modulus), self.ctx.p)
-        return self._wrap(out)
+        ring = self.ctx.ring()
+        return self._wrap(ring.unpack(ring.pow(ring.pack(self.coeffs), exp)))
 
     def frobenius(self) -> FieldElem:
         return self**self.ctx.p
@@ -643,8 +741,9 @@ def _tonelli_shanks(a: FieldElem) -> FieldElem:
             break
         index += 1
     c = z**big_q
-    r = a ** ((big_q + 1) // 2)
-    t = a**big_q
+    w = a ** ((big_q - 1) // 2)
+    r = a * w       # a^((Q+1)/2)
+    t = r * w       # a^Q
     m = s
     one = ctx.one()
     while t != one:

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from .errors import Inadmissible
 
 # Witness set proven deterministic for every n < 3.3 * 10**24, hence for all
-# 64-bit inputs.
+# 64-bit inputs.  Its first four suffice below 3,215,031,751, the least strong
+# pseudoprime to the bases 2, 3, 5 and 7.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_SMALL_BOUND = 3_215_031_751
 
 _SEGMENT = 1 << 17
 
@@ -35,7 +37,7 @@ def is_prime(v: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for w in _MR_WITNESSES:
+    for w in _MR_WITNESSES[:4] if v < _MR_SMALL_BOUND else _MR_WITNESSES:
         x = pow(w, d, v)
         if x == 1 or x == v - 1:
             continue

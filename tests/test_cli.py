@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import macbeath
 from macbeath import refdata
-from macbeath.census import map_census, record_from_json
-from macbeath.cli import main
+from macbeath.census import map_census, matrix_oracle, record_from_json
+from macbeath.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -160,3 +164,50 @@ def test_workers_env_is_resolved_inside_main(capsys, monkeypatch):
     assert code == 0 and "workers=2 " in out.splitlines()[0]
     code, out, _ = run(capsys, "psi", "--n", "7", "--format", "json", "--workers", "1")
     assert json.loads(out)["meta"]["workers"] == 1
+
+
+def test_sweep_of_inadmissible_type_fails_fast(capsys):
+    code, out, err = run(capsys, "sweep", "--n", "5", "--first", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: inadmissible:") and "Traceback" not in err
+    code, out, err = run(capsys, "sweep", "--m", "5", "--n", "7", "--bound", "100",
+                         "--format", "csv")
+    assert code == 1 and out == ""
+    assert err.startswith("error: inadmissible:")
+
+
+def _fresh_stdout(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(macbeath.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("MACBEATH_WORKERS", None)
+    proc = subprocess.run([sys.executable, "-m", "macbeath.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_parser_is_shared_without_leaking_state(capsys, monkeypatch):
+    monkeypatch.delenv("MACBEATH_WORKERS", raising=False)
+    assert build_parser() is build_parser()
+    first = ["sweep", "--n", "9", "--first", "6", "--format", "csv", "--seed", "5"]
+    second = ["classify", "--n", "7", "--p", "13", "--no-traces"]
+    code1, out1, _ = run(capsys, *first)
+    code2, out2, _ = run(capsys, *second)
+    assert code1 == code2 == 0
+    assert out1 == _fresh_stdout(first)
+    assert out2 == _fresh_stdout(second)
+
+
+@pytest.mark.parametrize("n,p", [(7, 5), (9, 23), (11, 3), (13, 47)])
+def test_oracle_output_matches_the_traced_record(capsys, n, p):
+    # the command classifies without traces; the witnesses must be the ones
+    # built from the full record
+    record = map_census(3, n, p)
+    expected = [matrix_oracle(n, p, cls, record.field.d) for cls in record.classes]
+    code, out, _ = run(capsys, "oracle", "--n", str(n), "--p", str(p),
+                       "--format", "json")
+    assert code == 0
+    got = json.loads(out)["witnesses"]
+    assert [w["det_w"] for w in got] == [list(w.det_w) for w in expected]
+    assert [w["x"] for w in got] == [[list(c) for c in w.x_matrix] for w in expected]
+    assert [w["verdict"] for w in got] == [w.verdict for w in expected]

@@ -246,3 +246,107 @@ def test_find_irreducible():
     assert is_irreducible(list(g), 2)
     assert len(g) == 9
     assert find_irreducible(13, 1) == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the packed F_p[x]/(f) kernel against schoolbook arithmetic and sympy
+
+try:
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor, gf_pow_mod
+except ImportError:  # sympy is a test-only reference
+    gf_pow_mod = None
+
+P63 = 2**63 - 25  # the largest prime below 2^63
+
+
+def schoolbook_pow_mod(base, exp, mod, p):
+    result = [1]
+    base = gf._rem(base, mod, p)
+    while exp:
+        if exp & 1:
+            result = gf._rem(gf._mul(result, base, p), mod, p)
+        base = gf._rem(gf._mul(base, base, p), mod, p)
+        exp >>= 1
+    return result
+
+
+def sympy_pow_mod(base, exp, mod, p):
+    out = gf_pow_mod(base[::-1], exp, mod[::-1], p, ZZ)
+    return [int(c) % p for c in out[::-1]]
+
+
+def kernel_cases():
+    rng = random.Random(23)
+    cases = []
+    for p in (2, 3, 5, 101, 65521, P63):
+        for d in (1, 2, 3, 7, 18):
+            mod = [rng.randrange(p) for _ in range(d)] + [1]
+            for exp in (0, 1, 2, 3, p, p**2 - 1, rng.randrange(1, 1 << 80)):
+                # a base shorter than, as long as and longer than the modulus
+                for length in (1, d, 2 * d + 3):
+                    base = gf._trim([rng.randrange(p) for _ in range(length)])
+                    cases.append((base, exp, mod, p))
+            cases.append(([0, 1], p**d, mod, p))  # the x-power path
+    return cases
+
+
+def test_packed_pow_mod_matches_schoolbook():
+    for base, exp, mod, p in kernel_cases():
+        assert gf._pow_mod(base, exp, mod, p) == schoolbook_pow_mod(base, exp, mod, p), \
+            (base, exp, mod, p)
+
+
+def test_packed_pow_mod_matches_sympy():
+    if gf_pow_mod is None:
+        pytest.skip("sympy is not installed")
+    for base, exp, mod, p in kernel_cases():
+        assert gf._pow_mod(base, exp, mod, p) == sympy_pow_mod(base, exp, mod, p), \
+            (base, exp, mod, p)
+
+
+def test_packed_pow_mod_edge_values():
+    assert gf._pow_mod([5], 0, [3, 1], 7) == [1]
+    assert gf._pow_mod([0, 1], 0, [3, 0, 1], 7) == [1]
+    # a non-monic modulus gives the remainder mod its monic multiple
+    assert gf._pow_mod([0, 1], 9, [6, 0, 2], 7) == gf._pow_mod([0, 1], 9, [3, 0, 1], 7)
+    with pytest.raises(ValueError):
+        gf._pow_mod([1], 3, [4], 7)
+
+
+def test_frobenius_is_identity_after_e_steps():
+    # x^(p^e) = x in F_p[x]/(g) for g irreducible of degree e
+    for p, e in ((2, 1), (2, 18), (3, 1), (3, 18), (P63, 1), (P63, 2), (P63, 3)):
+        g = list(find_irreducible(p, e))
+        x = gf._rem([0, 1], g, p)
+        assert gf._pow_mod([0, 1], p**e, g, p) == x
+        if e > 1:
+            assert gf._pow_mod([0, 1], p, g, p) != x
+
+
+def test_packed_field_mul_matches_schoolbook():
+    rng = random.Random(29)
+    for p, e in ((2, 1), (2, 18), (3, 5), (13, 18), (499, 4), (P63, 1), (P63, 3)):
+        ctx = FieldCtx(p, find_irreducible(p, e), validate=False)
+        mod = list(ctx.modulus)
+        for _ in range(30):
+            a = ctx.elem([rng.randrange(p) for _ in range(e)])
+            b = ctx.elem([rng.randrange(p) for _ in range(e)])
+            expected = gf._rem(gf._mul(list(a.coeffs), list(b.coeffs), p), mod, p)
+            assert list((a * b).coeffs) == expected
+            assert (a**3).coeffs == (a * a * a).coeffs
+
+
+def test_degree_pattern_matches_sympy_factor_degrees():
+    # the distinct-degree split, with its packed Frobenius map and the rows
+    # carried over to each cofactor, against an independent factorization
+    if gf_pow_mod is None:
+        pytest.skip("sympy is not installed")
+    rng = random.Random(31)
+    for _ in range(150):
+        p = rng.choice([2, 3, 5, 7, 101, 65521, P63])
+        deg = rng.randrange(1, 13)
+        f = [rng.randrange(p) for _ in range(deg)] + [1]
+        _, factors = gf_factor(f[::-1], p, ZZ)
+        expected = sorted(d for g, m in factors for d in [len(g) - 1] * m)
+        assert list(degree_pattern(IntPoly(f), p)) == expected, (f, p)

@@ -43,6 +43,41 @@ def test_is_prime_large_known_values():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
 
+def _strong_probable_prime(n, base):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_small_witness_boundary():
+    # the least strong pseudoprime to 2, 3, 5 and 7 is where the short
+    # witness set stops being enough
+    n = 3_215_031_751
+    assert all(_strong_probable_prime(n, b) for b in (2, 3, 5, 7))
+    assert n == 151 * 751 * 28351
+    assert not is_prime(n)
+
+
+def test_is_prime_agrees_with_sieve_to_one_million():
+    bound = 10**6
+    assert [n for n in range(bound + 1) if is_prime(n)] == primes_upto(bound)
+
+
+def test_is_prime_just_below_2_64():
+    # the ten largest primes below 2^64 are 2^64 - k for these k
+    ks = [59, 83, 95, 179, 189, 257, 279, 323, 353, 363]
+    assert [k for k in range(1, 364) if is_prime(2**64 - k)] == ks
+
+
 def test_is_prime_rejects_out_of_range():
     with pytest.raises(ValueError):
         is_prime(1 << 64)
