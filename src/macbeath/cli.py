@@ -272,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="table")
     common.add_argument("--output", help="write the report here instead of stdout")
     common.add_argument("--workers", type=int,
-                        help="parallel workers for sweeps (default: "
-                             "MACBEATH_WORKERS or 1)")
+                        help="parallel workers for sweeps, at most the CPU "
+                             "count (default: MACBEATH_WORKERS or 1)")
     common.add_argument("--seed", type=int, default=0,
                         help="salt for the factorization splitting PRNG; output "
                              "is canonical either way, the flag is recorded in "
@@ -340,8 +340,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.workers is None:
-            args.workers = density.default_workers()
+        args.workers = (density.default_workers() if args.workers is None
+                        else density.clamp_workers(args.workers))
         return args.func(args)
     except Error as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

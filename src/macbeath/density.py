@@ -36,10 +36,15 @@ _STRUCTURE_TABLE_M3 = {
 }
 
 
+def clamp_workers(workers: int) -> int:
+    """A requested worker count, raised to 1 and capped at the CPU count."""
+    return max(1, min(workers, os.cpu_count() or 1))
+
+
 def default_workers() -> int:
     env = os.environ.get("MACBEATH_WORKERS")
     if env:
-        return max(1, int(env))
+        return clamp_workers(int(env))
     return 1
 
 
@@ -144,8 +149,9 @@ def sweep(m: int, n: int, stream: PrimeStream | None = None, *,
         stream = default_stream(m, n, first=400)
     primes = primes_in_classes(stream)
     cached: dict[int, PrimeSummary] = {}
+    cache_end = 0
     if cache_path and os.path.exists(cache_path):
-        cached = _read_cache(cache_path, m, n)
+        cached, cache_end = _read_cache(cache_path, m, n)
     todo = [p for p in primes if p not in cached]
     workers = default_workers() if workers is None else workers
     chunks = _chunked(todo, workers)
@@ -158,7 +164,8 @@ def sweep(m: int, n: int, stream: PrimeStream | None = None, *,
         else:
             skipped.append(item)
     if cache_path and fresh:
-        _append_cache(cache_path, m, n, [fresh[p] for p in todo if p in fresh])
+        _append_cache(cache_path, cache_end, m, n,
+                      [fresh[p] for p in todo if p in fresh])
     records = tuple(cached.get(p) or fresh[p] for p in primes
                     if p in cached or p in fresh)
     return SweepResult(m, n, records,
@@ -190,29 +197,43 @@ def _tally(m: int, n: int, stream: PrimeStream | None,
                       predicted, deviation, skipped)
 
 
-def _read_cache(path: str, m: int, n: int) -> dict[int, PrimeSummary]:
+def _read_cache(path: str, m: int, n: int) -> tuple[dict[int, PrimeSummary], int]:
+    """The cached rows for (m, n), and the offset just past the last newline.
+
+    A last line without a newline is torn, as a crash mid-append leaves it:
+    it is skipped, and the next append starts at that offset.  Any other
+    malformed line raises ValueError.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.rfind(b"\n") + 1
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+    for line in data[:end].decode("utf-8").split("\n"):
+        if not line.strip():
+            continue
+        row = json.loads(line)
+        try:
+            if row["m"] != m or row["n"] != n:
                 continue
-            data = json.loads(line)
-            if data["m"] != m or data["n"] != n:
-                continue
-            out[data["p"]] = PrimeSummary(data["p"], data["residue"], data["k"],
-                                          data["l"], data["d"], int(data["q"]),
-                                          int(data["genus"]))
-    return out
+            out[row["p"]] = PrimeSummary(row["p"], row["residue"], row["k"],
+                                         row["l"], row["d"], int(row["q"]),
+                                         int(row["genus"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed sweep cache row {line!r}") from exc
+    return out, end
 
 
-def _append_cache(path: str, m: int, n: int, records: list[PrimeSummary]) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
+def _append_cache(path: str, end: int, m: int, n: int,
+                  records: list[PrimeSummary]) -> None:
+    """Append rows after the first end bytes, cutting a torn line there."""
+    with open(path, "ab") as fh:
+        if fh.tell() > end:
+            fh.truncate(end)
         for rec in records:
             fh.write(json.dumps({
                 "m": m, "n": n, "p": rec.p, "residue": rec.residue,
                 "k": rec.k, "l": rec.l, "d": rec.d,
-                "q": str(rec.q), "genus": str(rec.genus)}) + "\n")
+                "q": str(rec.q), "genus": str(rec.genus)}).encode() + b"\n")
 
 
 # ---------------------------------------------------------------------------

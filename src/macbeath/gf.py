@@ -215,10 +215,9 @@ class _PackedModulus:
                     r = reduce(r * a)
         return r
 
-    def frobenius_rows(self) -> list[int]:
-        """Packed x**(p*j) mod f for j < d (d >= 2), to apply Frobenius in
-        one pass."""
-        xp = self.pow(1 << self.w, self.p)
+    def frobenius_rows(self, xp: int) -> list[int]:
+        """Packed x**(p*j) mod f for j < d, from xp = x**p mod f, to apply
+        Frobenius in one pass."""
         rows = [1]
         for _ in range(self.d - 1):
             rows.append(self.reduce(rows[-1] * xp))
@@ -261,6 +260,8 @@ def _sqf_list(f, p):
         # f is a polynomial in x**p, i.e. a p-th power of its de-interleaving
         return [(g, m * p) for g, m in _sqf_list(_pth_root(f, p), p)]
     g = _gcd(f, df, p)
+    if g == [1]:
+        return [(f, 1)]
     w = _quo(f, g, p)
     i = 1
     while len(w) > 1:
@@ -282,23 +283,21 @@ def _ddf(f, p):
     if len(f) <= 2:
         return [(f, 1)] if len(f) == 2 else []
     out = []
+    # h and the Frobenius rows stay reduced mod the original f: every
+    # cofactor divides it, so a gcd with the cofactor is the same gcd
     ring = _PackedModulus(f, p)
-    rows = ring.frobenius_rows()
+    rows = ring.frobenius_rows(ring.pow(1 << ring.w, p))
     h = rows[1]  # x^p mod f, packed
     i = 1
-    while 2 * i <= len(f) - 1:
+    while True:
         g = _gcd(_sub(ring.unpack(h), [0, 1], p), f, p)
         if len(g) > 1:
             out.append((g, i))
             f = _quo(f, g, p)
-            if 2 * (i + 1) > len(f) - 1:
-                break
-            # f now divides the old f, so old residues reduce to new ones
-            old, ring = ring, _PackedModulus(f, p)
-            h = ring.pack(_rem(old.unpack(h), f, p))
-            rows = [ring.pack(_rem(old.unpack(r), f, p)) for r in rows[:len(f) - 1]]
-        h = ring.frobenius_map(h, rows)
         i += 1
+        if 2 * i > len(f) - 1:
+            break
+        h = ring.frobenius_map(h, rows)
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
@@ -403,15 +402,53 @@ def degree_pattern(f: IntPoly, p: int) -> tuple[int, ...]:
     """Partition of deg f given by the irreducible factor degrees mod p.
 
     Uses only squarefree decomposition plus distinct-degree factorization,
-    so it is cheap enough for million-prime sweeps.
+    so it is cheap enough for million-prime sweeps.  An even f = g(x^2) with
+    p odd, g(0) != 0 mod p and g squarefree mod p is done mod g instead, in
+    half the degree (`_half_degree_pattern`).
     """
     coeffs = reduce_polynomial(f, p)
     monic = _monic(coeffs, p)
+    half = monic[::2]  # g when monic = g(x^2)
+    if (p > 2 and len(half) > 1 and half[0] and not any(monic[1::2])
+            and _gcd(half, _deriv(half, p), p) == [1]):
+        return _half_degree_pattern(half, p)
     degs: list[int] = []
     for g, mult in _sqf_list(monic, p):
         for h, d in _ddf(g, p):
             degs.extend([d] * ((len(h) - 1) // d * mult))
     return tuple(sorted(degs))
+
+
+def _half_degree_pattern(g, p):
+    """Degree pattern of f = g(x^2) for p odd, g(0) != 0 and g squarefree.
+
+    A root b of g gives two roots of f in F_{p^i} when b is a square there
+    and none otherwise, so f has N_i = 2 deg gcd(g, y^((p^i-1)/2) - 1) roots
+    in F_{p^i}, and N_i = sum over d | i of d r_d gives the number r_i of
+    factors of degree i.  All arithmetic is mod g, in half the degree of f;
+    a_i = y^((p^i-1)/2) steps as a_(i+1) = a_1 a_i^p.
+    """
+    ring = _PackedModulus(g, p)
+    a1 = ring.pow(ring.pack(_rem([0, 1], g, p)), (p - 1) // 2)
+    rows = ring.frobenius_rows(ring.reduce((a1 * a1) << ring.w))  # y^p = y a_1^2
+    counts = [0]  # counts[d]: factors of f of degree d
+    pattern: list[int] = []
+    a, i, rest = a1, 1, 2 * (len(g) - 1)
+    while 2 * i <= rest:
+        if i > 1:
+            a = ring.reduce(a1 * ring.frobenius_map(a, rows))
+        roots = 2 * (len(_gcd(_sub(ring.unpack(a), [1], p), g, p)) - 1)
+        count, left = divmod(roots - sum(d * counts[d] for d in range(1, i)
+                                         if i % d == 0), i)
+        if left or count < 0:
+            raise IntegrityError("root counts of f(x^2) do not peel into factors")
+        counts.append(count)
+        pattern += [i] * count
+        rest -= i * count
+        i += 1
+    if rest:
+        pattern.append(rest)
+    return tuple(pattern)
 
 
 def find_irreducible(p: int, e: int) -> tuple[int, ...]:

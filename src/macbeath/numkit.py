@@ -253,25 +253,25 @@ def prime_power_decompose(q: int) -> tuple[int, int]:
         raise ValueError(f"{q} is not a prime power")
     if q < 1 << 64 and is_prime(q):
         return q, 1
-    for d in range(q.bit_length(), 0, -1):
+    # a prime power has one prime base, so the first exponent that fits is
+    # it; a root past 2^64 is skipped, as its primality is not decided
+    for d in range(2, q.bit_length() + 1):
         p = _integer_nth_root(q, d)
-        if p**d == q and is_prime(p):
+        if p**d == q and p < 1 << 64 and is_prime(p):
             return p, d
-    raise ValueError(f"{q} is not a prime power")
+    raise ValueError(f"{q} is not a power of a prime below 2^64")
 
 
 def _integer_nth_root(x: int, n: int) -> int:
-    if n == 1:
+    """floor(x ** (1/n)) for x >= 0, by integer Newton steps from above."""
+    if n == 1 or x < 2:
         return x
-    try:
-        r = int(round(x ** (1.0 / n)))
-    except OverflowError:
-        r = 1 << (x.bit_length() // n + 1)
-    while r**n > x:
-        r = min(r - 1, (((n - 1) * r + x // r ** (n - 1)) // n))
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
+    r = 1 << -(-x.bit_length() // n)  # 2^ceil(bits/n) > x^(1/n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def psl2_order(q: int) -> int:

@@ -166,6 +166,37 @@ def test_workers_env_is_resolved_inside_main(capsys, monkeypatch):
     assert json.loads(out)["meta"]["workers"] == 1
 
 
+def test_workers_are_clamped_to_the_cpu_count(capsys, monkeypatch):
+    # psi starts no pool, so a huge count is safe to pass through main
+    cpus = os.cpu_count() or 1
+    code, out, _ = run(capsys, "psi", "--n", "7", "--format", "json",
+                       "--workers", str(10**9))
+    assert code == 0 and json.loads(out)["meta"]["workers"] == cpus
+    monkeypatch.setenv("MACBEATH_WORKERS", str(10**9))
+    code, out, _ = run(capsys, "psi", "--n", "7", "--format", "json")
+    assert code == 0 and json.loads(out)["meta"]["workers"] == cpus
+
+
+def test_sweep_resumes_twice_from_a_torn_cache(capsys, tmp_path):
+    argv = ["sweep", "--n", "7", "--first", "30", "--format", "csv", "--workers", "1"]
+    code, fresh, _ = run(capsys, *argv)
+    assert code == 0
+    cache = tmp_path / "cache.jsonl"
+    assert run(capsys, *argv, "--cache", str(cache))[1] == fresh
+    whole = cache.read_bytes()
+    cache.write_bytes(whole[:-40])  # the last line loses its end
+    for _ in range(2):
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert (code, out, err) == (0, fresh, "")
+        assert cache.read_bytes() == whole
+    lines = cache.read_bytes().split(b"\n")
+    for bad in (b'{"m": 3, "n"', b'{"m": 3}', b'[3, 7]'):  # mid-file
+        cache.write_bytes(b"\n".join(lines[:5] + [bad] + lines[5:]))
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert code == 1 and out == ""
+        assert err.startswith("error: invalid-input:") and "Traceback" not in err
+
+
 def test_sweep_of_inadmissible_type_fails_fast(capsys):
     code, out, err = run(capsys, "sweep", "--n", "5", "--first", "5")
     assert code == 1 and out == ""

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from macbeath.density import (
     EVEN_SUBGROUP,
     FULL_WREATH,
     UNKNOWN,
+    clamp_workers,
     default_stream,
     galois_model,
     negative_root_count,
@@ -69,6 +71,14 @@ def test_sweep_cache_round_trip(tmp_path):
     longer = sweep(3, 7, default_stream(3, 7, first=25), cache_path=str(cache))
     assert cache.stat().st_size > size
     assert longer.records[:20] == first.records
+
+
+def test_clamp_workers():
+    cpus = os.cpu_count() or 1
+    assert clamp_workers(10**9) == cpus
+    assert clamp_workers(cpus) == cpus
+    assert clamp_workers(1) == 1
+    assert clamp_workers(0) == 1 and clamp_workers(-4) == 1
 
 
 def test_negative_root_count_examples():

@@ -12,7 +12,7 @@ from macbeath.gf import (
     reduce_and_factor,
     sqrt_in_field,
 )
-from macbeath.intpoly import IntPoly, doubled, s_polynomial
+from macbeath.intpoly import IntPoly, discriminant, doubled, s_polynomial
 from macbeath.numkit import is_prime, primes_upto
 
 
@@ -350,3 +350,101 @@ def test_degree_pattern_matches_sympy_factor_degrees():
         _, factors = gf_factor(f[::-1], p, ZZ)
         expected = sorted(d for g, m in factors for d in [len(g) - 1] * m)
         assert list(degree_pattern(IntPoly(f), p)) == expected, (f, p)
+
+
+# ---------------------------------------------------------------------------
+# the half-degree pattern kernel for f = g(x^2) against the generic route
+
+
+def generic_pattern(f, p):
+    """Squarefree decomposition plus distinct-degree split, whatever the input."""
+    monic = gf._monic(gf.reduce_polynomial(f, p), p)
+    return tuple(sorted(d for g, mult in gf._sqf_list(monic, p)
+                        for h, d in gf._ddf(g, p)
+                        for _ in range((len(h) - 1) // d * mult)))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The primes on which degree_pattern took the half-degree kernel."""
+    calls = []
+    real = gf._half_degree_pattern
+
+    def counted(g, p):
+        calls.append(p)
+        return real(g, p)
+
+    monkeypatch.setattr(gf, "_half_degree_pattern", counted)
+    return calls
+
+
+def test_half_degree_kernel_matches_generic_route(kernel_calls):
+    # the kernel runs exactly on the odd primes that keep f2 squarefree, and
+    # the generic route, which never sees it, is the reference on each
+    for m, bound in ((3, 2000), (4, 1000), (6, 1000)):
+        primes = primes_upto(bound)
+        for n in range(7, 31):
+            f2 = doubled(s_polynomial(m, n))
+            disc = discriminant(f2)
+            kernel_calls.clear()
+            for p in primes:
+                assert degree_pattern(f2, p) == generic_pattern(f2, p), (m, n, p)
+            assert kernel_calls == [p for p in primes if p > 2 and disc % p], (m, n)
+
+
+def test_half_degree_kernel_on_random_even_inputs(kernel_calls):
+    rng = random.Random(37)
+    for _ in range(300):
+        p = rng.choice([3, 5, 7, 101, 65521, P63])
+        r = rng.randrange(1, 9)
+        g = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(r - 1)] + [1]
+        f = IntPoly([c for b in g for c in (b, 0)][:-1])
+        assert degree_pattern(f, p) == generic_pattern(f, p), (g, p)
+    assert len(kernel_calls) > 250  # a random g is squarefree almost always
+
+
+def test_half_degree_kernel_fallbacks(kernel_calls):
+    x = IntPoly([0, 1])
+    cases = [
+        (F2_37, 2),                                       # p = 2
+        (F2_37, 7),                                       # p | disc f2: triple root
+        (x * x * (x * x - IntPoly([1])) * (x * x - IntPoly([3])), 11),  # g(0) = 0
+        (IntPoly([1, 1, 0, 1]), 13),                      # odd in x
+        (IntPoly([3, 0, 2, 0, 1]) * IntPoly([3, 0, 2, 0, 1]), 5),  # g a square
+        (IntPoly([2, 0, 1]) * IntPoly([-1, 0, 1]), 3),    # g = (y - 1)^2 mod 3
+    ]
+    for f, p in cases:
+        assert degree_pattern(f, p) == reduce_and_factor(f, p).pattern(), (f, p)
+    assert kernel_calls == []
+
+
+def test_half_degree_kernel_matches_sympy_on_f2(kernel_calls):
+    if gf_pow_mod is None:
+        pytest.skip("sympy is not installed")
+    for n in (7, 11, 13, 20, 29):
+        f2 = doubled(s_polynomial(3, n))
+        coeffs = [int(c) for c in f2.coeffs[::-1]]
+        for p in (3, 13, 43, 97, 1009, 9871, 65521):
+            kernel_calls.clear()
+            pattern = degree_pattern(f2, p)
+            _, factors = gf_factor([c % p for c in coeffs], p, ZZ)
+            expected = tuple(sorted(d for g, m in factors for d in [len(g) - 1] * m))
+            assert pattern == expected, (n, p)
+            assert kernel_calls or discriminant(f2) % p == 0, (n, p)
+
+
+def test_half_degree_kernel_reads_no_character(kernel_calls, monkeypatch):
+    # the pattern census compares the linear factors of f2 with the census
+    # k, which rests on chi and the Lucas ladder: the kernel must use neither
+    from macbeath import census, numkit
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pattern kernel reached the census routes")
+
+    for module, name in ((gf, "chi"), (gf, "_euler_sign"), (numkit, "lucas_v"),
+                         (census, "lucas_v"), (census, "map_census")):
+        monkeypatch.setattr(module, name, forbidden)
+    f2 = doubled(s_polynomial(3, 7))
+    for p in primes_upto(3000)[1:]:
+        degree_pattern(f2, p)
+    assert len(kernel_calls) == len(primes_upto(3000)) - 2  # all but 2 and 7

@@ -237,6 +237,25 @@ def test_prime_power_decompose():
             numkit.prime_power_decompose(composite)
 
 
+def test_prime_power_decompose_tries_small_exponents_first(monkeypatch):
+    roots = []
+    real = numkit._integer_nth_root
+
+    def counted(x, n):
+        roots.append(n)
+        return real(x, n)
+
+    monkeypatch.setattr(numkit, "_integer_nth_root", counted)
+    for p in (2, 3, 13, 499, 65521, 2**61 - 1):
+        for d in range(2, 10):
+            roots.clear()
+            assert numkit.prime_power_decompose(p**d) == (p, d)
+            assert roots == list(range(2, d + 1))  # p^d is found at exponent d
+    for q in (6**2, 6**5, 3**2 * 5, 13**2 * 7, 499**2 * 503, 2**10 * 3**10, 100):
+        with pytest.raises(ValueError):
+            numkit.prime_power_decompose(q)
+
+
 def test_genus_paper_examples():
     assert genus(3, 7, 7) == 3
     assert genus(3, 7, 8) == 7
