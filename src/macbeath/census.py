@@ -17,8 +17,8 @@ from math import gcd, lcm
 from . import gf
 from .errors import BadReduction, Inadmissible, IntegrityError, OracleError
 from .intpoly import IntPoly, psi, s_polynomial
-from .numkit import (divisors, euler_phi, genus, is_prime, lucas_v, moebius,
-                     mult_order_signed)
+from .numkit import (divisors, euler_phi, genus_of_prime_power, is_prime, lucas_v,
+                     moebius, mult_order_signed)
 
 # modulus that controls existence of order-m rotations in PSL(2,q)
 _M_MODULUS = {3: 3, 4: 8, 6: 12}
@@ -144,24 +144,24 @@ def _map_census(m: int, n: int, p: int, traces: bool, split_route: bool) -> Cens
         raise IntegrityError(f"class count {k + l} != phi(n)/2e for ({m},{n},{p})")
     closed_form = half_phi // fd.d if half_phi % fd.d == 0 else -1
     return CensusRecord(
-        m, n, p, fd, genus(m, n, fd.q), tuple(classes), k, l,
+        m, n, p, fd, genus_of_prime_power(m, n, fd.q), tuple(classes), k, l,
         _parity(m, n, p, fd.d, l),
         closed_form, closed_form != k + l)
 
 
+def _s_zero(m: int, n: int, p: int) -> BadReduction:
+    return BadReduction(f"s = 0 occurs for ({m},{n},{p}); no generating triple "
+                        f"has t^2 = {_T_SQUARE_SHIFT[m]}")
+
+
 def _trace_class(m: int, n: int, p: int, factor: tuple[int, ...], d: int,
-                 t_value: int | None, traces: bool) -> TraceClass:
+                 traces: bool) -> TraceClass:
     ctx = gf.FieldCtx(p, factor, ambient_d=d, validate=False)
     s = ctx.gen()
     character = gf.chi(s)
-    shift = _T_SQUARE_SHIFT[m]
     if character == 0:
-        raise BadReduction(
-            f"s = 0 occurs for ({m},{n},{p}); no generating triple has t^2 = {shift}")
-    t = None
-    if traces:
-        t = (gf.sqrt_in_field(ctx.elem(shift) - s) if t_value is None
-             else ctx.elem(t_value))
+        raise _s_zero(m, n, p)
+    t = gf.sqrt_in_field(ctx.elem(_T_SQUARE_SHIFT[m]) - s) if traces else None
     return TraceClass(factor, len(factor) - 1, s, character,
                       INNER if character == 1 else OUTER, t)
 
@@ -182,7 +182,7 @@ def _factored_classes(m: int, n: int, p: int, f1: IntPoly, fd: FieldData | None,
         raise IntegrityError(f"factor degree {e} does not divide d={fd.d}")
     factors = sorted((g for g, _ in factored.factors),
                      key=lambda g: _class_sort_key(g, p))
-    return fd, [_trace_class(m, n, p, g, fd.d, None, traces) for g in factors]
+    return fd, [_trace_class(m, n, p, g, fd.d, traces) for g in factors]
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,7 +221,11 @@ def _split_classes(m: int, n: int, p: int, f1: IntPoly,
     else:
         raise IntegrityError(f"no trace of order {n_mod} found mod {p}")
     shift = _T_SQUARE_SHIFT[m]
-    t_values = [lucas_v(j, t1, p) for j in indices]
+    # t_j = V_j(t_1) for every index, in one pass of V_(j+1) = t_1 V_j - V_(j-1)
+    v = [2, t1]
+    while len(v) <= indices[-1]:
+        v.append((t1 * v[-1] - v[-2]) % p)
+    t_values = [v[j] for j in indices]
     s_values = [(shift - t * t) % p for t in t_values]
     product = [1]
     for s in s_values:
@@ -231,8 +235,20 @@ def _split_classes(m: int, n: int, p: int, f1: IntPoly,
         raise IntegrityError(f"split-route s-values do not multiply out to f1 mod {p}")
     if len(set(s_values)) != len(s_values):
         raise BadReduction(f"f1 for type {{{m},{n}}} is not squarefree mod {p}")
-    return [_trace_class(m, n, p, ((-s) % p, 1), 1, min(t, p - t), traces)
-            for s, t in sorted(zip(s_values, t_values))]
+    classes = []
+    for s, t in sorted(zip(s_values, t_values)):
+        # x mod (x - s) is s, so the class values are built from the residues
+        factor = ((-s) % p, 1)
+        ctx = gf.FieldCtx(p, factor, ambient_d=1, validate=False)
+        s_elem = gf.FieldElem(ctx, (s,) if s else ())
+        character = gf.chi(s_elem)
+        if character == 0:
+            raise _s_zero(m, n, p)
+        t = min(t, p - t)
+        classes.append(TraceClass(factor, 1, s_elem, character,
+                                  INNER if character == 1 else OUTER,
+                                  gf.FieldElem(ctx, (t,) if t else ()) if traces else None))
+    return classes
 
 
 def _chi_of_integer(value: int, p: int, d: int) -> int:
@@ -247,6 +263,7 @@ def _chi_of_integer(value: int, p: int, d: int) -> int:
     return 1 if pow(v, (p - 1) // 2, p) == 1 else -1
 
 
+@functools.lru_cache(maxsize=None)
 def _chi_shortcut(n: int, p: int) -> int:
     # section-free restatement of the tabulated chi(b_e) cases; valid for odd
     # n and q = p odd, where every b_e is +-1 or +-2
@@ -267,16 +284,21 @@ def _chi_shortcut(n: int, p: int) -> int:
     return sign
 
 
+@functools.lru_cache(maxsize=None)
+def _psi_one(n: int) -> int:
+    return psi(n)(1)
+
+
 def _parity(m: int, n: int, p: int, d: int, l: int) -> ParityVerdict:
     observed = "even" if l % 2 == 0 else "odd"
     if m != 3 or d % 2 == 0:
         return ParityVerdict(False, None, observed, None)
-    psi_one = psi(n)(1)
+    psi_one = _psi_one(n)
     character = _chi_of_integer(psi_one, p, d)
     if character == 0:
         raise IntegrityError(f"Psi_{n}(1) = {psi_one} vanishes mod {p} on a good prime")
     if d == 1 and n % 2 and p != 2:
-        if _chi_shortcut(n, p) != character:
+        if _chi_shortcut(n, p % 8) != character:  # it reads p only mod 8
             raise IntegrityError(f"chi(b_e) shortcut disagrees for n={n}, p={p}")
     predicted = "even" if character == 1 else "odd"
     verdict = ParityVerdict(True, predicted, observed, predicted == observed)

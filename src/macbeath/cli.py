@@ -31,8 +31,8 @@ def _emit(args, payload: dict, table_lines: list[str],
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         if args.format == "json":
-            json.dump({"meta": _meta(args), **payload}, out, sort_keys=True)
-            out.write("\n")
+            # dumps, unlike dump, runs the C encoder; the bytes are the same
+            out.write(json.dumps({"meta": _meta(args), **payload}, sort_keys=True) + "\n")
         elif args.format == "csv":
             meta = _meta(args)
             out.write(f"# macbeath {meta['version']} workers={meta['workers']} "

@@ -254,6 +254,8 @@ def _pth_root(f, p):
 
 def _sqf_list(f, p):
     """Squarefree decomposition of monic f: list of (monic factor, multiplicity)."""
+    if len(f) <= 1:
+        return []  # a constant has no factors (and f' = 0 would recurse forever)
     out = []
     df = _deriv(f, p)
     if not df:
@@ -541,10 +543,6 @@ class FieldCtx:
     @property
     def order(self) -> int:
         return self.p**self.degree
-
-    @property
-    def ambient_order(self) -> int:
-        return self.p**self.ambient_d
 
     def elem(self, coeffs) -> FieldElem:
         if isinstance(coeffs, int):

@@ -188,16 +188,7 @@ def vieta_lucas(m: int) -> IntPoly:
     return cur
 
 
-def _psi_cap() -> int:
-    return _PSI_CAP[0]
-
-
-def set_psi_cap(n: int) -> None:
-    """Raise the memoization cap for psi (default 200)."""
-    _PSI_CAP[0] = n
-
-
-_PSI_CAP = [200]
+_PSI_CAP = 200  # largest n that psi accepts
 
 
 def chebyshev_combination(n: int) -> IntPoly:
@@ -224,8 +215,8 @@ def psi(n: int) -> IntPoly:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > _psi_cap():
-        raise ValueError(f"psi cap is {_psi_cap()}; call set_psi_cap to raise it")
+    if n > _PSI_CAP:
+        raise ValueError(f"n must be <= {_PSI_CAP}")
     result = chebyshev_combination(n)
     for e in divisors(n):
         if e < n:

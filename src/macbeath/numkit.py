@@ -233,20 +233,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-@dataclass(frozen=True)
-class ArithTables:
-    n: int
-    divisors: tuple[int, ...]
-    moebius: dict[int, int]  # e -> mu(e), for each divisor e of n
-    phi: int
-
-
-def arith_tables(n: int) -> ArithTables:
-    """Divisor list, Moebius values on the divisors, and Euler phi of n."""
-    divs = divisors(n)
-    return ArithTables(n, divs, {e: moebius(e) for e in divs}, euler_phi(n))
-
-
 def prime_power_decompose(q: int) -> tuple[int, int]:
     """Write q = p**d with p prime, or raise ValueError."""
     if q < 2:
@@ -276,9 +262,8 @@ def _integer_nth_root(x: int, n: int) -> int:
 
 def psl2_order(q: int) -> int:
     """|PSL(2,q)| = q(q^2-1)/gcd(2, q-1), exact."""
-    p, _ = prime_power_decompose(q)
-    order = q * (q * q - 1)
-    return order if p == 2 else order // 2
+    prime_power_decompose(q)  # raises unless q is a prime power
+    return q * (q * q - 1) // math.gcd(2, q - 1)
 
 
 def genus(m: int, n: int, q: int) -> int:
@@ -289,7 +274,14 @@ def genus(m: int, n: int, q: int) -> int:
     """
     if (m - 2) * (n - 2) <= 4:
         raise Inadmissible(f"type {{{m},{n}}} is not hyperbolic")
-    num = psl2_order(q) * (m * n - 2 * m - 2 * n)
+    prime_power_decompose(q)  # raises unless q is a prime power
+    return genus_of_prime_power(m, n, q)
+
+
+def genus_of_prime_power(m: int, n: int, q: int) -> int:
+    """`genus` for a hyperbolic {m,n} and a q already known to be a prime
+    power, so q is not decomposed (nor tested for primality) again."""
+    num = q * (q * q - 1) // math.gcd(2, q - 1) * (m * n - 2 * m - 2 * n)
     den = 4 * m * n
     if num % den:
         raise Inadmissible(f"genus of type {{{m},{n}}} over q={q} is not integral")

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from macbeath import census as census_module
-from macbeath import gf
+from macbeath import gf, numkit
 from macbeath.census import (
     cps_discriminant,
     field_data,
@@ -369,3 +369,65 @@ def test_extension_square_roots_skip_prime_field_walk(monkeypatch):
     r = map_census(3, 13, 18013)
     assert r.field.d == 2 and all(c.t is not None for c in r.classes)
     assert len(calls) < 100
+
+
+def test_split_route_builds_classes_from_integers(monkeypatch):
+    calls = {"_rem": 0, "elem": 0, "is_prime": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for n, p, warm in ((7, 29, 13), (19, 37, 113)):
+        map_census(3, n, warm)  # fill the per-n caches first
+        monkeypatch.setattr(gf, "_rem", counted("_rem", gf._rem))
+        monkeypatch.setattr(gf.FieldCtx, "elem", counted("elem", gf.FieldCtx.elem))
+        is_prime = counted("is_prime", numkit.is_prime)
+        for module in (numkit, census_module, gf):
+            monkeypatch.setattr(module, "is_prime", is_prime)
+        for traces in (False, True):
+            calls.update(dict.fromkeys(calls, 0))
+            record = map_census(3, n, p, traces=traces)
+            assert record.field.d == 1 and len(record.classes) > 1
+            assert calls == {"_rem": 0, "elem": 0, "is_prime": 1}, (n, p, traces)
+        monkeypatch.undo()
+
+
+def test_s_zero_is_reported_alike_by_both_routes(monkeypatch):
+    # no split prime in the sweeps above has s = 0, so chi is forced to 0
+    monkeypatch.setattr(gf, "chi", lambda s: 0)
+    for split_route in (True, False):
+        with pytest.raises(BadReduction, match=r"^s = 0 occurs for \(3,7,13\); "
+                                               r"no generating triple has t\^2 = 3$"):
+            census_module._map_census(3, 7, 13, True, split_route)
+
+
+def test_chi_shortcut_cache_matches_formula():
+    primes = primes_upto(400)
+    for n in range(7, 100, 2):
+        for r in (1, 3, 5, 7):
+            for p in [q for q in primes if q % 8 == r][:3]:
+                assert (census_module._chi_shortcut(n, p % 8)
+                        == census_module._chi_shortcut.__wrapped__(n, p)), (n, p)
+
+
+@pytest.mark.parametrize("m, bound", [(3, 5000), (4, 2000), (6, 2000)])
+def test_census_genus_matches_numkit_genus(m, bound):
+    # the records of the route-equivalence sweep above: split primes, p | N
+    checked = 0
+    primes = primes_upto(bound)
+    for n in range(4, 41):
+        if (m - 2) * (n - 2) <= 4:
+            continue
+        n_mod = n if n % 2 else 2 * n
+        for p in primes:
+            if p % n_mod not in (1, n_mod - 1) and n_mod % p:
+                continue
+            record = _outcome(m, n, p, False, True)
+            if isinstance(record, tuple):
+                continue
+            assert record.genus == numkit.genus(m, n, record.field.q), (m, n, p)
+            checked += 1
+    assert checked > 400

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -112,6 +113,27 @@ def test_pattern_command(capsys):
     data = json.loads(out)
     assert data["skipped"] == [2, 7]
     assert data["bridge_violations"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--n", "7", "--p", "43"),
+    ("classify", "--m", "4", "--n", "9", "--p", "17"),
+    ("oracle", "--n", "13", "--p", "79"),
+    ("pattern", "--n", "11", "--bound", "400"),
+    ("sweep", "--n", "7", "--first", "40"),
+])
+def test_json_stdout_matches_the_python_encoder(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    rendered = io.StringIO()
+    json.dump(json.loads(out), rendered, sort_keys=True)
+    assert out == rendered.getvalue() + "\n"
+
+
+def test_psi_cap_error_names_the_bound(capsys):
+    code, out, err = run(capsys, "psi", "--n", "1000")
+    assert code == 1 and out == ""
+    assert err == "error: invalid-input: n must be <= 200\n"
 
 
 def test_predict_command(capsys):

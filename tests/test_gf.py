@@ -60,6 +60,16 @@ def test_degree_pattern_agrees_with_full_factorization():
         assert pat == reduce_and_factor(f, p).pattern()
 
 
+def test_constant_input_has_no_factors():
+    for p in (2, 3, 7, 13):
+        assert degree_pattern(IntPoly([5]), p) == ()
+        fl = reduce_and_factor(IntPoly([5]), p)
+        assert fl.factors == () and fl.lead == 5 % p and fl.squarefree
+        assert fl.pattern() == ()
+    with pytest.raises(ValueError):
+        degree_pattern(IntPoly([7]), 7)  # reduces to zero
+
+
 def test_factorization_reconstructs_and_is_deterministic():
     rng = random.Random(11)
     for _ in range(40):

@@ -103,7 +103,7 @@ def test_psi_vanishes_at_its_root():
 
 
 def test_psi_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be <= 200"):
         psi(1000)
 
 

@@ -6,7 +6,6 @@ from macbeath import numkit
 from macbeath.errors import Inadmissible
 from macbeath.numkit import (
     PrimeStream,
-    arith_tables,
     divisors,
     euler_phi,
     genus,
@@ -198,13 +197,12 @@ def test_mult_order_signed_requires_coprime():
 
 
 def test_arith_tables():
-    t9 = arith_tables(9)
-    assert t9.divisors == (1, 3, 9)
-    assert t9.moebius == {1: 1, 3: -1, 9: 0}
-    assert t9.phi == 6
-    assert arith_tables(7).phi == 6
+    assert divisors(9) == (1, 3, 9)
+    assert {e: moebius(e) for e in divisors(9)} == {1: 1, 3: -1, 9: 0}
+    assert euler_phi(9) == 6
+    assert euler_phi(7) == 6
     assert moebius(7) == -1
-    assert arith_tables(12).phi == 4
+    assert euler_phi(12) == 4
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
     assert euler_phi(1) == 1
 
