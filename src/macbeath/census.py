@@ -156,7 +156,7 @@ def _s_zero(m: int, n: int, p: int) -> BadReduction:
 
 def _trace_class(m: int, n: int, p: int, factor: tuple[int, ...], d: int,
                  traces: bool) -> TraceClass:
-    ctx = gf.FieldCtx(p, factor, ambient_d=d, validate=False)
+    ctx = gf.FieldCtx.trusted(p, factor, d)
     s = ctx.gen()
     character = gf.chi(s)
     if character == 0:
@@ -239,15 +239,15 @@ def _split_classes(m: int, n: int, p: int, f1: IntPoly,
     for s, t in sorted(zip(s_values, t_values)):
         # x mod (x - s) is s, so the class values are built from the residues
         factor = ((-s) % p, 1)
-        ctx = gf.FieldCtx(p, factor, ambient_d=1, validate=False)
-        s_elem = gf.FieldElem(ctx, (s,) if s else ())
+        ctx = gf.FieldCtx.trusted(p, factor, 1)
+        s_elem = gf.FieldElem(ctx, s)
         character = gf.chi(s_elem)
         if character == 0:
             raise _s_zero(m, n, p)
         t = min(t, p - t)
         classes.append(TraceClass(factor, 1, s_elem, character,
                                   INNER if character == 1 else OUTER,
-                                  gf.FieldElem(ctx, (t,) if t else ()) if traces else None))
+                                  gf.FieldElem(ctx, t) if traces else None))
     return classes
 
 
@@ -342,22 +342,23 @@ class OracleWitness:
     det_w: tuple[int, ...]
 
 
-def _proportional(A, B, zero) -> bool:
-    # projective equality of 2x2 matrices: all 2x2 cross determinants vanish
+def _proportional(A, B) -> bool:
+    # projective equality of 2x2 matrices: (A, B) has rank <= 1.  With a
+    # nonzero pivot A[i], the three cross products A[i] B[j] = A[j] B[i]
+    # make B = (B[i]/A[i]) A; A = 0 is proportional to everything.
     for i in range(4):
-        for j in range(i + 1, 4):
-            if A[i] * B[j] - A[j] * B[i] != zero:
-                return False
+        if not A[i].is_zero():
+            return all(A[i] * B[j] == A[j] * B[i] for j in range(4) if j != i)
     return True
 
 
-def _conjugation_inverts(w, M, zero) -> bool:
+def _conjugation_inverts(w, M) -> bool:
     # w M w^{-1} = M^{-1} projectively, i.e. w*M proportional to adj(M)*w
     wa, wb, wc, wd = w
     a, b, c, d = M
     left = (wa * a + wb * c, wa * b + wb * d, wc * a + wd * c, wc * b + wd * d)
     right = (d * wa - b * wc, d * wb - b * wd, -c * wa + a * wc, -c * wb + a * wd)
-    return _proportional(left, right, zero)
+    return _proportional(left, right)
 
 
 def matrix_oracle(n: int, p: int, cls: TraceClass,
@@ -375,6 +376,8 @@ def matrix_oracle(n: int, p: int, cls: TraceClass,
     d = ambient_d if ambient_d is not None else field_data(3, n, p).d
     e = cls.e
     base_ctx = gf.FieldCtx(p, cls.factor, ambient_d=d, validate=False)
+    if base_ctx == cls.s.ctx:
+        base_ctx = cls.s.ctx  # the same field: reuse its packed ring
     s_base = base_ctx.gen()
     t = gf.sqrt_in_field(base_ctx.elem(3) - s_base)
     if t is not None:
@@ -387,7 +390,7 @@ def matrix_oracle(n: int, p: int, cls: TraceClass,
         comp = IntPoly(cls.factor).compose(IntPoly([3, 0, -1]))
         if e % 2:
             comp = -comp
-        K = gf.FieldCtx(p, [c % p for c in comp.coeffs], ambient_d=d, validate=False)
+        K = gf.FieldCtx.trusted(p, tuple(c % p for c in comp.coeffs), d)
         t = K.gen()
     one, zero = K.one(), K.zero()
     s_val = K.elem(3) - t * t
@@ -442,7 +445,7 @@ def matrix_oracle(n: int, p: int, cls: TraceClass,
         if alpha.is_zero() and beta.is_zero():
             continue
         cand = (alpha, beta, beta, -alpha)
-        if _conjugation_inverts(cand, z_mat, zero) and _conjugation_inverts(cand, x_mat, zero):
+        if _conjugation_inverts(cand, z_mat) and _conjugation_inverts(cand, x_mat):
             w_mat = cand
             break
     if w_mat is None:

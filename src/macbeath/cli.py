@@ -23,7 +23,7 @@ from ._version import __version__
 
 
 def _meta(args) -> dict:
-    return {"version": __version__, "workers": args.workers, "seed": args.seed}
+    return {"version": __version__, "workers": args.workers}
 
 
 def _emit(args, payload: dict, table_lines: list[str],
@@ -35,8 +35,7 @@ def _emit(args, payload: dict, table_lines: list[str],
             out.write(json.dumps({"meta": _meta(args), **payload}, sort_keys=True) + "\n")
         elif args.format == "csv":
             meta = _meta(args)
-            out.write(f"# macbeath {meta['version']} workers={meta['workers']} "
-                      f"seed={meta['seed']}\n")
+            out.write(f"# macbeath {meta['version']} workers={meta['workers']}\n")
             writer = csv.writer(out, lineterminator="\n")
             if csv_header is None:
                 # generic two-column dump of the payload
@@ -274,10 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int,
                         help="parallel workers for sweeps, at most the CPU "
                              "count (default: MACBEATH_WORKERS or 1)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="salt for the factorization splitting PRNG; output "
-                             "is canonical either way, the flag is recorded in "
-                             "report headers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):

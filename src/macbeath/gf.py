@@ -139,9 +139,11 @@ class _PackedModulus:
     w is chosen to cover.  A last pass reduces every low slot mod p.  Rows
     exist for i < d, one more than a product needs, so that a squaring can
     be multiplied by x (a shift by one slot) before the same reduction.
+    A sum of two residues (slots below 2p) or a residue plus p in every slot
+    minus another (slots in 1..2p-1) needs only the last pass.
     """
 
-    __slots__ = ("p", "d", "w", "mask", "low", "rows", "slots")
+    __slots__ = ("p", "d", "w", "mask", "low", "rows", "slots", "_frobenius")
 
     def __init__(self, f, p):
         f = _monic(f, p)  # the remainder mod c*f is the remainder mod f
@@ -163,6 +165,7 @@ class _PackedModulus:
             if top:
                 row = [(a - top * b) % p for a, b in zip(row, f)]
         self.rows = tuple(rows)
+        self._frobenius = None
 
     def pack(self, coeffs) -> int:
         """A residue of degree < d, coefficients in 0..p-1, as one int."""
@@ -234,6 +237,23 @@ class _PackedModulus:
             h >>= w
         return self.normalize(acc)
 
+    def frobenius(self) -> list[int]:
+        """The Frobenius rows of this modulus, built on first use (d > 1)."""
+        if self._frobenius is None:
+            self._frobenius = self.frobenius_rows(self.pow(1 << self.w, self.p))
+        return self._frobenius
+
+    def frobenius_sum_power(self, a: int, terms: int, step: int = 1) -> int:
+        """a**(1 + p^step + p^(2 step) + ...), `terms` terms, by Horner:
+        b <- phi^step(b) * a with phi(h) = h**p from the Frobenius rows."""
+        rows = self.frobenius()
+        b = a
+        for _ in range(terms - 1):
+            for _ in range(step):
+                b = self.frobenius_map(b, rows)
+            b = self.reduce(b * a)
+        return b
+
 
 def _pow_mod(base, exp, mod, p):
     ring = _PackedModulus(mod, p)
@@ -288,7 +308,7 @@ def _ddf(f, p):
     # h and the Frobenius rows stay reduced mod the original f: every
     # cofactor divides it, so a gcd with the cofactor is the same gcd
     ring = _PackedModulus(f, p)
-    rows = ring.frobenius_rows(ring.pow(1 << ring.w, p))
+    rows = ring.frobenius()
     h = rows[1]  # x^p mod f, packed
     i = 1
     while True:
@@ -306,10 +326,15 @@ def _ddf(f, p):
 
 
 def _edf(f, d, p, rng):
-    """Split monic squarefree f into its irreducible factors, all of degree d."""
+    """Split monic squarefree f into its irreducible factors, all of degree d.
+
+    For p odd, a^((p^d-1)/2) is taken as (a^(1 + p + ... + p^(d-1)))^((p-1)/2),
+    the first power by Horner's rule on Frobenius maps of one ring mod f.
+    """
     n = len(f) - 1
     if n == d:
         return [f]
+    ring = _PackedModulus(f, p) if p > 2 else None
     while True:
         a = [rng.randrange(p) for _ in range(n)]
         a = _trim(a)
@@ -325,21 +350,21 @@ def _edf(f, d, p, rng):
         else:
             g = _gcd(a, f, p)
             if len(g) <= 1:
-                b = _pow_mod(a, (p**d - 1) // 2, f, p)
-                g = _gcd(_sub(b, [1], p), f, p)
+                b = ring.pow(ring.frobenius_sum_power(ring.pack(a), d), (p - 1) // 2)
+                g = _gcd(_sub(ring.unpack(b), [1], p), f, p)
         if 1 < len(g) < len(f):
             return _edf(g, d, p, rng) + _edf(_quo(f, g, p), d, p, rng)
 
 
-def _splitting_seed(coeffs, p, salt=0):
-    seed = (p * 0x9E3779B97F4A7C15 + salt) & (1 << 64) - 1
+def _splitting_seed(coeffs, p):
+    seed = (p * 0x9E3779B97F4A7C15) & (1 << 64) - 1
     for c in coeffs:
         seed = (seed * 1000003 + c + 1) & (1 << 64) - 1
     return seed
 
 
-def _factor_monic(f, p, salt=0):
-    rng = random.Random(_splitting_seed(f, p, salt))
+def _factor_monic(f, p):
+    rng = random.Random(_splitting_seed(f, p))
     out = []
     for g, mult in _sqf_list(f, p):
         for h, d in _ddf(g, p):
@@ -380,7 +405,7 @@ def reduce_polynomial(f: IntPoly, p: int) -> list[int]:
     return coeffs
 
 
-def reduce_and_factor(f: IntPoly, p: int, salt: int = 0) -> FactorList:
+def reduce_and_factor(f: IntPoly, p: int) -> FactorList:
     """Fully factor f mod p into monic irreducibles with multiplicities.
 
     Output ordering is canonical (degree, then coefficient tuple), and the
@@ -389,7 +414,7 @@ def reduce_and_factor(f: IntPoly, p: int, salt: int = 0) -> FactorList:
     coeffs = reduce_polynomial(f, p)
     lead = coeffs[-1]
     monic = _monic(coeffs, p)
-    factors = _factor_monic(monic, p, salt)
+    factors = _factor_monic(monic, p)
     check = [1]
     for g, m in factors:
         for _ in range(m):
@@ -453,25 +478,6 @@ def _half_degree_pattern(g, p):
     return tuple(pattern)
 
 
-def find_irreducible(p: int, e: int) -> tuple[int, ...]:
-    """First monic irreducible of degree e over F_p in the enumeration order."""
-    if e == 1:
-        return (0, 1)
-    index = 0
-    while True:
-        digits = []
-        k = index
-        for _ in range(e):
-            k, d = divmod(k, p)
-            digits.append(d)
-        if k:
-            raise IntegrityError(f"no irreducible of degree {e} found mod {p}")
-        g = digits + [1]
-        if is_irreducible(g, p):
-            return tuple(g)
-        index += 1
-
-
 def is_irreducible(g: list[int], p: int) -> bool:
     """Rabin irreducibility test for monic g over F_p."""
     e = len(g) - 1
@@ -511,20 +517,16 @@ class FieldCtx:
     reduces to a computation inside F_{p^e}.
     """
 
-    __slots__ = ("p", "modulus", "degree", "ambient_d", "_ring")
+    __slots__ = ("p", "modulus", "degree", "ambient_d", "_ring", "_p_slots")
 
     def __init__(self, p: int, modulus, ambient_d: int | None = None, *,
                  validate: bool = True):
         modulus = tuple(int(c) % p for c in modulus)
         while modulus and modulus[-1] == 0:
             modulus = modulus[:-1]
-        e = len(modulus) - 1
-        self.p = p
-        self.modulus = modulus
-        self.degree = e
-        self.ambient_d = e if ambient_d is None else ambient_d
-        self._ring = None
+        self._set(p, modulus, ambient_d)
         if validate:
+            e = self.degree
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             if e < 1 or modulus[-1] != 1:
@@ -534,27 +536,51 @@ class FieldCtx:
             if not is_irreducible(list(modulus), p):
                 raise ValueError("modulus is not irreducible mod p")
 
+    def _set(self, p, modulus, ambient_d):
+        e = len(modulus) - 1
+        self.p = p
+        self.modulus = modulus
+        self.degree = e
+        self.ambient_d = e if ambient_d is None else ambient_d
+        self._ring = None
+
+    @classmethod
+    def trusted(cls, p: int, modulus: tuple[int, ...], ambient_d: int) -> FieldCtx:
+        """A context for a modulus the program built itself: a tuple, monic,
+        reduced mod p and trimmed.  No normalizing pass, no checks."""
+        ctx = cls.__new__(cls)
+        ctx._set(p, modulus, ambient_d)
+        return ctx
+
     def ring(self) -> _PackedModulus:
-        """Packed arithmetic mod the modulus, built on first use."""
+        """Packed arithmetic mod the modulus, built on first use (degree > 1;
+        a degree-1 context works on the residue itself and never builds one)."""
         if self._ring is None:
-            self._ring = _PackedModulus(self.modulus, self.p)
+            ring = _PackedModulus(self.modulus, self.p)
+            self._p_slots = ring.pack([self.p] * self.degree)  # for - and negation
+            self._ring = ring
         return self._ring
 
     @property
     def order(self) -> int:
         return self.p**self.degree
 
+    def _pack(self, coeffs) -> int:
+        if self.degree == 1:
+            return coeffs[0] if coeffs else 0
+        return self.ring().pack(coeffs)
+
     def elem(self, coeffs) -> FieldElem:
         if isinstance(coeffs, int):
-            coeffs = [coeffs]
+            return FieldElem(self, coeffs % self.p)
         reduced = _rem([c % self.p for c in coeffs], list(self.modulus), self.p)
-        return FieldElem(self, tuple(reduced))
+        return FieldElem(self, self._pack(reduced))
 
     def zero(self) -> FieldElem:
-        return FieldElem(self, ())
+        return FieldElem(self, 0)
 
     def one(self) -> FieldElem:
-        return FieldElem(self, (1,))
+        return FieldElem(self, 1)
 
     def gen(self) -> FieldElem:
         """The residue class of x."""
@@ -581,54 +607,85 @@ class FieldCtx:
 
 
 class FieldElem:
-    """A residue class in a FieldCtx; immutable value semantics."""
+    """A residue class in a FieldCtx; immutable value semantics.
 
-    __slots__ = ("ctx", "coeffs")
+    The value v is one int: the packed residue of `_PackedModulus` (slot j
+    holds the coefficient of x^j, in 0..p-1), which in degree 1 is the
+    residue itself.  A constant c is the int c in every degree.
+    """
 
-    def __init__(self, ctx: FieldCtx, coeffs: tuple[int, ...]):
+    __slots__ = ("ctx", "v")
+
+    def __init__(self, ctx: FieldCtx, v: int):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.v = v
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficients of the reduced residue, constant term first, trimmed."""
+        if self.ctx.degree == 1:
+            return (self.v,) if self.v else ()
+        return tuple(self.ctx.ring().unpack(self.v))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _wrap(self, coeffs) -> FieldElem:
-        return FieldElem(self.ctx, tuple(coeffs))
+        return not self.v
 
     def _check(self, other: FieldElem):
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("elements from different field contexts")
 
+    # Each operation takes the residue itself in degree 1 and the packed
+    # kernel otherwise; `ctx._ring or ctx.ring()` skips a call once built.
+
     def __add__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
-        return self._wrap(_add(list(self.coeffs), list(other.coeffs), self.ctx.p))
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            self._check(other)
+        if ctx.degree == 1:
+            return FieldElem(ctx, (self.v + other.v) % ctx.p)
+        return FieldElem(ctx, (ctx._ring or ctx.ring()).normalize(self.v + other.v))
 
     def __sub__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
-        return self._wrap(_sub(list(self.coeffs), list(other.coeffs), self.ctx.p))
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            self._check(other)
+        if ctx.degree == 1:
+            return FieldElem(ctx, (self.v - other.v) % ctx.p)
+        ring = ctx._ring or ctx.ring()
+        return FieldElem(ctx, ring.normalize(self.v + ctx._p_slots - other.v))
 
     def __neg__(self) -> FieldElem:
-        return self._wrap(_mul_scalar(list(self.coeffs), -1, self.ctx.p))
+        ctx = self.ctx
+        if ctx.degree == 1:
+            return FieldElem(ctx, -self.v % ctx.p)
+        ring = ctx._ring or ctx.ring()
+        return FieldElem(ctx, ring.normalize(ctx._p_slots - self.v))
 
     def __mul__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
-        ring = self.ctx.ring()
-        return self._wrap(ring.unpack(ring.reduce(ring.pack(self.coeffs)
-                                                  * ring.pack(other.coeffs))))
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            self._check(other)
+        if ctx.degree == 1:
+            return FieldElem(ctx, self.v * other.v % ctx.p)
+        return FieldElem(ctx, (ctx._ring or ctx.ring()).reduce(self.v * other.v))
 
     def inverse(self) -> FieldElem:
         if self.is_zero():
             raise ZeroDivisionError("inverting zero field element")
+        ctx = self.ctx
+        p = ctx.p
+        if ctx.degree == 1:
+            return FieldElem(ctx, pow(self.v, -1, p))
         # extended Euclid in F_p[x]
-        p = self.ctx.p
-        a, b = list(self.coeffs), list(self.ctx.modulus)
+        a, b = list(self.coeffs), list(ctx.modulus)
         s0, s1 = [1], []
         while b:
             q, r = _divmod(a, b, p)
             a, b = b, r
             s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
         inv_lead = pow(a[-1], -1, p)
-        return self._wrap(_rem(_mul_scalar(s0, inv_lead, p), list(self.ctx.modulus), p))
+        return FieldElem(ctx, ctx._pack(_rem(_mul_scalar(s0, inv_lead, p),
+                                             list(ctx.modulus), p)))
 
     def __truediv__(self, other: FieldElem) -> FieldElem:
         return self * other.inverse()
@@ -636,19 +693,21 @@ class FieldElem:
     def __pow__(self, exp: int) -> FieldElem:
         if exp < 0:
             return self.inverse() ** (-exp)
-        ring = self.ctx.ring()
-        return self._wrap(ring.unpack(ring.pow(ring.pack(self.coeffs), exp)))
+        ctx = self.ctx
+        if ctx.degree == 1:
+            return FieldElem(ctx, pow(self.v, exp, ctx.p))
+        return FieldElem(ctx, ctx.ring().pow(self.v, exp))
 
     def frobenius(self) -> FieldElem:
         return self**self.ctx.p
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return self.v < self.ctx.p  # any higher slot would make v >= 2^w > p
 
     def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError(f"{self} is not in the prime field")
-        return self.coeffs[0] if self.coeffs else 0
+        return self.v
 
     def min_poly(self) -> tuple[int, ...]:
         """Minimal polynomial over F_p, ascending coefficients, monic."""
@@ -672,11 +731,11 @@ class FieldElem:
         return tuple(out)
 
     def __eq__(self, other):
-        return (isinstance(other, FieldElem) and self.ctx == other.ctx
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, FieldElem) and self.v == other.v
+                and (self.ctx is other.ctx or self.ctx == other.ctx))
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash((self.ctx, self.v))
 
     def __repr__(self):
         return f"FieldElem({list(self.coeffs)} over {self.ctx!r})"
@@ -703,19 +762,21 @@ def _norm_to_prime(a: FieldElem) -> int:
         f, g = g, r
 
 
+def _norm(a: FieldElem) -> int:
+    """Norm of a nonzero a down to F_p (a itself in degree 1)."""
+    norm = a.v if a.ctx.degree == 1 else _norm_to_prime(a)
+    if norm == 0:
+        raise IntegrityError("norm of a nonzero field element vanished")
+    return norm
+
+
 def _euler_sign(a: FieldElem) -> int:
     """Character of a in its own field F_{p^e}, via the norm to F_p.
 
     chi_{p^e}(a) = chi_p(Norm(a)) since a^((q-1)/2) = Norm(a)^((p-1)/2).
     """
     p = a.ctx.p
-    if a.ctx.degree == 1:
-        v = pow(a.coeffs[0], (p - 1) // 2, p)
-        return 1 if v == 1 else -1
-    norm = _norm_to_prime(a)
-    if norm == 0:
-        raise IntegrityError("norm of a nonzero field element vanished")
-    return 1 if pow(norm, (p - 1) // 2, p) == 1 else -1
+    return 1 if pow(_norm(a), (p - 1) // 2, p) == 1 else -1
 
 
 def chi(a: FieldElem) -> int:
@@ -742,22 +803,44 @@ def sqrt_in_field(a: FieldElem) -> FieldElem | None:
     Note chi may still be +1 when this returns None: the root then lives only
     in the larger ambient field and is not represented here.  The returned
     root is the lexicographically smaller of the pair +-r.
+
+    Odd e: with r = (p^e - 1)/(p - 1), a^r = Norm(a) = c^2 for some c in F_p,
+    so a^((r+1)/2) / c squares to a; a^((r+1)/2) = a * phi(u^(1 + p^2 + ...
+    + p^(e-3))) with u = a^((p+1)/2), by Frobenius maps.  Even e: Tonelli-Shanks.
     """
     ctx = a.ctx
     if a.is_zero():
         return a
-    if ctx.p == 2:
-        return a ** (2 ** (ctx.degree - 1))
-    if _euler_sign(a) != 1:
-        return None
-    q = ctx.order
-    if q % 4 == 3:
-        r = a ** ((q + 1) // 4)
+    p, e = ctx.p, ctx.degree
+    if p == 2:
+        return a ** (2 ** (e - 1))
+    if e % 2:
+        norm = _norm(a)
+        if pow(norm, (p - 1) // 2, p) != 1:
+            return None
+        c = _sqrt_mod_prime(norm, p)
+        if e == 1:
+            r = FieldElem(ctx, c)
+        else:
+            ring = ctx.ring()
+            u = ring.pow(a.v, (p + 1) // 2)
+            h = ring.frobenius_map(ring.frobenius_sum_power(u, (e - 1) // 2, 2),
+                                   ring.frobenius())
+            r = FieldElem(ctx, ring.normalize(ring.reduce(a.v * h) * pow(c, -1, p)))
     else:
+        if _euler_sign(a) != 1:
+            return None
         r = _tonelli_shanks(a)
     if (r * r) != a:
         raise IntegrityError("square root verification failed")
-    return min(r, -r, key=lambda e: e.coeffs)
+    return min(r, -r, key=lambda x: x.coeffs)
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    """A square root of the quadratic residue a mod an odd prime p."""
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    return _tonelli_shanks(FieldElem(FieldCtx.trusted(p, (0, 1), 1), a)).v
 
 
 def _tonelli_shanks(a: FieldElem) -> FieldElem:

@@ -129,26 +129,6 @@ def appendix(workers: int | None = None) -> SuiteReport:
     return _finish("appendix", checks, start)
 
 
-def density_convergence() -> SuiteReport:
-    """Empirical Sigma_k frequencies of the 400-prime sweep vs the predictions."""
-    start = time.time()
-    result = density.sweep(3, 7, density.default_stream(3, 7, first=400))
-    tally = result.tally
-    checks = []
-    expected_freq = (Fraction(12, 100), Fraction(385, 1000),
-                     Fraction(3775, 10000), Fraction(1175, 10000))
-    got = tuple(tally.frequencies[k] for k in range(4))
-    checks.append(Check("frequencies", got == expected_freq,
-                        "(0.12, 0.385, 0.3775, 0.1175)",
-                        str(tuple(float(f) for f in got))))
-    predicted = tally.predicted
-    for k in range(4):
-        dev = abs(got[k] - predicted[k])
-        checks.append(Check(f"|freq - predicted| for k={k}", dev < Fraction(5, 100),
-                            f"< 0.05 from {predicted[k]}", f"{float(dev):.4f}"))
-    return _finish("density", checks, start)
-
-
 def _parity_chunk(args) -> tuple:
     n, chunk = args
     odd_d = 0

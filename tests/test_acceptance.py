@@ -6,11 +6,14 @@ fixtures and are shared by the tests that grade them.
 """
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
-from macbeath import verify
-from macbeath.gf import FieldCtx, chi, degree_pattern, find_irreducible, reduce_and_factor
+from irreducibles import find_irreducible
+from macbeath import density, verify
+from macbeath.gf import FieldCtx, chi, degree_pattern, reduce_and_factor
 from macbeath.intpoly import IntPoly, discriminant, s_polynomial
 from macbeath.numkit import primes_upto
 
@@ -62,8 +65,28 @@ def test_criterion_2_appendix_reproduction(appendix_report):
           detail=f"(400 primes element-for-element, {appendix_report.elapsed:.2f}s)")
 
 
+def density_convergence() -> verify.SuiteReport:
+    """Empirical Sigma_k frequencies of the 400-prime sweep vs the predictions."""
+    start = time.time()
+    result = density.sweep(3, 7, density.default_stream(3, 7, first=400))
+    tally = result.tally
+    checks = []
+    expected_freq = (Fraction(12, 100), Fraction(385, 1000),
+                     Fraction(3775, 10000), Fraction(1175, 10000))
+    got = tuple(tally.frequencies[k] for k in range(4))
+    checks.append(verify.Check("frequencies", got == expected_freq,
+                               "(0.12, 0.385, 0.3775, 0.1175)",
+                               str(tuple(float(f) for f in got))))
+    predicted = tally.predicted
+    for k in range(4):
+        dev = abs(got[k] - predicted[k])
+        checks.append(verify.Check(f"|freq - predicted| for k={k}", dev < Fraction(5, 100),
+                                   f"< 0.05 from {predicted[k]}", f"{float(dev):.4f}"))
+    return verify.SuiteReport("density", tuple(checks), time.time() - start)
+
+
 def test_criterion_3_density_convergence():
-    report = verify.density_convergence()
+    report = density_convergence()
     grade(3, "Density convergence", report)
 
 

@@ -372,7 +372,7 @@ def test_extension_square_roots_skip_prime_field_walk(monkeypatch):
 
 
 def test_split_route_builds_classes_from_integers(monkeypatch):
-    calls = {"_rem": 0, "elem": 0, "is_prime": 0}
+    calls = {"_rem": 0, "elem": 0, "is_prime": 0, "FieldCtx": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -384,6 +384,8 @@ def test_split_route_builds_classes_from_integers(monkeypatch):
         map_census(3, n, warm)  # fill the per-n caches first
         monkeypatch.setattr(gf, "_rem", counted("_rem", gf._rem))
         monkeypatch.setattr(gf.FieldCtx, "elem", counted("elem", gf.FieldCtx.elem))
+        # the normalizing constructor: the split route's moduli are reduced
+        monkeypatch.setattr(gf.FieldCtx, "__init__", counted("FieldCtx", gf.FieldCtx.__init__))
         is_prime = counted("is_prime", numkit.is_prime)
         for module in (numkit, census_module, gf):
             monkeypatch.setattr(module, "is_prime", is_prime)
@@ -391,7 +393,8 @@ def test_split_route_builds_classes_from_integers(monkeypatch):
             calls.update(dict.fromkeys(calls, 0))
             record = map_census(3, n, p, traces=traces)
             assert record.field.d == 1 and len(record.classes) > 1
-            assert calls == {"_rem": 0, "elem": 0, "is_prime": 1}, (n, p, traces)
+            assert calls == {"_rem": 0, "elem": 0, "is_prime": 1, "FieldCtx": 0}, \
+                (n, p, traces)
         monkeypatch.undo()
 
 
@@ -431,3 +434,40 @@ def test_census_genus_matches_numkit_genus(m, bound):
             assert record.genus == numkit.genus(m, n, record.field.q), (m, n, p)
             checked += 1
     assert checked > 400
+
+
+def six_product_proportional(A, B):
+    """Rank <= 1 of the 2 x 4 matrix (A; B): every 2 x 2 minor vanishes."""
+    return all(A[i] * B[j] == A[j] * B[i] for i in range(4) for j in range(i + 1, 4))
+
+
+def test_pivot_proportionality_matches_all_six_products():
+    import random
+
+    from irreducibles import random_irreducible
+
+    rng = random.Random(53)
+    for p, e in ((3, 1), (3, 4), (5, 3), (13, 2), (499, 3), (65521, 2)):
+        ctx = gf.FieldCtx(p, random_irreducible(p, e, rng), validate=False)
+
+        def draw(zero_share=0.0):
+            return tuple(ctx.zero() if rng.random() < zero_share
+                         else ctx.elem([rng.randrange(p) for _ in range(e)])
+                         for _ in range(4))
+
+        zero = (ctx.zero(),) * 4
+        seen = {True: 0, False: 0}
+        for _ in range(60):
+            A, B = draw(rng.choice((0.0, 0.5))), draw(rng.choice((0.0, 0.5)))
+            scale = ctx.elem([rng.randrange(p) for _ in range(e)])
+            cases = [(A, B), (A, zero), (zero, B), (zero, zero),
+                     (A, tuple(scale * a for a in A)),      # rank 1
+                     (tuple(scale * b for b in B), B)]
+            if not A[0].is_zero():
+                # rank 2 only in the entries after the pivot
+                cases.append((A, tuple(scale * a for a in A[:3]) + (A[3] + ctx.one(),)))
+            for X, Y in cases:
+                expected = six_product_proportional(X, Y)
+                assert census_module._proportional(X, Y) == expected, (p, e, X, Y)
+                seen[expected] += 1
+        assert seen[True] and seen[False]

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -80,10 +81,19 @@ def test_sweep_csv_schema(capsys):
                        "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("# macbeath") and "workers=" in lines[0] and "seed=" in lines[0]
+    assert re.fullmatch(r"# macbeath \S+ workers=\d+", lines[0])  # no seed field
     assert lines[1] == "p,residue_class,d,q,genus,k,l,parity_ok,class_details"
     assert lines[2].startswith("13,")
     assert lines[-1].startswith("# summary")
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--n", "7", "--first", "4", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    code, out, _ = run(capsys, "classify", "--n", "7", "--p", "13", "--format", "json")
+    assert code == 0 and json.loads(out)["meta"].keys() == {"version", "workers"}
 
 
 def test_sweep_requires_exactly_one_mode(capsys):
@@ -183,7 +193,7 @@ def test_workers_env_is_resolved_inside_main(capsys, monkeypatch):
     code, out, _ = run(capsys, "psi", "--n", "7", "--format", "json")
     assert code == 0 and json.loads(out)["meta"]["workers"] == 2
     code, out, _ = run(capsys, "psi", "--n", "7", "--format", "csv")
-    assert code == 0 and "workers=2 " in out.splitlines()[0]
+    assert code == 0 and out.splitlines()[0].endswith(" workers=2")
     code, out, _ = run(capsys, "psi", "--n", "7", "--format", "json", "--workers", "1")
     assert json.loads(out)["meta"]["workers"] == 1
 
@@ -242,7 +252,7 @@ def _fresh_stdout(argv):
 def test_parser_is_shared_without_leaking_state(capsys, monkeypatch):
     monkeypatch.delenv("MACBEATH_WORKERS", raising=False)
     assert build_parser() is build_parser()
-    first = ["sweep", "--n", "9", "--first", "6", "--format", "csv", "--seed", "5"]
+    first = ["sweep", "--n", "9", "--first", "6", "--format", "csv", "--workers", "1"]
     second = ["classify", "--n", "7", "--p", "13", "--no-traces"]
     code1, out1, _ = run(capsys, *first)
     code2, out2, _ = run(capsys, *second)

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from irreducibles import find_irreducible, random_irreducible
 from macbeath import gf
 from macbeath.gf import (
     FieldCtx,
     chi,
     degree_pattern,
-    find_irreducible,
     is_irreducible,
     reduce_and_factor,
     sqrt_in_field,
@@ -81,8 +81,7 @@ def test_factorization_reconstructs_and_is_deterministic():
             continue
         first = reduce_and_factor(f, p)
         again = reduce_and_factor(f, p)
-        salted = reduce_and_factor(f, p, salt=123)
-        assert first == again == salted
+        assert first == again
         for g, _ in first.factors:
             assert is_irreducible(list(g), p)
 
@@ -458,3 +457,163 @@ def test_half_degree_kernel_reads_no_character(kernel_calls, monkeypatch):
     for p in primes_upto(3000)[1:]:
         degree_pattern(f2, p)
     assert len(kernel_calls) == len(primes_upto(3000)) - 2  # all but 2 and 7
+
+
+# ---------------------------------------------------------------------------
+# packed field elements, the odd-degree norm root and the EDF exponent split
+
+P61 = 2**61 - 1
+
+
+def list_add(a, b, p):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return trim([(x + y) % p for x, y in zip(a, b)])
+
+
+def list_neg(a, p):
+    return trim([-x % p for x in a])
+
+
+def list_mulmod(a, b, mod, p):
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    prod = [c % p for c in prod]
+    inv = pow(mod[-1], -1, p)
+    for top in range(len(prod) - 1, len(mod) - 2, -1):
+        c = prod[top] * inv % p
+        for j, m in enumerate(mod):
+            prod[top - len(mod) + 1 + j] = (prod[top - len(mod) + 1 + j] - c * m) % p
+    return trim(prod[:len(mod) - 1])
+
+
+def list_powmod(a, exp, mod, p):
+    result, base = [1], a
+    while exp:
+        if exp & 1:
+            result = list_mulmod(result, base, mod, p)
+        base = list_mulmod(base, base, mod, p)
+        exp >>= 1
+    return result
+
+
+def trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def test_packed_elements_match_schoolbook_coefficient_lists():
+    rng = random.Random(41)
+    for p in (2, 3, 5, 13, 499, 65521, P61):
+        for e in range(1, 10):
+            ctx = FieldCtx(p, random_irreducible(p, e, rng), validate=False)
+            mod = list(ctx.modulus)
+            for _ in range(6):
+                la, lb = ([rng.randrange(p) for _ in range(e)] for _ in range(2))
+                la[rng.randrange(e)] = rng.choice((0, p - 1))  # edge slot values
+                la, lb = trim(la), trim(lb)
+                a, b = ctx.elem(la), ctx.elem(lb)
+                assert list(a.coeffs) == la and list(b.coeffs) == lb
+                assert list((a + b).coeffs) == list_add(la, lb, p)
+                assert list((a - b).coeffs) == list_add(la, list_neg(lb, p), p)
+                assert list((-a).coeffs) == list_neg(la, p)
+                assert list((a * b).coeffs) == list_mulmod(la, lb, mod, p)
+                exp = rng.randrange(p**e)
+                assert list((a**exp).coeffs) == list_powmod(la, exp, mod, p)
+                assert (a - a).is_zero() and a + (-a) == ctx.zero()
+                # equality and hashing follow the coefficients, not the object
+                twin = FieldCtx(p, mod, validate=False).elem(la)
+                assert twin == a and hash(twin) == hash(a)
+                assert (a == b) == (la == lb)
+                if la:
+                    assert a * a.inverse() == ctx.one()
+            assert ctx.elem(p + 3) == ctx.elem([3]) and ctx.elem(3).is_constant()
+
+
+def reference_sqrt(a):
+    """The exponent / Tonelli-Shanks root: a^((q+1)/4) or the 2-part walk."""
+    ctx = a.ctx
+    q = ctx.order
+    if a.is_zero():
+        return a
+    if a ** ((q - 1) // 2) != ctx.one():
+        return None
+    if q % 4 == 3:
+        r = a ** ((q + 1) // 4)
+    else:
+        big_q, s = q - 1, 0
+        while big_q % 2 == 0:
+            big_q, s = big_q // 2, s + 1
+        index = 2
+        while ctx.element_at(index) ** ((q - 1) // 2) == ctx.one():
+            index += 1
+        c, r, t, m = (ctx.element_at(index) ** big_q, a ** ((big_q + 1) // 2),
+                      a ** big_q, s)
+        while t != ctx.one():
+            i, temp = 0, t
+            while temp != ctx.one():
+                temp, i = temp * temp, i + 1
+            b = c ** (1 << (m - i - 1))
+            r, c = r * b, b * b
+            t, m = t * c, i
+    assert r * r == a
+    return min(r, -r, key=lambda x: x.coeffs)
+
+
+def test_odd_degree_norm_root_matches_exponent_route():
+    rng = random.Random(43)
+    for p in (3, 5, 13, 499, 65521):
+        for e in (1, 3, 5, 7, 9):
+            ctx = FieldCtx(p, find_irreducible(p, e), validate=False)
+            seen = {1: 0, -1: 0}
+            for trial in range(12):
+                a = ctx.elem([rng.randrange(p) for _ in range(e)])
+                if trial == 0:
+                    a = ctx.zero()
+                elif trial == 1:
+                    a = a * a  # a square, whatever the draw
+                root = sqrt_in_field(a)
+                assert root == reference_sqrt(a), (p, e, a)
+                if not a.is_zero():
+                    seen[1 if root is not None else -1] += 1
+            assert seen[1] and seen[-1], (p, e)  # squares and non-squares
+
+
+def test_frobenius_sum_power_matches_plain_power():
+    rng = random.Random(47)
+    for p in (3, 13, 499):
+        for d in (2, 3, 9):
+            ring = gf._PackedModulus(list(find_irreducible(p, d)), p)
+            a = ring.pack(trim([rng.randrange(p) for _ in range(d)]))
+            for terms, step in ((1, 1), (2, 1), (d, 1), (3, 2), (4, 3)):
+                exp = sum(p ** (i * step) for i in range(terms))
+                assert ring.frobenius_sum_power(a, terms, step) == ring.pow(a, exp)
+
+
+def test_factors_match_sympy_on_extension_primes():
+    # irreducible factors themselves, not only their degrees: on d > 1 primes
+    # f1 splits into several factors of degree d, which the EDF separates
+    if gf_pow_mod is None:
+        pytest.skip("sympy is not installed")
+    from macbeath.census import field_data
+    from macbeath.errors import Inadmissible
+
+    split = 0
+    for n in range(7, 20):
+        f1 = s_polynomial(3, n)
+        coeffs = [int(c) for c in f1.coeffs[::-1]]
+        for p in primes_upto(600):
+            try:
+                if field_data(3, n, p).d == 1:
+                    continue
+            except Inadmissible:
+                continue
+            got = reduce_and_factor(f1, p)
+            _, factors = gf_factor([c % p for c in coeffs], p, ZZ)
+            expected = sorted((tuple(int(c) for c in g[::-1]), m) for g, m in factors)
+            assert sorted(got.factors) == expected, (n, p)
+            split += len(expected) > 1
+    assert split > 250  # records with more than one factor: the EDF ran
