@@ -139,7 +139,7 @@ def _map_census(m: int, n: int, p: int, traces: bool, split_route: bool) -> Cens
     e = classes[0].e
     k = sum(1 for c in classes if c.regularity == INNER)
     l = len(classes) - k
-    half_phi = euler_phi(n) // 2
+    half_phi = _half_phi(n)
     if k + l != half_phi // e:
         raise IntegrityError(f"class count {k + l} != phi(n)/2e for ({m},{n},{p})")
     closed_form = half_phi // fd.d if half_phi % fd.d == 0 else -1
@@ -183,6 +183,11 @@ def _factored_classes(m: int, n: int, p: int, f1: IntPoly, fd: FieldData | None,
     factors = sorted((g for g, _ in factored.factors),
                      key=lambda g: _class_sort_key(g, p))
     return fd, [_trace_class(m, n, p, g, fd.d, traces) for g in factors]
+
+
+@functools.lru_cache(maxsize=None)
+def _half_phi(n: int) -> int:
+    return euler_phi(n) // 2
 
 
 @functools.lru_cache(maxsize=None)

@@ -391,7 +391,7 @@ class PatternCensus:
     predicted: dict[tuple[int, ...], Fraction] | None
     max_abs_deviation: float | None
     skipped: tuple[int, ...]          # bad-reduction primes, excluded
-    bridge_checked: int               # primes where 2*k_p was verified
+    bridge_checked: int               # primes where 2*k' was verified
     bridge_violations: int
 
 
@@ -415,10 +415,15 @@ def _pattern_chunk(args) -> list:
         k_census = None
         if p % modulus in (1, modulus - 1):
             try:
-                k_census = census.map_census(m, n, p, traces=False).k
+                record = census.map_census(m, n, p, traces=False)
             except (BadReduction, Inadmissible):
                 out.append((p, None, None))
                 continue
+            # f2 has two linear factors per class whose s is a square in
+            # its own field F_{p^e}; chi is that character when d/e is odd
+            k_census = sum(1 for c in record.classes
+                           if (c.chi if record.field.d // c.e % 2
+                               else gf._euler_sign(c.s)) == 1)
         out.append((p, pattern, (linear, k_census)))
     return out
 
@@ -429,7 +434,8 @@ def pattern_census(m: int, n: int, bound: int, *,
 
     Primes dividing the discriminant of the doubled polynomial are excluded
     and reported.  For primes p = +-1 mod N the linear-factor count is
-    cross-checked against twice the census count k_p.
+    cross-checked against 2k', k' the number of census classes whose s is a
+    square in its own field F_{p^e} (the census k when d/e is odd).
     """
     f2 = doubled(s_polynomial(m, n))
     disc = discriminant(f2)

@@ -11,11 +11,12 @@ and p, so results are reproducible run to run.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
 from .errors import IntegrityError
-from .intpoly import IntPoly
+from .intpoly import IntPoly, discriminant
 from .numkit import is_prime
 
 
@@ -122,6 +123,22 @@ def _gcd(a, b, p):
     return _monic(a, p)
 
 
+def _gcd_degree(a, b, p):
+    """deg gcd(a, b) for nonzero b: Euclid on remainders left unnormalized,
+    each taken in place (a and b are consumed)."""
+    while b:
+        lb = len(b)
+        inv = pow(b[-1], -1, p)
+        while len(a) >= lb:
+            c = a.pop() * inv % p
+            if c:
+                base = len(a) - lb + 1
+                for j in range(lb - 1):
+                    a[base + j] = (a[base + j] - c * b[j]) % p
+        a, b = b, _trim(a)
+    return len(a) - 1
+
+
 def _deriv(a, p):
     return _trim([i * c % p for i, c in enumerate(a)][1:])
 
@@ -218,14 +235,6 @@ class _PackedModulus:
                     r = reduce(r * a)
         return r
 
-    def frobenius_rows(self, xp: int) -> list[int]:
-        """Packed x**(p*j) mod f for j < d, from xp = x**p mod f, to apply
-        Frobenius in one pass."""
-        rows = [1]
-        for _ in range(self.d - 1):
-            rows.append(self.reduce(rows[-1] * xp))
-        return rows
-
     def frobenius_map(self, h: int, rows) -> int:
         """h(x)**p mod f: sum h_j * x**(p*j), accumulated packed."""
         w, mask = self.w, self.mask
@@ -237,10 +246,17 @@ class _PackedModulus:
             h >>= w
         return self.normalize(acc)
 
-    def frobenius(self) -> list[int]:
-        """The Frobenius rows of this modulus, built on first use (d > 1)."""
+    def frobenius(self, xp: int | None = None) -> list[int]:
+        """Packed x**(p*j) mod f for j < d, to apply Frobenius in one pass;
+        built on first use (d > 1) from xp = x**p mod f, computed here
+        unless given."""
         if self._frobenius is None:
-            self._frobenius = self.frobenius_rows(self.pow(1 << self.w, self.p))
+            if xp is None:
+                xp = self.pow(1 << self.w, self.p)
+            rows = [1]
+            for _ in range(self.d - 1):
+                rows.append(self.reduce(rows[-1] * xp))
+            self._frobenius = rows
         return self._frobenius
 
     def frobenius_sum_power(self, a: int, terms: int, step: int = 1) -> int:
@@ -300,14 +316,16 @@ def _sqf_list(f, p):
     return out
 
 
-def _ddf(f, p):
-    """Distinct-degree split of monic squarefree f: list of (product, degree)."""
+def _ddf(f, p, ring=None):
+    """Distinct-degree split of monic squarefree f: list of (product, degree),
+    degrees ascending.  `ring` is the packed modulus of f, if the caller has it."""
     if len(f) <= 2:
         return [(f, 1)] if len(f) == 2 else []
     out = []
     # h and the Frobenius rows stay reduced mod the original f: every
     # cofactor divides it, so a gcd with the cofactor is the same gcd
-    ring = _PackedModulus(f, p)
+    if ring is None:
+        ring = _PackedModulus(f, p)
     rows = ring.frobenius()
     h = rows[1]  # x^p mod f, packed
     i = 1
@@ -325,16 +343,20 @@ def _ddf(f, p):
     return out
 
 
-def _edf(f, d, p, rng):
+def _edf(f, d, p, rng, ring=None):
     """Split monic squarefree f into its irreducible factors, all of degree d.
 
     For p odd, a^((p^d-1)/2) is taken as (a^(1 + p + ... + p^(d-1)))^((p-1)/2),
-    the first power by Horner's rule on Frobenius maps of one ring mod f.
+    the first power by Horner's rule on Frobenius maps of one ring mod f
+    (`ring`, with its Frobenius rows, if the caller has it).
     """
     n = len(f) - 1
     if n == d:
         return [f]
-    ring = _PackedModulus(f, p) if p > 2 else None
+    if n % d:  # no split would end: the distinct-degree split went wrong
+        raise IntegrityError(f"degree {n} is not a multiple of the factor degree {d}")
+    if ring is None and p > 2:
+        ring = _PackedModulus(f, p)
     while True:
         a = [rng.randrange(p) for _ in range(n)]
         a = _trim(a)
@@ -363,12 +385,15 @@ def _splitting_seed(coeffs, p):
     return seed
 
 
-def _factor_monic(f, p):
+def _factor_monic(f, p, squarefree):
     rng = random.Random(_splitting_seed(f, p))
     out = []
-    for g, mult in _sqf_list(f, p):
-        for h, d in _ddf(g, p):
-            for irr in _edf(h, d, p, rng):
+    for g, mult in [(f, 1)] if squarefree else _sqf_list(f, p):
+        # one ring mod g for its distinct-degree split and, when that finds a
+        # single degree class, for the equal-degree split of g itself
+        ring = _PackedModulus(g, p) if len(g) > 2 else None
+        for h, d in _ddf(g, p, ring):
+            for irr in _edf(h, d, p, rng, ring if len(h) == len(g) else None):
                 out.append((tuple(irr), mult))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
@@ -405,16 +430,32 @@ def reduce_polynomial(f: IntPoly, p: int) -> list[int]:
     return coeffs
 
 
+@functools.lru_cache(maxsize=256)
+def _discriminant(f: IntPoly) -> int:
+    """disc f over Z, 0 for a constant.  reduce_polynomial keeps the leading
+    coefficient, so f mod p is squarefree exactly when p does not divide it."""
+    return discriminant(f) if f.degree >= 1 else 0
+
+
+@functools.lru_cache(maxsize=256)
+def _half_discriminant(f: IntPoly) -> int:
+    """disc g for f = g(x^2) over Z with deg g >= 1; 0 for any other f."""
+    if f.degree < 2 or any(f.coeffs[1::2]):
+        return 0
+    return _discriminant(IntPoly(f.coeffs[::2]))
+
+
 def reduce_and_factor(f: IntPoly, p: int) -> FactorList:
     """Fully factor f mod p into monic irreducibles with multiplicities.
 
     Output ordering is canonical (degree, then coefficient tuple), and the
     product of the factors is re-checked against the input on every call.
+    The squarefree decomposition is skipped when p does not divide disc f.
     """
     coeffs = reduce_polynomial(f, p)
     lead = coeffs[-1]
     monic = _monic(coeffs, p)
-    factors = _factor_monic(monic, p)
+    factors = _factor_monic(monic, p, squarefree=_discriminant(f) % p != 0)
     check = [1]
     for g, m in factors:
         for _ in range(m):
@@ -429,16 +470,14 @@ def degree_pattern(f: IntPoly, p: int) -> tuple[int, ...]:
     """Partition of deg f given by the irreducible factor degrees mod p.
 
     Uses only squarefree decomposition plus distinct-degree factorization,
-    so it is cheap enough for million-prime sweeps.  An even f = g(x^2) with
-    p odd, g(0) != 0 mod p and g squarefree mod p is done mod g instead, in
-    half the degree (`_half_degree_pattern`).
+    so it is cheap enough for million-prime sweeps.  An f = g(x^2) over Z
+    with p odd, g(0) != 0 mod p and p not dividing disc g (g squarefree mod
+    p) is done mod g instead, in half the degree (`_half_degree_pattern`).
     """
     coeffs = reduce_polynomial(f, p)
     monic = _monic(coeffs, p)
-    half = monic[::2]  # g when monic = g(x^2)
-    if (p > 2 and len(half) > 1 and half[0] and not any(monic[1::2])
-            and _gcd(half, _deriv(half, p), p) == [1]):
-        return _half_degree_pattern(half, p)
+    if p > 2 and monic[0] and _half_discriminant(f) % p:
+        return _half_degree_pattern(monic[::2], p)
     degs: list[int] = []
     for g, mult in _sqf_list(monic, p):
         for h, d in _ddf(g, p):
@@ -449,33 +488,30 @@ def degree_pattern(f: IntPoly, p: int) -> tuple[int, ...]:
 def _half_degree_pattern(g, p):
     """Degree pattern of f = g(x^2) for p odd, g(0) != 0 and g squarefree.
 
-    A root b of g gives two roots of f in F_{p^i} when b is a square there
-    and none otherwise, so f has N_i = 2 deg gcd(g, y^((p^i-1)/2) - 1) roots
-    in F_{p^i}, and N_i = sum over d | i of d r_d gives the number r_i of
-    factors of degree i.  All arithmetic is mod g, in half the degree of f;
-    a_i = y^((p^i-1)/2) steps as a_(i+1) = a_1 a_i^p.
+    A root b of g of degree e gives f two roots of degree e when b is a
+    square in F_{p^e} and two conjugate roots of degree 2e otherwise; all
+    roots of one factor of g agree.  So if G_e, the product of the k_e
+    factors of g of degree e, has s_e = deg gcd(G_e, a_e - 1)/e factors with
+    square roots, a_e = y^((p^e-1)/2), then f has 2 s_e factors of degree e
+    and k_e - s_e of degree 2e.  All arithmetic is mod g, in half the degree
+    of f: y^p = y a_1^2 gives the Frobenius rows for the distinct-degree
+    split of g, and a_(i+1) = a_1 a_i^p.
     """
     ring = _PackedModulus(g, p)
     a1 = ring.pow(ring.pack(_rem([0, 1], g, p)), (p - 1) // 2)
-    rows = ring.frobenius_rows(ring.reduce((a1 * a1) << ring.w))  # y^p = y a_1^2
-    counts = [0]  # counts[d]: factors of f of degree d
+    rows = ring.frobenius(ring.reduce((a1 * a1) << ring.w))  # y^p = y a_1^2
     pattern: list[int] = []
-    a, i, rest = a1, 1, 2 * (len(g) - 1)
-    while 2 * i <= rest:
-        if i > 1:
+    a, i = a1, 1
+    for group, e in _ddf(g, p, ring):
+        while i < e:
             a = ring.reduce(a1 * ring.frobenius_map(a, rows))
-        roots = 2 * (len(_gcd(_sub(ring.unpack(a), [1], p), g, p)) - 1)
-        count, left = divmod(roots - sum(d * counts[d] for d in range(1, i)
-                                         if i % d == 0), i)
-        if left or count < 0:
-            raise IntegrityError("root counts of f(x^2) do not peel into factors")
-        counts.append(count)
-        pattern += [i] * count
-        rest -= i * count
-        i += 1
-    if rest:
-        pattern.append(rest)
-    return tuple(pattern)
+            i += 1
+        k = (len(group) - 1) // e
+        s, left = divmod(_gcd_degree(_sub(ring.unpack(a), [1], p), group, p), e)
+        if left or s > k:
+            raise IntegrityError("square roots of g do not fit its factor degrees")
+        pattern += [e] * (2 * s) + [2 * e] * (k - s)
+    return tuple(sorted(pattern))
 
 
 def is_irreducible(g: list[int], p: int) -> bool:

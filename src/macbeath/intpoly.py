@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import Inadmissible, IntegrityError
 from .numkit import divisors, euler_phi, moebius
@@ -327,31 +328,47 @@ def doubled(f1: IntPoly) -> IntPoly:
     return IntPoly(out)
 
 
-def resultant(f: IntPoly, g: IntPoly) -> Fraction:
-    """Resultant of f and g via a Euclidean remainder sequence over Q."""
-    fa = [Fraction(c) for c in f.coeffs]
-    ga = [Fraction(c) for c in g.coeffs]
-    return _res(fa, ga)
+def resultant(f: IntPoly, g: IntPoly) -> int:
+    """Resultant of f and g by the subresultant remainder sequence over Z
+    (Cohen, A Course in Computational Algebraic Number Theory, Algorithm
+    3.3.7): every division in it is exact, so no fraction is ever formed.
+    A zero polynomial has resultant 0 with anything."""
+    a, b = list(f.coeffs), list(g.coeffs)
+    if not a or not b:
+        return 0
+    ca, cb = functools.reduce(gcd, a), functools.reduce(gcd, b)
+    a, b = [c // ca for c in a], [c // cb for c in b]
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    if len(a) < len(b):
+        a, b = b, a
+        t *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+    if len(b) == 1:
+        return t * b[0] ** (len(a) - 1)
+    lead, h = 1, 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            t = -t
+        r = _pseudo_remainder(a, b)
+        a, b = b, [c // (lead * h**delta) for c in r]
+        lead = a[-1]
+        h = lead**delta // h ** (delta - 1) if delta else h
+    if not b:
+        return 0
+    return t * (b[0] ** (len(a) - 1) // h ** (len(a) - 2))
 
 
-def _res(f: list[Fraction], g: list[Fraction]) -> Fraction:
-    if not g:
-        return Fraction(1) if len(f) == 1 else Fraction(0)
-    if len(g) == 1:
-        return g[0] ** (len(f) - 1)
-    if len(f) < len(g):
-        sign = -1 if ((len(f) - 1) * (len(g) - 1)) % 2 else 1
-        return sign * _res(g, f)
-    r = f[:]
-    while len(r) >= len(g):
-        q = r[-1] / g[-1]
-        shift = len(r) - len(g)
-        for i, c in enumerate(g):
-            r[shift + i] -= q * c
-        while r and r[-1] == 0:
-            r.pop()
-    sign = -1 if ((len(f) - 1) * (len(g) - 1)) % 2 else 1
-    return sign * g[-1] ** (len(f) - len(r)) * _res(g, r)
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) * a mod b, over Z."""
+    r, lead, db = list(a), b[-1], len(b) - 1
+    for _ in range(len(a) - db):
+        c = r.pop()
+        r = [x * lead for x in r]
+        for i in range(db):
+            r[len(r) - db + i] -= c * b[i]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
 
 
 def discriminant(f: IntPoly) -> int:
@@ -360,7 +377,7 @@ def discriminant(f: IntPoly) -> int:
         raise ValueError("discriminant needs degree >= 1")
     d = f.degree
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    value = sign * resultant(f, f.derivative()) / f.leading
-    if value.denominator != 1:
+    value, left = divmod(sign * resultant(f, f.derivative()), f.leading)
+    if left:
         raise IntegrityError("discriminant of an integer polynomial must be integral")
-    return int(value)
+    return value

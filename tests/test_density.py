@@ -199,3 +199,17 @@ def test_sweep_csv_and_json_shapes():
     assert rows[0][0] == 13 and rows[0][7] == "True"
     blob = tally_to_dict(res.tally)
     assert blob["counts"] == {"0": 0, "1": 3, "2": 2, "3": 0}
+
+
+def test_pattern_bridge_counts_squares_in_each_class_field(monkeypatch):
+    # m = 4 splits f1 over F_p while the maps live over F_{p^2} on half of
+    # the split primes: f2 has two linear factors per class whose s is a
+    # square in F_p, whatever its character in F_{p^2}
+    res = pattern_census(4, 19, 20000, workers=1)
+    assert (res.bridge_checked, res.bridge_violations) == (251, 0)
+    assert pattern_census(6, 13, 3000, workers=1).bridge_violations == 0
+    # the bridge still fires when the census character is wrong
+    from macbeath import gf
+    real = gf._euler_sign
+    monkeypatch.setattr(gf, "_euler_sign", lambda a: -real(a))
+    assert pattern_census(4, 19, 3000, workers=1).bridge_violations > 0

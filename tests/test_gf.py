@@ -459,6 +459,103 @@ def test_half_degree_kernel_reads_no_character(kernel_calls, monkeypatch):
     assert len(kernel_calls) == len(primes_upto(3000)) - 2  # all but 2 and 7
 
 
+def test_half_degree_kernel_selection_rule(kernel_calls):
+    # the kernel needs g squarefree mod p (p not dividing disc g), g(0) != 0
+    # and f even over Z; on every other input the generic route answers
+    bad = {"disc g": 0, "g(0)": 0}
+    for m, n in ((m, n) for m in (3, 4, 6) for n in range(7, 20)):
+        f1 = s_polynomial(m, n)
+        f2 = doubled(f1)
+        disc_g, g0 = discriminant(f1), f1.coeffs[0]
+        for p in primes_upto(1000)[1:]:
+            kernel_calls.clear()
+            assert degree_pattern(f2, p) == generic_pattern(f2, p), (m, n, p)
+            assert kernel_calls == ([] if disc_g % p == 0 or g0 % p == 0 else [p]), (m, n, p)
+            bad["disc g"] += disc_g % p == 0
+            bad["g(0)"] += g0 % p == 0
+        for p in primes_upto(40)[1:]:
+            # even mod p but not over Z
+            for odd in (IntPoly([0, p]), IntPoly([0, 0, 0, -p])):
+                kernel_calls.clear()
+                f = f2 + odd
+                assert degree_pattern(f, p) == generic_pattern(f, p), (m, n, p)
+                assert kernel_calls == [], (m, n, p)
+    assert bad == {"disc g": 36, "g(0)": 4}
+    x2 = IntPoly([0, 0, 1])
+    for p in (3, 5, 13, 101):
+        # g(0) = 0 with g squarefree over Z: x^2 (x^2 - 1)(x^2 - 3) + p x^2
+        f = x2 * (x2 - IntPoly([1])) * (x2 - IntPoly([3])) + x2 * p
+        kernel_calls.clear()
+        assert degree_pattern(f, p) == generic_pattern(f, p), p
+        assert kernel_calls == []
+
+
+@pytest.fixture
+def euclid_calls(monkeypatch):
+    """Names of the Euclid routines called, in order."""
+    calls = []
+    for name in ("_gcd", "_gcd_degree"):
+        real = getattr(gf, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(gf, name, counted)
+    return calls
+
+
+def test_half_degree_kernel_euclid_count(kernel_calls, euclid_calls):
+    # f1 for n = 11 is irreducible of degree 5 mod 3: the distinct-degree
+    # split runs floor(5/2) gcds and the square count one more
+    f1 = s_polynomial(3, 11)
+    assert reduce_and_factor(f1, 3).pattern() == (5,)
+    euclid_calls.clear()
+    assert degree_pattern(doubled(f1), 3) == (10,)
+    assert kernel_calls == [3]
+    assert euclid_calls == ["_gcd", "_gcd", "_gcd_degree"]
+
+
+def test_discriminant_computed_once_per_polynomial(monkeypatch):
+    # the squarefree tests read disc g for the kernel and disc f for the
+    # factorization; with f2 = f1(x^2) both are disc f1, computed once
+    seen = []
+
+    def spy(f):
+        seen.append(f)
+        return discriminant(f)
+
+    monkeypatch.setattr(gf, "discriminant", spy)
+    gf._discriminant.cache_clear()
+    gf._half_discriminant.cache_clear()
+    try:
+        f1 = s_polynomial(3, 13)
+        for p in primes_upto(2000)[1:]:
+            degree_pattern(doubled(f1), p)
+            reduce_and_factor(f1, p)
+        assert seen == [f1]
+    finally:
+        gf._discriminant.cache_clear()
+        gf._half_discriminant.cache_clear()
+
+
+def test_one_packed_ring_for_the_top_level_split(monkeypatch):
+    # f1 for n = 19 has three cubic factors mod 7 (d = 3): the distinct-degree
+    # split finds one degree class, and its equal-degree split reuses the ring
+    moduli = []
+    real = gf._PackedModulus.__init__
+
+    def counted(self, f, p):
+        moduli.append(gf._monic(list(f), p))
+        real(self, f, p)
+
+    monkeypatch.setattr(gf._PackedModulus, "__init__", counted)
+    f1 = s_polynomial(3, 19)
+    fl = reduce_and_factor(f1, 7)
+    assert fl.factors == (((3, 5, 4, 1), 1), ((3, 6, 1, 1), 1), ((4, 5, 6, 1), 1))
+    assert moduli.count(gf._monic(gf.reduce_polynomial(f1, 7), 7)) == 1
+
+
 # ---------------------------------------------------------------------------
 # packed field elements, the odd-degree norm root and the EDF exponent split
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -183,3 +184,31 @@ def test_discriminant_of_3_7_is_a_pure_power_of_7():
 def test_resultant_of_coprime_constants():
     assert resultant(P(2,), P(0, 1)) == 2
     assert resultant(P(1, 1), P(-1, 1)) == -2  # res(x+1, x-1) = (x+1) at 1, negated
+    assert resultant(P(-2,), P(1, 0, 1)) == 4 and type(resultant(P(3,), P(5,))) is int
+
+
+def test_resultant_and_discriminant_match_sympy():
+    # the subresultant sequence against the definition (the determinant of
+    # the Sylvester matrix, which fixes the sign when deg f < deg g) on
+    # non-monic inputs with content and with common factors
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.subresultants_qq_zz import sylvester
+    x = sympy.Symbol("x")
+
+    def poly(f):
+        return sympy.Poly(list(reversed(f.coeffs)), x)
+
+    rng = random.Random(43)
+    for _ in range(80):
+        a, b = (P(*[rng.randrange(-20, 21) for _ in range(rng.randrange(1, 9))],
+                  rng.choice((-6, -1, 1, 4))) for _ in range(2))
+        if rng.random() < 0.3:
+            common = P(rng.randrange(-3, 4), rng.choice((1, 2)))
+            a, b = a * common, b * common * 3
+        sylvester_det = sylvester(poly(a).as_expr(), poly(b).as_expr(), x).det()
+        assert resultant(a, b) == int(sylvester_det), (a, b)
+        if a.degree >= 1:
+            assert discriminant(a) == int(sympy.discriminant(poly(a))), a
+    for m, n in ((3, 19), (4, 41), (6, 35)):
+        f2 = doubled(s_polynomial(m, n))
+        assert discriminant(f2) == int(sympy.discriminant(poly(f2))), (m, n)
