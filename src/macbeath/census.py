@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import gf
 from .errors import BadReduction, Inadmissible, IntegrityError, OracleError
@@ -29,8 +29,7 @@ INNER = "inner"
 OUTER = "outer"
 
 
-@dataclass(frozen=True)
-class FieldData:
+class FieldData(NamedTuple):
     m: int
     n: int
     p: int
@@ -71,8 +70,7 @@ def _field_data(m: int, n: int, p: int) -> FieldData:
     return FieldData(m, n, p, n_mod, _M_MODULUS[m], d, p**d)
 
 
-@dataclass(frozen=True)
-class TraceClass:
+class TraceClass(NamedTuple):
     """One isomorphism class: an irreducible factor of f1 mod p with its verdict."""
 
     factor: tuple[int, ...]  # monic irreducible over F_p, ascending coefficients
@@ -83,16 +81,14 @@ class TraceClass:
     t: gf.FieldElem | None   # a trace with t^2 = shift - s, when representable
 
 
-@dataclass(frozen=True)
-class ParityVerdict:
+class ParityVerdict(NamedTuple):
     applicable: bool          # the parity theorem speaks only for m=3, d odd
     predicted: str | None     # "even" / "odd" parity of l
     observed: str
     consistent: bool | None
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     m: int
     n: int
     p: int
@@ -336,8 +332,7 @@ def cps_discriminant(a: gf.FieldElem, b: gf.FieldElem,
 # matrix witness oracle
 
 
-@dataclass(frozen=True)
-class OracleWitness:
+class OracleWitness(NamedTuple):
     verdict: str
     degenerate: bool           # the beta = 0, r = v branch was taken
     field_modulus: tuple[int, ...]

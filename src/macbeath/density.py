@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import census, gf
 from .errors import BadReduction, Inadmissible
@@ -52,8 +51,7 @@ def default_workers() -> int:
 # sigma sweeps
 
 
-@dataclass(frozen=True)
-class PrimeSummary:
+class PrimeSummary(NamedTuple):
     p: int
     residue: int  # +1 or -1: the sign of p mod the relevant modulus
     k: int
@@ -63,8 +61,7 @@ class PrimeSummary:
     genus: int
 
 
-@dataclass(frozen=True)
-class SigmaTally:
+class SigmaTally(NamedTuple):
     m: int
     n: int
     stream: PrimeStream | None
@@ -77,8 +74,7 @@ class SigmaTally:
     skipped: tuple[tuple[int, str], ...]
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     m: int
     n: int
     records: tuple[PrimeSummary, ...]
@@ -110,22 +106,20 @@ def _sweep_chunk(args) -> list:
     return [_summarize(m, n, p) for p in chunk]
 
 
-def _parallel_flatmap(func, args_list, workers: int) -> list:
-    if workers <= 1 or len(args_list) <= 1:
-        out = []
-        for args in args_list:
-            out.extend(func(args))
-        return out
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # platform without fork: fall back to serial
-        return _parallel_flatmap(func, args_list, 1)
-    with ctx.Pool(workers) as pool:
-        parts = pool.map(func, args_list)
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
+def _pool_map(func, args_list, workers: int) -> list:
+    """[func(args) for args in args_list], over a fork pool of `workers`
+    processes when there are several workers and several arguments."""
+    if workers > 1 and len(args_list) > 1:
+        import multiprocessing  # loaded only when a pool starts
+
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # platform without fork: run serially
+            pass
+        else:
+            with ctx.Pool(workers) as pool:
+                return pool.map(func, args_list)
+    return [func(args) for args in args_list]
 
 
 def _chunked(items, pieces: int) -> list:
@@ -155,14 +149,14 @@ def sweep(m: int, n: int, stream: PrimeStream | None = None, *,
     todo = [p for p in primes if p not in cached]
     workers = default_workers() if workers is None else workers
     chunks = _chunked(todo, workers)
-    outcomes = _parallel_flatmap(_sweep_chunk, [(m, n, c) for c in chunks], workers)
     fresh = {}
     skipped = []
-    for item in outcomes:
-        if isinstance(item, PrimeSummary):
-            fresh[item.p] = item
-        else:
-            skipped.append(item)
+    for part in _pool_map(_sweep_chunk, [(m, n, c) for c in chunks], workers):
+        for item in part:
+            if isinstance(item, PrimeSummary):
+                fresh[item.p] = item
+            else:
+                skipped.append(item)
     if cache_path and fresh:
         _append_cache(cache_path, cache_end, m, n,
                       [fresh[p] for p in todo if p in fresh])
@@ -274,8 +268,7 @@ def negative_root_count(n: int, m: int = 3) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class GaloisModel:
+class GaloisModel(NamedTuple):
     m: int
     n: int
     r: int              # phi(n)/2, the number of root pairs
@@ -380,8 +373,7 @@ def wreath_cycle_distribution(n: int) -> dict[tuple[int, ...], Fraction]:
 # degree-pattern census
 
 
-@dataclass(frozen=True)
-class PatternCensus:
+class PatternCensus(NamedTuple):
     m: int
     n: int
     bound: int
@@ -442,11 +434,11 @@ def pattern_census(m: int, n: int, bound: int, *,
     workers = default_workers() if workers is None else workers
     primes = primes_in_classes(PrimeStream.up_to(1, {0}, bound))
     chunks = _chunked(primes, workers)
-    rows = _parallel_flatmap(_pattern_chunk, [(m, n, c) for c in chunks], workers)
+    parts = _pool_map(_pattern_chunk, [(m, n, c) for c in chunks], workers)
     counts: dict[tuple[int, ...], int] = {}
     skipped = []
     checked = violations = 0
-    for p, pattern, bridge in rows:
+    for p, pattern, bridge in (row for part in parts for row in part):
         if pattern is None or disc % p == 0:
             skipped.append(p)
             continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import IntegrityError
 from .intpoly import IntPoly, discriminant
@@ -399,14 +399,13 @@ def _factor_monic(f, p, squarefree):
     return out
 
 
-@dataclass(frozen=True)
-class FactorList:
+class FactorList(NamedTuple):
     """Complete factorization of a monic reduction mod p."""
 
     p: int
     lead: int                                # unit factored out of the input
     factors: tuple[tuple[tuple[int, ...], int], ...]  # (monic irreducible, mult)
-    squarefree: bool = field(default=True)
+    squarefree: bool = True
 
     def pattern(self) -> tuple[int, ...]:
         degs: list[int] = []

@@ -9,9 +9,9 @@ f(x^2), and exact discriminants via resultants.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import Inadmissible, IntegrityError
 from .numkit import divisors, euler_phi, moebius
@@ -241,8 +241,7 @@ def _b_value(e: int) -> Fraction:
     return _B_EVEN[e % 12]
 
 
-@dataclass(frozen=True)
-class PsiOne:
+class PsiOne(NamedTuple):
     n: int
     direct: int          # Psi_n(1), authoritative
     mobius: Fraction     # the Moebius-product route, equal to direct

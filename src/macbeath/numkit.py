@@ -8,7 +8,7 @@ are computed in exact arbitrary precision throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import Inadmissible
 
@@ -99,20 +99,24 @@ def primes_upto(bound: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class PrimeStream:
+class _PrimeStreamFields(NamedTuple):
+    modulus: int
+    residues: frozenset[int]
+    first: int | None = None
+    bound: int | None = None
+
+
+class PrimeStream(_PrimeStreamFields):
     """A filter over primes: residue classes mod `modulus`, cut by count or bound.
 
     Exactly one of `first` (emit the first K matching primes) and `bound`
     (emit every matching prime <= bound) is set.
     """
 
-    modulus: int
-    residues: frozenset[int]
-    first: int | None = None
-    bound: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
         if not self.residues:
@@ -122,6 +126,7 @@ class PrimeStream:
                 raise ValueError(f"residue {r} is not coprime to {self.modulus}")
         if (self.first is None) == (self.bound is None):
             raise ValueError("set exactly one of first / bound")
+        return self
 
     @classmethod
     def first_k(cls, modulus: int, residues, k: int) -> PrimeStream:

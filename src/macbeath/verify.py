@@ -10,8 +10,8 @@ tests.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import census, density, refdata
 from .errors import BadReduction, Inadmissible, IntegrityError
@@ -21,16 +21,14 @@ from .numkit import primes_upto
 SUITES = ("table1", "examples", "appendix", "parity", "oracle", "patterns")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     expected: str
     actual: str
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     checks: tuple[Check, ...]
     elapsed: float
@@ -130,9 +128,12 @@ def appendix(workers: int | None = None) -> SuiteReport:
 
 
 def _parity_chunk(args) -> tuple:
+    # (p, k) of every classified prime is kept for n = 7, whose k-parity
+    # laws parity() checks after the pool
     n, chunk = args
     odd_d = 0
     failures = []
+    k_rows = []
     for p in chunk:
         try:
             record = census.map_census(3, n, p, traces=False)
@@ -141,11 +142,13 @@ def _parity_chunk(args) -> tuple:
         except IntegrityError as exc:
             failures.append(f"p={p}: {exc}")
             continue
+        if n == 7:
+            k_rows.append((p, record.k))
         if record.field.d % 2:
             odd_d += 1
             if not record.parity.consistent:
                 failures.append(f"p={p}: inconsistent parity")
-    return n, odd_d, failures
+    return n, odd_d, failures, k_rows
 
 
 def parity(bound: int = 10**4, workers: int | None = None) -> SuiteReport:
@@ -156,11 +159,13 @@ def parity(bound: int = 10**4, workers: int | None = None) -> SuiteReport:
     for n in range(7, 20):
         for chunk in density._chunked(primes, workers):
             args.append((n, chunk))
-    rows = _pool_map(_parity_chunk, args, workers)
+    rows = density._pool_map(_parity_chunk, args, workers)
     per_n: dict[int, tuple[int, list[str]]] = {}
-    for n, odd_d, failures in rows:
+    k_of_n7 = []
+    for n, odd_d, failures, k_rows in rows:
         count, fails = per_n.get(n, (0, []))
         per_n[n] = (count + odd_d, fails + failures)
+        k_of_n7.extend(k_rows)
     checks = []
     for n in sorted(per_n):
         count, fails = per_n[n]
@@ -171,16 +176,13 @@ def parity(bound: int = 10**4, workers: int | None = None) -> SuiteReport:
     # k_p odd iff p = 1 mod 4, for p = +-1 mod 7 (n = 7 parity theorem)
     bad = []
     d3_bad = []
-    for p in primes:
-        if p == 7:
-            continue
-        record = census.map_census(3, 7, p, traces=False)
+    for p, k in k_of_n7:
         if p % 7 in (1, 6):
-            if (record.k % 2 == 1) != (p % 4 == 1):
+            if (k % 2 == 1) != (p % 4 == 1):
                 bad.append(p)
         elif p != 2:
             # unique class: inner exactly when p = 1 mod 4
-            if (record.k == 1) != (p % 4 == 1):
+            if (k == 1) != (p % 4 == 1):
                 d3_bad.append(p)
     checks.append(Check("k_p odd iff p=1 mod 4 (type {3,7})", not bad,
                         "0 exceptions", f"{len(bad)} exceptions {bad[:5]}"))
@@ -217,7 +219,7 @@ def oracle(bound: int = 500, workers: int | None = None) -> SuiteReport:
     for n in (7, 9, 11):
         for chunk in density._chunked(odd_primes, workers):
             args.append((n, chunk))
-    rows = _pool_map(_oracle_chunk, args, workers)
+    rows = density._pool_map(_oracle_chunk, args, workers)
     per_n: dict[int, list] = {}
     for n, agreed, degenerate, failures in rows:
         entry = per_n.setdefault(n, [0, 0, []])
@@ -274,18 +276,6 @@ def patterns(bound: int = 10**6, workers: int | None = None) -> SuiteReport:
     checks.append(Check("bad primes excluded", result.skipped == (2, 7),
                         "(2, 7)", str(result.skipped)))
     return _finish("patterns", checks, start)
-
-
-def _pool_map(func, args, workers: int):
-    if workers <= 1 or len(args) <= 1:
-        return [func(a) for a in args]
-    import multiprocessing
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return [func(a) for a in args]
-    with ctx.Pool(workers) as pool:
-        return pool.map(func, args)
 
 
 def run_suite(name: str, *, workers: int | None = None,

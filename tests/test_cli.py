@@ -274,3 +274,43 @@ def test_oracle_output_matches_the_traced_record(capsys, n, p):
     assert [w["det_w"] for w in got] == [list(w.det_w) for w in expected]
     assert [w["x"] for w in got] == [[list(c) for c in w.x_matrix] for w in expected]
     assert [w["verdict"] for w in got] == [w.verdict for w in expected]
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+import macbeath.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [macbeath.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, [name for name in ("dataclasses", "inspect", "multiprocessing")
+                          if name in sys.modules]]))
+"""
+
+
+def _cold_start(commands):
+    """Exit codes of the commands, run in-process in a fresh interpreter, and
+    which of the heavy optional modules that process then holds."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(macbeath.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("MACBEATH_WORKERS", None)
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_one_worker_commands_load_no_heavy_modules():
+    codes, loaded = _cold_start([
+        ["classify", "--n", "7", "--p", "13"],
+        ["oracle", "--n", "7", "--p", "13"],
+        ["sweep", "--n", "7", "--first", "20", "--workers", "1"],
+        ["pattern", "--n", "7", "--bound", "300", "--workers", "1"]])
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a pool")
+def test_pool_loads_multiprocessing():
+    codes, loaded = _cold_start([["pattern", "--n", "7", "--bound", "300",
+                                  "--workers", "2"]])
+    assert codes == [0]
+    assert loaded == ["multiprocessing"]

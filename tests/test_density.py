@@ -1,8 +1,10 @@
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from macbeath import census, verify
 from macbeath.density import (
     EVEN_SUBGROUP,
     FULL_WREATH,
@@ -18,7 +20,7 @@ from macbeath.density import (
     tally_to_dict,
     wreath_cycle_distribution,
 )
-from macbeath.numkit import PrimeStream
+from macbeath.numkit import PrimeStream, primes_upto
 
 
 def test_sweep_first_400_counts_and_split():
@@ -213,3 +215,18 @@ def test_pattern_bridge_counts_squares_in_each_class_field(monkeypatch):
     real = gf._euler_sign
     monkeypatch.setattr(gf, "_euler_sign", lambda a: -real(a))
     assert pattern_census(4, 19, 3000, workers=1).bridge_violations > 0
+
+
+def test_parity_suite_classifies_each_prime_once(monkeypatch):
+    calls = Counter()
+    original = census.map_census
+
+    def counting(m, n, p, **kwargs):
+        calls[(m, n, p)] += 1
+        return original(m, n, p, **kwargs)
+
+    monkeypatch.setattr(census, "map_census", counting)
+    report = verify.parity(bound=2000, workers=1)
+    assert report.passed
+    primes = primes_upto(2000)
+    assert calls == Counter({(3, n, p): 1 for n in range(7, 20) for p in primes})
