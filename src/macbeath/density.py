@@ -9,6 +9,7 @@ censuses of f1(x^2) mod p against those predictions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import census, gf
-from .errors import BadReduction, Inadmissible
+from .errors import BadReduction, Inadmissible, WorkerError
 from .intpoly import discriminant, doubled, s_polynomial
 from .numkit import PrimeStream, euler_phi, primes_in_classes
 
@@ -101,32 +102,79 @@ def _summarize(m: int, n: int, p: int) -> PrimeSummary | tuple[int, str]:
                         record.field.q, record.genus)
 
 
-def _sweep_chunk(args) -> list:
-    m, n, chunk = args
-    return [_summarize(m, n, p) for p in chunk]
+def _fan_out(func, items: list, workers: int) -> list:
+    """[func(x) for x in items], shared out over w = min(workers, len(items))
+    forked children when w > 1 and the platform can fork.
+
+    Child i computes items[i::w] and writes its results, or the exception
+    that stopped it, pickled down its own pipe, then leaves by os._exit
+    without returning into the caller's stack.  The parent reads every pipe
+    to EOF and reaps every child (killing those still running when it is
+    interrupted itself), re-raises the first worker's exception, and
+    interleaves the shares back into input order.  A child that ends without
+    sending anything raises WorkerError.  The caller must hold no threads:
+    a fork copies only the calling one.
+    """
+    w = min(workers, len(items))
+    if w < 2 or not hasattr(os, "fork"):
+        return [func(x) for x in items]
+    import pickle  # loaded only when children start
+    import signal
+
+    pids: list[int] = []
+    pipes = []
+    try:
+        for i in range(w):
+            read_end, write_end = os.pipe()
+            pipes.append(os.fdopen(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _fan_out_child(func, items[i::w], write_end)
+                pids.append(pid)
+            finally:
+                os.close(write_end)  # the child never gets here
+        payloads = [pipe.read() for pipe in pipes]
+        statuses = []
+        while pids:
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]))
+            del pids[0]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:  # left only when the parent itself was interrupted
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+    results = [None] * len(items)
+    for i, (data, status) in enumerate(zip(payloads, statuses)):
+        if not data:
+            raise WorkerError(f"worker {i + 1} of {w} ended with status {status} "
+                              f"before sending its results")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results[i::w] = value
+    return results
 
 
-def _pool_map(func, args_list, workers: int) -> list:
-    """[func(args) for args in args_list], over a fork pool of `workers`
-    processes when there are several workers and several arguments."""
-    if workers > 1 and len(args_list) > 1:
-        import multiprocessing  # loaded only when a pool starts
+def _fan_out_child(func, share: list, write_end: int) -> None:
+    """The body of one _fan_out child; it ends the process and never returns."""
+    import pickle
 
+    status = 1
+    try:
         try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # platform without fork: run serially
-            pass
-        else:
-            with ctx.Pool(workers) as pool:
-                return pool.map(func, args_list)
-    return [func(args) for args in args_list]
-
-
-def _chunked(items, pieces: int) -> list:
-    if pieces <= 1:
-        return [list(items)]
-    size = max(1, math.ceil(len(items) / (4 * pieces)))
-    return [list(items[i:i + size]) for i in range(0, len(items), size)]
+            payload = (True, [func(x) for x in share])
+        except BaseException as exc:  # raised again in the parent
+            payload = (False, exc)
+        with os.fdopen(write_end, "wb") as pipe:
+            pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def sweep(m: int, n: int, stream: PrimeStream | None = None, *,
@@ -148,15 +196,13 @@ def sweep(m: int, n: int, stream: PrimeStream | None = None, *,
         cached, cache_end = _read_cache(cache_path, m, n)
     todo = [p for p in primes if p not in cached]
     workers = default_workers() if workers is None else workers
-    chunks = _chunked(todo, workers)
     fresh = {}
     skipped = []
-    for part in _pool_map(_sweep_chunk, [(m, n, c) for c in chunks], workers):
-        for item in part:
-            if isinstance(item, PrimeSummary):
-                fresh[item.p] = item
-            else:
-                skipped.append(item)
+    for item in _fan_out(functools.partial(_summarize, m, n), todo, workers):
+        if isinstance(item, PrimeSummary):
+            fresh[item.p] = item
+        else:
+            skipped.append(item)
     if cache_path and fresh:
         _append_cache(cache_path, cache_end, m, n,
                       [fresh[p] for p in todo if p in fresh])
@@ -387,37 +433,25 @@ class PatternCensus(NamedTuple):
     bridge_violations: int
 
 
-def _pattern_chunk(args) -> list:
-    m, n, chunk = args
-    f2 = doubled(s_polynomial(m, n))
+def _pattern_row(m: int, n: int, f2, p: int) -> tuple | None:
+    """(degree pattern of f2 mod p, k') for one prime, k' None off the split
+    primes; None when p has bad reduction."""
+    try:
+        pattern = gf.degree_pattern(f2, p)
+    except ValueError:
+        return None
     modulus = n if n % 2 else 2 * n
-    out = []
-    for p in chunk:
-        try:
-            pattern = gf.degree_pattern(f2, p)
-        except ValueError:
-            out.append((p, None, None))
-            continue
-        linear = 0
-        for d in pattern:
-            if d == 1:
-                linear += 1
-            else:
-                break
-        k_census = None
-        if p % modulus in (1, modulus - 1):
-            try:
-                record = census.map_census(m, n, p, traces=False)
-            except (BadReduction, Inadmissible):
-                out.append((p, None, None))
-                continue
-            # f2 has two linear factors per class whose s is a square in
-            # its own field F_{p^e}; chi is that character when d/e is odd
-            k_census = sum(1 for c in record.classes
-                           if (c.chi if record.field.d // c.e % 2
-                               else gf._euler_sign(c.s)) == 1)
-        out.append((p, pattern, (linear, k_census)))
-    return out
+    if p % modulus not in (1, modulus - 1):
+        return pattern, None
+    try:
+        record = census.map_census(m, n, p, traces=False)
+    except (BadReduction, Inadmissible):
+        return None
+    # f2 has two linear factors per class whose s is a square in its own
+    # field F_{p^e}; chi is that character when d/e is odd
+    return pattern, sum(1 for c in record.classes
+                        if (c.chi if record.field.d // c.e % 2
+                            else gf._euler_sign(c.s)) == 1)
 
 
 def pattern_census(m: int, n: int, bound: int, *,
@@ -433,19 +467,19 @@ def pattern_census(m: int, n: int, bound: int, *,
     disc = discriminant(f2)
     workers = default_workers() if workers is None else workers
     primes = primes_in_classes(PrimeStream.up_to(1, {0}, bound))
-    chunks = _chunked(primes, workers)
-    parts = _pool_map(_pattern_chunk, [(m, n, c) for c in chunks], workers)
+    rows = _fan_out(functools.partial(_pattern_row, m, n, f2), primes, workers)
     counts: dict[tuple[int, ...], int] = {}
     skipped = []
     checked = violations = 0
-    for p, pattern, bridge in (row for part in parts for row in part):
-        if pattern is None or disc % p == 0:
+    for p, row in zip(primes, rows):
+        if row is None or disc % p == 0:
             skipped.append(p)
             continue
+        pattern, k_census = row
         counts[pattern] = counts.get(pattern, 0) + 1
-        if bridge is not None and bridge[1] is not None:
+        if k_census is not None:
             checked += 1
-            if bridge[0] != 2 * bridge[1]:
+            if pattern.count(1) != 2 * k_census:
                 violations += 1
     total = sum(counts.values())
     freqs = {pat: Fraction(c, total) for pat, c in sorted(counts.items())}

@@ -29,3 +29,9 @@ class OracleError(Error):
     """The matrix witness construction could not be completed."""
 
     code = "oracle"
+
+
+class WorkerError(Error):
+    """A worker process ended without sending back its results."""
+
+    code = "worker"

@@ -320,7 +320,7 @@ def _ddf(f, p, ring=None):
     """Distinct-degree split of monic squarefree f: list of (product, degree),
     degrees ascending.  `ring` is the packed modulus of f, if the caller has it."""
     if len(f) <= 2:
-        return [(f, 1)] if len(f) == 2 else []
+        return [(list(f), 1)] if len(f) == 2 else []
     out = []
     # h and the Frobenius rows stay reduced mod the original f: every
     # cofactor divides it, so a gcd with the cofactor is the same gcd
@@ -339,7 +339,7 @@ def _ddf(f, p, ring=None):
             break
         h = ring.frobenius_map(h, rows)
     if len(f) > 1:
-        out.append((f, len(f) - 1))
+        out.append((list(f), len(f) - 1))  # a copy: callers consume groups
     return out
 
 

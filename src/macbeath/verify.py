@@ -127,45 +127,39 @@ def appendix(workers: int | None = None) -> SuiteReport:
     return _finish("appendix", checks, start)
 
 
-def _parity_chunk(args) -> tuple:
-    # (p, k) of every classified prime is kept for n = 7, whose k-parity
-    # laws parity() checks after the pool
-    n, chunk = args
-    odd_d = 0
-    failures = []
-    k_rows = []
-    for p in chunk:
-        try:
-            record = census.map_census(3, n, p, traces=False)
-        except (BadReduction, Inadmissible):
-            continue
-        except IntegrityError as exc:
-            failures.append(f"p={p}: {exc}")
-            continue
-        if n == 7:
-            k_rows.append((p, record.k))
-        if record.field.d % 2:
-            odd_d += 1
-            if not record.parity.consistent:
-                failures.append(f"p={p}: inconsistent parity")
-    return n, odd_d, failures, k_rows
+def _parity_row(item: tuple[int, int]) -> tuple | None:
+    """(k, d odd, failure or None) for one (n, p), None when p is skipped;
+    k is None when the census itself failed."""
+    n, p = item
+    try:
+        record = census.map_census(3, n, p, traces=False)
+    except (BadReduction, Inadmissible):
+        return None
+    except IntegrityError as exc:
+        return None, False, f"p={p}: {exc}"
+    odd_d = bool(record.field.d % 2)
+    failure = (f"p={p}: inconsistent parity"
+               if odd_d and not record.parity.consistent else None)
+    return record.k, odd_d, failure
 
 
 def parity(bound: int = 10**4, workers: int | None = None) -> SuiteReport:
     start = time.time()
     workers = density.default_workers() if workers is None else workers
     primes = primes_upto(bound)
-    args = []
-    for n in range(7, 20):
-        for chunk in density._chunked(primes, workers):
-            args.append((n, chunk))
-    rows = density._pool_map(_parity_chunk, args, workers)
-    per_n: dict[int, tuple[int, list[str]]] = {}
+    items = [(n, p) for n in range(7, 20) for p in primes]
+    per_n = {n: [0, []] for n in range(7, 20)}  # odd-d primes, failures
     k_of_n7 = []
-    for n, odd_d, failures, k_rows in rows:
-        count, fails = per_n.get(n, (0, []))
-        per_n[n] = (count + odd_d, fails + failures)
-        k_of_n7.extend(k_rows)
+    for (n, p), row in zip(items, density._fan_out(_parity_row, items, workers)):
+        if row is None:
+            continue
+        k, odd_d, failure = row
+        per_n[n][0] += odd_d
+        if failure:
+            per_n[n][1].append(failure)
+        # k-parity laws for n = 7, checked below
+        if n == 7 and k is not None:
+            k_of_n7.append((p, k))
     checks = []
     for n in sorted(per_n):
         count, fails = per_n[n]
@@ -191,41 +185,49 @@ def parity(bound: int = 10**4, workers: int | None = None) -> SuiteReport:
     return _finish("parity", checks, start)
 
 
-def _oracle_chunk(args) -> tuple:
-    n, chunk = args
+def _oracle_row(item: tuple[int, int]) -> tuple | None:
+    """(classes agreed, degenerate, failures) for one (n, p), None when p is
+    skipped."""
+    n, p = item
+    try:
+        record = census.map_census(3, n, p)
+    except (BadReduction, Inadmissible):
+        return None
     agreed = degenerate = 0
     failures = []
-    for p in chunk:
+    for cls in record.classes:
         try:
-            record = census.map_census(3, n, p)
-        except (BadReduction, Inadmissible):
+            witness = census.matrix_oracle(n, p, cls, record.field.d)
+        except (IntegrityError, Inadmissible) as exc:
+            failures.append(f"p={p} factor={cls.factor}: {exc}")
             continue
-        for cls in record.classes:
-            try:
-                witness = census.matrix_oracle(n, p, cls, record.field.d)
-            except (IntegrityError, Inadmissible) as exc:
-                failures.append(f"p={p} factor={cls.factor}: {exc}")
-                continue
-            agreed += 1
-            degenerate += witness.degenerate
-    return n, agreed, degenerate, failures
+        agreed += 1
+        degenerate += witness.degenerate
+    return agreed, degenerate, failures
+
+
+def _route_row(item: tuple[int, int]) -> bool | None:
+    """Whether the trace route and the factored f1 give the same s-values
+    for one (n, p); None when p is skipped."""
+    try:
+        left, right = census.route_product(3, *item)
+    except (BadReduction, Inadmissible):
+        return None
+    return left == right
 
 
 def oracle(bound: int = 500, workers: int | None = None) -> SuiteReport:
     start = time.time()
     workers = density.default_workers() if workers is None else workers
-    odd_primes = [p for p in primes_upto(bound) if p != 2]
-    args = []
-    for n in (7, 9, 11):
-        for chunk in density._chunked(odd_primes, workers):
-            args.append((n, chunk))
-    rows = density._pool_map(_oracle_chunk, args, workers)
-    per_n: dict[int, list] = {}
-    for n, agreed, degenerate, failures in rows:
-        entry = per_n.setdefault(n, [0, 0, []])
-        entry[0] += agreed
-        entry[1] += degenerate
-        entry[2].extend(failures)
+    primes = primes_upto(bound)
+    items = [(n, p) for n in (7, 9, 11) for p in primes if p != 2]
+    per_n: dict[int, list] = {n: [0, 0, []] for n in (7, 9, 11)}
+    for (n, _), row in zip(items, density._fan_out(_oracle_row, items, workers)):
+        if row is not None:
+            entry = per_n[n]
+            entry[0] += row[0]
+            entry[1] += row[1]
+            entry[2].extend(row[2])
     checks = []
     total_degenerate = 0
     for n in sorted(per_n):
@@ -238,17 +240,10 @@ def oracle(bound: int = 500, workers: int | None = None) -> SuiteReport:
     checks.append(Check("degenerate beta=0 branch exercised", total_degenerate > 0,
                         ">= 1", str(total_degenerate)))
     # route equivalence: s-values via trace roots match the factored f1
-    route_failures = []
-    route_count = 0
-    for n in range(7, 17):
-        for p in primes_upto(bound):
-            try:
-                left, right = census.route_product(3, n, p)
-            except (BadReduction, Inadmissible):
-                continue
-            route_count += 1
-            if left != right:
-                route_failures.append((n, p))
+    items = [(n, p) for n in range(7, 17) for p in primes]
+    rows = density._fan_out(_route_row, items, workers)
+    route_failures = [item for item, same in zip(items, rows) if same is False]
+    route_count = sum(same is not None for same in rows)
     checks.append(Check("trace-route equivalence n<=16", not route_failures,
                         "identical multisets", f"{route_count} cases checked"
                         + (f", FAILURES {route_failures[:3]}" if route_failures else "")))

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import macbeath
-from macbeath import refdata
+from macbeath import census, refdata
 from macbeath.census import map_census, matrix_oracle, record_from_json
 from macbeath.cli import build_parser, main
 
@@ -277,18 +277,27 @@ def test_oracle_output_matches_the_traced_record(capsys, n, p):
 
 
 _COLD_START = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+before = set(sys.modules)  # an interpreter's site hooks may preload some
 import macbeath.cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [macbeath.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, [name for name in ("dataclasses", "inspect", "multiprocessing")
-                          if name in sys.modules]]))
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children_left = True
+except ChildProcessError:
+    children_left = False
+print(json.dumps([codes, [name for name in ("dataclasses", "inspect", "multiprocessing",
+                                            "threading")
+                          if name in sys.modules and name not in before],
+                  children_left]))
 """
 
 
 def _cold_start(commands):
-    """Exit codes of the commands, run in-process in a fresh interpreter, and
-    which of the heavy optional modules that process then holds."""
+    """Exit codes of the commands, run in-process in a fresh interpreter, which
+    of the heavy optional modules the package and the commands loaded, and
+    whether a child process was left behind."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(macbeath.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("MACBEATH_WORKERS", None)
@@ -299,7 +308,7 @@ def _cold_start(commands):
 
 
 def test_one_worker_commands_load_no_heavy_modules():
-    codes, loaded = _cold_start([
+    codes, loaded, _ = _cold_start([
         ["classify", "--n", "7", "--p", "13"],
         ["oracle", "--n", "7", "--p", "13"],
         ["sweep", "--n", "7", "--first", "20", "--workers", "1"],
@@ -308,9 +317,31 @@ def test_one_worker_commands_load_no_heavy_modules():
     assert loaded == []
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a pool")
-def test_pool_loads_multiprocessing():
-    codes, loaded = _cold_start([["pattern", "--n", "7", "--bound", "300",
-                                  "--workers", "2"]])
-    assert codes == [0]
-    assert loaded == ["multiprocessing"]
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs to fork workers")
+def test_two_worker_commands_fork_without_multiprocessing():
+    codes, loaded, children_left = _cold_start([
+        ["pattern", "--n", "7", "--bound", "300", "--workers", "2"],
+        ["sweep", "--n", "7", "--first", "20", "--workers", "2"],
+        ["verify", "parity", "--bound", "300", "--workers", "2"]])
+    assert codes == [0, 0, 0]
+    assert loaded == []
+    assert not children_left
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs to fork workers")
+def test_sweep_reports_a_worker_that_dies(capsys, monkeypatch):
+    parent = os.getpid()
+    real = census.map_census
+
+    def dying(m, n, p, **kwargs):
+        if p == 43 and os.getpid() != parent:
+            os._exit(3)
+        return real(m, n, p, **kwargs)
+
+    monkeypatch.setattr(census, "map_census", dying)
+    code, out, err = run(capsys, "sweep", "--n", "7", "--first", "20",
+                         "--workers", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: worker: ") and "Traceback" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

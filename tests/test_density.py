@@ -1,4 +1,6 @@
 import os
+import signal
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from macbeath.density import (
     EVEN_SUBGROUP,
     FULL_WREATH,
     UNKNOWN,
+    _fan_out,
     clamp_workers,
     default_stream,
     galois_model,
@@ -20,6 +23,7 @@ from macbeath.density import (
     tally_to_dict,
     wreath_cycle_distribution,
 )
+from macbeath.errors import Error, WorkerError
 from macbeath.numkit import PrimeStream, primes_upto
 
 
@@ -81,6 +85,72 @@ def test_clamp_workers():
     assert clamp_workers(cpus) == cpus
     assert clamp_workers(1) == 1
     assert clamp_workers(0) == 1 and clamp_workers(-4) == 1
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_fan_out_returns_the_serial_list(workers):
+    for length in range(10):
+        items = [(i, str(i)) for i in range(length)]
+        assert _fan_out(lambda x: (x[1], x[0] ** 2), items, workers) == \
+            [(x[1], x[0] ** 2) for x in items], length
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("exc_type", [Error, ValueError, KeyboardInterrupt])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_fan_out_raises_a_worker_exception_in_the_parent(workers, exc_type):
+    def func(x):
+        if x == 5:
+            raise exc_type(f"item {x}")
+        return x
+
+    with pytest.raises(exc_type, match="item 5"):
+        _fan_out(func, list(range(9)), workers)
+    assert _no_child_left()
+
+
+def test_fan_out_reports_a_worker_that_dies_without_results():
+    parent = os.getpid()
+
+    def func(x):
+        if x == 4 and os.getpid() != parent:
+            os._exit(3)
+        return x
+
+    with pytest.raises(WorkerError, match="worker 1 of 2 ended with status 3"):
+        _fan_out(func, list(range(6)), 2)
+    assert _no_child_left()
+
+
+def test_fan_out_stops_its_children_when_interrupted():
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        with pytest.raises(KeyboardInterrupt):
+            _fan_out(lambda x: time.sleep(60), [1, 2], 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    assert _no_child_left()
+
+
+def test_oracle_suite_rows_do_not_depend_on_workers():
+    one = verify.oracle(bound=200, workers=1).checks
+    two = verify.oracle(bound=200, workers=2).checks
+    assert one == two
+    assert one[-1].name == "trace-route equivalence n<=16"
+    assert one[-1].actual == "446 cases checked"
 
 
 def test_negative_root_count_examples():

@@ -490,6 +490,23 @@ def test_half_degree_kernel_selection_rule(kernel_calls):
         assert kernel_calls == []
 
 
+def test_ddf_and_half_degree_kernel_leave_their_input_unchanged():
+    # the kernel's Euclid consumes each distinct-degree group in place, so no
+    # group may be the caller's list; g = f1 mod 11 (n = 7) stays one group
+    g = gf._monic(gf.reduce_polynomial(s_polynomial(3, 7), 11), 11)
+    assert g == [1, 3, 7, 1]
+    pattern = gf._half_degree_pattern(g, 11)
+    assert g == [1, 3, 7, 1]
+    assert gf._half_degree_pattern(g, 11) == pattern
+    for h, p in (([1, 3, 7, 1], 5), ([4, 1], 5), (list(g), 11)):
+        before = list(h)
+        groups = gf._ddf(h, p)
+        assert all(group is not h for group, _ in groups)
+        for group, _ in groups:
+            group.clear()
+        assert h == before, (h, p)
+
+
 @pytest.fixture
 def euclid_calls(monkeypatch):
     """Names of the Euclid routines called, in order."""
