@@ -202,6 +202,7 @@ def _cmd_sweep(args) -> int:
     if tally.predicted is not None:
         lines.append("predicted densities: "
                      + ", ".join(str(f) for f in tally.predicted))
+    if tally.max_abs_deviation is not None:
         lines.append(f"max |freq - predicted| = {tally.max_abs_deviation:.5f}")
     if tally.skipped:
         lines.append(f"skipped: {list(tally.skipped)}")
@@ -226,16 +227,15 @@ def _cmd_predict(args) -> int:
                                       for f in densities]
         lines.append("relative densities of Sigma_k: "
                      + ", ".join(str(f) for f in densities))
-    else:
-        lines.append("no density prediction: Galois structure unknown")
-    if model.r <= 16 and args.m == 3 and model.structure == density.FULL_WREATH:
-        dist = density.wreath_cycle_distribution(args.n)
+        dist = density.wreath_cycle_distribution(args.n, model.structure)
         payload["cycle_densities"] = {"-".join(map(str, k)): [v.numerator,
                                                               v.denominator]
                                       for k, v in dist.items()}
         lines.append("wreath cycle-type densities:")
         for pattern, frac in dist.items():
             lines.append(f"  {pattern}: {frac}")
+    else:
+        lines.append("no density prediction: Galois structure unknown")
     _emit(args, payload, lines)
     return 0
 

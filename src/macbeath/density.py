@@ -3,12 +3,14 @@
 Partitions primes into the classes Sigma_k by the number k of inner regular
 maps, compares empirical frequencies with the densities predicted by the
 Galois-structure model (full wreath product or its even subgroup), computes
-wreath-product cycle statistics by brute enumeration, and runs degree-pattern
-censuses of f1(x^2) mod p against those predictions.
+wreath-product cycle statistics in closed form from the orbit lengths of each
+group element, and runs degree-pattern censuses of f1(x^2) mod p against
+those predictions.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
@@ -19,7 +21,7 @@ from typing import NamedTuple
 from . import census, gf
 from .errors import BadReduction, Inadmissible, WorkerError
 from .intpoly import discriminant, doubled, s_polynomial
-from .numkit import PrimeStream, euler_phi, primes_in_classes
+from .numkit import PrimeStream, euler_phi, mult_order_signed, primes_in_classes
 
 FULL_WREATH = "full_wreath"
 EVEN_SUBGROUP = "even_subgroup"
@@ -329,6 +331,8 @@ def galois_model(m: int, n: int, override: str | None = None) -> GaloisModel:
     n outside it (or forces one for experiments).
     """
     r = euler_phi(n) // 2
+    if r < 1:
+        raise ValueError("n must be >= 3")
     if override is not None:
         if override not in (FULL_WREATH, EVEN_SUBGROUP, UNKNOWN):
             raise ValueError(f"unknown structure override {override!r}")
@@ -343,76 +347,58 @@ def galois_model(m: int, n: int, override: str | None = None) -> GaloisModel:
     return GaloisModel(m, n, r, structure, negative)
 
 
-def predicted_sigma_densities(model: GaloisModel) -> list[Fraction]:
-    """Relative densities of Sigma_0..Sigma_r under the structure model."""
-    if model.structure == UNKNOWN:
-        raise ValueError(f"no prediction: Galois structure unknown for n={model.n}")
-    r = model.r
-    if model.structure == FULL_WREATH:
-        out = [Fraction(math.comb(r, k), 2**r) for k in range(r + 1)]
+def _odd_orbit_weights(t: int, structure: str) -> list[Fraction]:
+    """Density of i odd-flip orbits, i = 0..t, among the sign vectors on t orbits.
+
+    Each orbit has an odd number of sign flips for exactly half the vectors,
+    independently of the others, so i is Binomial(t, 1/2).  The even
+    subgroup keeps the vectors with even total flips, that is even i.
+    """
+    if structure == FULL_WREATH:
+        out = [Fraction(math.comb(t, i), 2**t) for i in range(t + 1)]
+    elif structure == EVEN_SUBGROUP:
+        out = [Fraction(math.comb(t, i), 2 ** (t - 1)) if i % 2 == 0
+               else Fraction(0) for i in range(t + 1)]
     else:
-        out = [Fraction(math.comb(r, k), 2 ** (r - 1)) if (r - k) % 2 == 0
-               else Fraction(0) for k in range(r + 1)]
+        raise ValueError(f"no prediction: Galois structure {structure}")
     if sum(out) != 1:
-        raise AssertionError("density table does not sum to 1")
+        raise AssertionError("orbit-parity densities do not sum to 1")
     return out
+
+
+def predicted_sigma_densities(model: GaloisModel) -> list[Fraction]:
+    """Relative densities of Sigma_0..Sigma_r under the structure model.
+
+    These are the identity element's cycle statistics: r orbits of length 1,
+    of which the k = r - i with even flips are the inner classes.
+    """
+    return _odd_orbit_weights(model.r, model.structure)[::-1]
 
 
 # ---------------------------------------------------------------------------
 # wreath-product cycle statistics
 
 
-def _half_group(n: int) -> list[int]:
-    return [j for j in range(1, n // 2 + 1)
-            if math.gcd(j, n) == 1 and 2 * j != n]
+def wreath_cycle_distribution(n: int, structure: str = FULL_WREATH
+                              ) -> dict[tuple[int, ...], Fraction]:
+    """Cycle-type densities of C2 wr H, H = (Z/n)*/{+-1} of order r, or of its
+    even subgroup, acting on the phi(n) roots.
 
-
-def wreath_cycle_distribution(n: int) -> dict[tuple[int, ...], Fraction]:
-    """Cycle-type densities of C2 wr (Z_n*/{+-1}) acting on the phi(n) roots.
-
-    Brute enumeration over all (sign vector, group element) pairs; densities
-    are exact and sum to 1.
+    Multiplication by a in H permutes the r root pairs in t = r/L orbits, all
+    of length L = ord_H(a).  An orbit with odd sign flips is one 2L-cycle and
+    one with even flips two L-cycles, so i odd orbits give the pattern
+    [2L]^i + [L]^(2(t - i)), with i distributed as _odd_orbit_weights(t).
     """
-    reps = _half_group(n)
-    r = len(reps)
-    if r > 16:
-        raise ValueError("phi(n)/2 > 16: enumeration bound exceeded")
-    index = {j: i for i, j in enumerate(reps)}
-
-    def canon(x: int) -> int:
-        x %= n
-        return min(x, n - x)
-
-    # orbit decomposition of multiplication by a on the pair indices
-    tallies: dict[tuple[int, ...], int] = {}
-    for a in reps:
-        orbits = []
-        seen = [False] * r
-        for start in range(r):
-            if seen[start]:
-                continue
-            orbit = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                orbit.append(j)
-                j = index[canon(reps[j] * a)]
-            orbits.append(orbit)
-        for signs in range(1 << r):
-            pattern = []
-            for orbit in orbits:
-                flips = sum((signs >> j) & 1 for j in orbit)
-                if flips % 2:
-                    pattern.append(2 * len(orbit))
-                else:
-                    pattern.extend([len(orbit)] * 2)
-            key = tuple(sorted(pattern))
-            tallies[key] = tallies.get(key, 0) + 1
-    total = r * (1 << r)
-    out = {pat: Fraction(c, total) for pat, c in sorted(tallies.items())}
-    if sum(out.values()) != 1:
-        raise AssertionError("cycle-type densities do not sum to 1")
-    return out
+    reps = [j for j in range(1, n // 2 + 1) if math.gcd(j, n) == 1 and 2 * j != n]
+    orders = collections.Counter(mult_order_signed(a, n) for a in reps)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for length, count in orders.items():
+        t = len(reps) // length
+        for i, w in enumerate(_odd_orbit_weights(t, structure)):
+            if w:
+                key = (length,) * (2 * (t - i)) + (2 * length,) * i
+                out[key] = out.get(key, 0) + w * Fraction(count, len(reps))
+    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +472,8 @@ def pattern_census(m: int, n: int, bound: int, *,
     model = galois_model(m, n)
     predicted = None
     deviation = None
-    if model.structure == FULL_WREATH:
-        predicted = wreath_cycle_distribution(n)
+    if model.structure != UNKNOWN:
+        predicted = wreath_cycle_distribution(n, model.structure)
         if total:
             keys = set(freqs) | set(predicted)
             deviation = float(max(abs(freqs.get(k, Fraction(0))

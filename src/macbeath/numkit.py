@@ -109,39 +109,42 @@ class _PrimeStreamFields(NamedTuple):
 class PrimeStream(_PrimeStreamFields):
     """A filter over primes: residue classes mod `modulus`, cut by count or bound.
 
-    Exactly one of `first` (emit the first K matching primes) and `bound`
-    (emit every matching prime <= bound) is set.
+    Exactly one of `first` (emit the first K >= 1 matching primes) and
+    `bound` (emit every matching prime <= bound) is set.  Residues are
+    reduced mod `modulus`.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.modulus < 1:
+    def __new__(cls, modulus: int, residues, first: int | None = None,
+                bound: int | None = None):
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        if not self.residues:
+        residues = frozenset(r % modulus for r in residues)
+        if not residues:
             raise ValueError("residue set must be nonempty")
-        for r in self.residues:
-            if math.gcd(r, self.modulus) != 1:
-                raise ValueError(f"residue {r} is not coprime to {self.modulus}")
-        if (self.first is None) == (self.bound is None):
+        for r in residues:
+            if math.gcd(r, modulus) != 1:
+                raise ValueError(f"residue {r} is not coprime to {modulus}")
+        if (first is None) == (bound is None):
             raise ValueError("set exactly one of first / bound")
-        return self
+        if first is not None and first < 1:
+            raise ValueError(f"first must be >= 1, got {first}")
+        return super().__new__(cls, modulus, residues, first, bound)
 
     @classmethod
     def first_k(cls, modulus: int, residues, k: int) -> PrimeStream:
-        return cls(modulus, frozenset(r % modulus for r in residues), first=k)
+        return cls(modulus, residues, first=k)
 
     @classmethod
     def up_to(cls, modulus: int, residues, bound: int) -> PrimeStream:
-        return cls(modulus, frozenset(r % modulus for r in residues), bound=bound)
+        return cls(modulus, residues, bound=bound)
 
     @classmethod
     def plus_minus_one(cls, modulus: int, *, first: int | None = None,
                        bound: int | None = None) -> PrimeStream:
         """Primes congruent to +-1 mod `modulus`."""
-        return cls(modulus, frozenset({1 % modulus, -1 % modulus}),
-                   first=first, bound=bound)
+        return cls(modulus, {1, -1}, first=first, bound=bound)
 
 
 def primes_in_classes(stream: PrimeStream) -> list[int]:

@@ -4,8 +4,10 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
+from timelimit import time_limit
 
 import macbeath
 from macbeath import census, refdata
@@ -156,6 +158,46 @@ def test_predict_command(capsys):
     code, out, _ = run(capsys, "predict", "--n", "17", "--galois-override",
                        "full_wreath")
     assert "1/256" in out
+
+
+def test_predict_gives_cycle_densities_for_every_known_structure(capsys):
+    code, out, _ = run(capsys, "predict", "--n", "13", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["structure"] == "even_subgroup"
+    assert data["cycle_densities"]["6-6"] == [1, 2]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "predict", "--n", "199", "--galois-override",
+                       "full_wreath", "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and "1-" * 197 + "1" in json.loads(out)["cycle_densities"]
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_predict_rejects_a_type_without_root_pairs(capsys, n):
+    code, out, err = run(capsys, "predict", "--n", n, "--galois-override",
+                         "even_subgroup")
+    assert code == 1 and out == ""
+    assert err == "error: invalid-input: n must be >= 3\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_sweep_of_an_empty_stream_prints_an_empty_tally(capsys, fmt):
+    code, out, err = run(capsys, "sweep", "--n", "7", "--bound", "1", "--format", fmt)
+    assert code == 0 and err == ""
+    assert "max |freq" not in out
+    if fmt == "json":
+        assert json.loads(out)["tally"]["total"] == 0
+    elif fmt == "table":
+        assert out.startswith("swept 0 primes")
+
+
+@pytest.mark.parametrize("first", ["0", "-1"])
+def test_sweep_rejects_a_count_below_one(capsys, first):
+    with time_limit(10):
+        code, out, err = run(capsys, "sweep", "--n", "7", "--first", first)
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid-input: first must be >= 1")
 
 
 def test_verify_exit_codes(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import time
@@ -8,6 +9,7 @@ import pytest
 
 from macbeath import census, verify
 from macbeath.density import (
+    _STRUCTURE_TABLE_M3,
     EVEN_SUBGROUP,
     FULL_WREATH,
     UNKNOWN,
@@ -211,6 +213,16 @@ def test_predicted_sigma_densities():
     assert sum(d13) == 1
     with pytest.raises(ValueError):
         predicted_sigma_densities(galois_model(3, 17))
+    # the closed form at a = 1 against the binomial laws, for every table entry
+    for m, n in [(3, n) for n in _STRUCTURE_TABLE_M3] + [(4, 5)]:
+        model = galois_model(m, n)
+        r = model.r
+        if model.structure == FULL_WREATH:
+            expected = [Fraction(math.comb(r, k), 2**r) for k in range(r + 1)]
+        else:
+            expected = [Fraction(math.comb(r, k), 2 ** (r - 1)) if (r - k) % 2 == 0
+                        else 0 for k in range(r + 1)]
+        assert predicted_sigma_densities(model) == expected, (m, n)
 
 
 def test_wreath_cycle_distribution_n7():
@@ -235,9 +247,60 @@ def test_wreath_cycle_distribution_properties():
         assert all(sum(pat) == 2 * r for pat in dist)
 
 
-def test_wreath_cycle_distribution_bound():
-    with pytest.raises(ValueError):
-        wreath_cycle_distribution(37)  # phi/2 = 18 > 16
+def _enumerated_wreath_distribution(n, structure):
+    """Reference: the cycle types of every (sign vector, a) of C2 wr H, or of
+    its even subgroup (sign vectors with an even number of flips)."""
+    reps = [j for j in range(1, n // 2 + 1) if math.gcd(j, n) == 1 and 2 * j != n]
+    r = len(reps)
+    index = {j: i for i, j in enumerate(reps)}
+    tallies = Counter()
+    for a in reps:
+        orbits = []
+        seen = [False] * r
+        for start in range(r):
+            orbit = []
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                orbit.append(j)
+                x = reps[j] * a % n
+                j = index[min(x, n - x)]
+            if orbit:
+                orbits.append(orbit)
+        for signs in range(1 << r):
+            if structure == EVEN_SUBGROUP and bin(signs).count("1") % 2:
+                continue
+            pattern = []
+            for orbit in orbits:
+                if sum((signs >> j) & 1 for j in orbit) % 2:
+                    pattern.append(2 * len(orbit))
+                else:
+                    pattern.extend([len(orbit)] * 2)
+            tallies[tuple(sorted(pattern))] += 1
+    total = sum(tallies.values())
+    return {pat: Fraction(c, total) for pat, c in sorted(tallies.items())}
+
+
+SMALL_R = [n for n in range(3, 100) if galois_model(3, n).r <= 10]
+
+
+@pytest.mark.parametrize("structure", [FULL_WREATH, EVEN_SUBGROUP])
+def test_wreath_cycle_distribution_matches_enumeration(structure):
+    for n in SMALL_R:
+        dist = wreath_cycle_distribution(n, structure)
+        assert list(dist.items()) == list(
+            _enumerated_wreath_distribution(n, structure).items()), n
+
+
+def test_wreath_cycle_distribution_for_large_r():
+    for n in (37, 199):
+        r = galois_model(3, n).r
+        start = time.perf_counter()
+        dist = wreath_cycle_distribution(n)
+        assert time.perf_counter() - start < 1
+        assert sum(dist.values()) == 1
+        assert dist[(1,) * (2 * r)] == Fraction(1, r * 2**r)
+        assert all(sum(pat) == 2 * r for pat in dist)
 
 
 def test_pattern_census_small():
@@ -259,9 +322,20 @@ def test_pattern_census_worker_determinism():
 
 
 def test_pattern_census_without_prediction():
-    res = pattern_census(3, 13, 500)
+    res = pattern_census(3, 17, 500)
     assert res.predicted is None and res.max_abs_deviation is None
     assert res.total > 0
+
+
+@pytest.mark.parametrize("n", [13, 15])
+def test_pattern_census_matches_the_even_subgroup(n):
+    res = pattern_census(3, n, 10**5)
+    assert set(res.counts) <= set(res.predicted)
+    assert res.max_abs_deviation < 0.01
+    # the same frequencies are far from the full wreath's cycle types
+    full = wreath_cycle_distribution(n, FULL_WREATH)
+    assert max(abs(res.frequencies.get(pat, 0) - full.get(pat, 0))
+               for pat in set(full) | set(res.frequencies)) > 0.2
 
 
 def test_sweep_csv_and_json_shapes():

@@ -17,6 +17,7 @@ from macbeath.numkit import (
     primes_upto,
     psl2_order,
 )
+from timelimit import time_limit
 
 
 def naive_is_prime(n):
@@ -161,6 +162,20 @@ def test_prime_stream_validation():
         PrimeStream(7, frozenset({1}), first=3, bound=10)
     with pytest.raises(ValueError):
         PrimeStream(7, frozenset({1}))
+
+
+@pytest.mark.parametrize("first", [0, -1])
+def test_prime_stream_rejects_a_count_below_one(first):
+    # a stream that can never reach its count would run forever
+    with time_limit(10), pytest.raises(ValueError, match="first must be >= 1"):
+        primes_in_classes(PrimeStream.plus_minus_one(7, first=first))
+
+
+def test_prime_stream_reduces_its_residues():
+    assert PrimeStream.plus_minus_one(7, bound=50).residues == {1, 6}
+    assert PrimeStream(7, {-1, 8}, first=2).residues == frozenset({1, 6})
+    with pytest.raises(ValueError, match="positive"):
+        PrimeStream.plus_minus_one(0, bound=50)
 
 
 def test_residue_classes_partition_primes():
