@@ -208,7 +208,9 @@ def _split_classes(m: int, n: int, p: int, f1: IntPoly,
     = eps, z + 1/z = c has a root z in F_p or in the norm-one torus of F_{p^2},
     so z^(p - eps) = 1 and t_1 = V_{(p-eps)/N}(c) is the trace of an element of
     order dividing N, of order exactly N when no V_{N/q}(t_1) equals 2.  The
-    s-values s_j = shift - V_j(t_1)^2 must multiply out to f1 mod p.
+    s-values s_j = shift - V_j(t_1)^2 must multiply out to f1 mod p, which
+    one carry-free packed product checks (`_product_mod_p`); each class
+    character is Euler's criterion on the residue s_j itself.
     """
     n_mod, exponents, indices = _split_plan(n)
     eps = 1 if p % n_mod == 1 else -1
@@ -228,28 +230,37 @@ def _split_classes(m: int, n: int, p: int, f1: IntPoly,
         v.append((t1 * v[-1] - v[-2]) % p)
     t_values = [v[j] for j in indices]
     s_values = [(shift - t * t) % p for t in t_values]
-    product = [1]
-    for s in s_values:
-        # multiply by x - s, coefficients ascending
-        product = [(a - s * b) % p for a, b in zip([0] + product, product + [0])]
-    if product != [c % p for c in f1.coeffs]:
+    if _product_mod_p(s_values, p) != [c % p for c in f1.coeffs]:
         raise IntegrityError(f"split-route s-values do not multiply out to f1 mod {p}")
     if len(set(s_values)) != len(s_values):
         raise BadReduction(f"f1 for type {{{m},{n}}} is not squarefree mod {p}")
     classes = []
     for s, t in sorted(zip(s_values, t_values)):
+        character = _chi_of_integer(s, p, 1)
+        if character == 0:
+            raise _s_zero(m, n, p)
         # x mod (x - s) is s, so the class values are built from the residues
         factor = ((-s) % p, 1)
         ctx = gf.FieldCtx.trusted(p, factor, 1)
-        s_elem = gf.FieldElem(ctx, s)
-        character = gf.chi(s_elem)
-        if character == 0:
-            raise _s_zero(m, n, p)
         t = min(t, p - t)
-        classes.append(TraceClass(factor, 1, s_elem, character,
+        classes.append(TraceClass(factor, 1, gf.FieldElem(ctx, s), character,
                                   INNER if character == 1 else OUTER,
                                   gf.FieldElem(ctx, t) if traces else None))
     return classes
+
+
+def _product_mod_p(roots: list[int], p: int) -> list[int]:
+    """Ascending coefficients mod p of prod (x - s) over residues s in [0, p).
+
+    Slot k of the Kronecker-packed integer prod (2^w + p - s) is e_(r-k)(p - s)
+    <= C(r, k) p^(r-k) < 2^(w-1) for r roots: no slot carries, and p - s = -s."""
+    w = len(roots) * (p.bit_length() + 1) + 1
+    base = (1 << w) + p
+    packed = 1
+    for s in roots:
+        packed *= base - s
+    mask = (1 << w) - 1
+    return [(packed >> k & mask) % p for k in range(0, w * len(roots) + 1, w)]
 
 
 def _chi_of_integer(value: int, p: int, d: int) -> int:

@@ -333,6 +333,7 @@ def galois_model(m: int, n: int, override: str | None = None) -> GaloisModel:
     r = euler_phi(n) // 2
     if r < 1:
         raise ValueError("n must be >= 3")
+    s_polynomial(m, n)  # an inadmissible type fails here, as in a sweep
     if override is not None:
         if override not in (FULL_WREATH, EVEN_SUBGROUP, UNKNOWN):
             raise ValueError(f"unknown structure override {override!r}")

@@ -15,7 +15,8 @@ from macbeath.census import (
     record_to_json,
     route_product,
 )
-from macbeath.errors import BadReduction, Error, Inadmissible
+from macbeath.errors import BadReduction, Error, Inadmissible, IntegrityError
+from macbeath.intpoly import IntPoly, s_polynomial
 from macbeath.numkit import primes_upto
 
 
@@ -372,7 +373,7 @@ def test_extension_square_roots_skip_prime_field_walk(monkeypatch):
 
 
 def test_split_route_builds_classes_from_integers(monkeypatch):
-    calls = {"_rem": 0, "elem": 0, "is_prime": 0, "FieldCtx": 0}
+    calls = {"_rem": 0, "elem": 0, "is_prime": 0, "FieldCtx": 0, "chi": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -386,6 +387,8 @@ def test_split_route_builds_classes_from_integers(monkeypatch):
         monkeypatch.setattr(gf.FieldCtx, "elem", counted("elem", gf.FieldCtx.elem))
         # the normalizing constructor: the split route's moduli are reduced
         monkeypatch.setattr(gf.FieldCtx, "__init__", counted("FieldCtx", gf.FieldCtx.__init__))
+        # the characters come from the residues, not from field elements
+        monkeypatch.setattr(gf, "chi", counted("chi", gf.chi))
         is_prime = counted("is_prime", numkit.is_prime)
         for module in (numkit, census_module, gf):
             monkeypatch.setattr(module, "is_prime", is_prime)
@@ -393,18 +396,96 @@ def test_split_route_builds_classes_from_integers(monkeypatch):
             calls.update(dict.fromkeys(calls, 0))
             record = map_census(3, n, p, traces=traces)
             assert record.field.d == 1 and len(record.classes) > 1
-            assert calls == {"_rem": 0, "elem": 0, "is_prime": 1, "FieldCtx": 0}, \
+            assert calls == {"_rem": 0, "elem": 0, "is_prime": 1, "FieldCtx": 0,
+                             "chi": 0}, \
                 (n, p, traces)
         monkeypatch.undo()
 
 
 def test_s_zero_is_reported_alike_by_both_routes(monkeypatch):
-    # no split prime in the sweeps above has s = 0, so chi is forced to 0
+    # no split prime in the sweeps above has s = 0, so chi is forced to 0:
+    # the factorization route reads it from gf.chi, the split route from
+    # the residue
     monkeypatch.setattr(gf, "chi", lambda s: 0)
+    monkeypatch.setattr(census_module, "_chi_of_integer", lambda value, p, d: 0)
     for split_route in (True, False):
         with pytest.raises(BadReduction, match=r"^s = 0 occurs for \(3,7,13\); "
                                                r"no generating triple has t\^2 = 3$"):
             census_module._map_census(3, 7, 13, True, split_route)
+
+
+def _list_product_mod_p(roots, p):
+    """prod (x - s) mod p, one coefficient list per factor: the reference."""
+    product = [1]
+    for s in roots:
+        product = [(a - s * b) % p for a, b in zip([0] + product, product + [0])]
+    return product
+
+
+def _is_split(m, n, p):
+    try:
+        return field_data(m, n, p).d == 1
+    except Inadmissible:
+        return False
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_packed_product_matches_the_list_product(m, monkeypatch):
+    # every product the split route certifies, on every split prime below 2e4
+    seen = []
+    packed = census_module._product_mod_p
+
+    def recorded(roots, p):
+        seen.append((list(roots), p, packed(roots, p)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(census_module, "_product_mod_p", recorded)
+    primes = primes_upto(20000)
+    for n in range(7, 20):
+        split = [p for p in primes if _is_split(m, n, p)]
+        f1 = s_polynomial(m, n).coeffs
+        seen.clear()
+        for p in split:
+            map_census(m, n, p, traces=False)
+        assert [p for _, p, _ in seen] == split and len(split) > 50, (m, n)
+        for roots, p, got in seen:
+            assert len(roots) == len(f1) - 1
+            assert got == _list_product_mod_p(roots, p) == [c % p for c in f1], \
+                (m, n, p)
+
+
+def test_packed_product_at_the_carry_bound():
+    # r = 99 roots at a split prime above 2^60; s = 0 puts every p - s at p,
+    # the largest slot values the width has to hold
+    n_mod = 199
+    p = next(q for q in range((1 << 60) // n_mod * n_mod + 1, 1 << 61, n_mod)
+             if numkit.is_prime(q))
+    record = map_census(3, 199, p, traces=False)
+    roots = [c.s.coeffs[0] for c in record.classes]
+    assert len(roots) == 99 and p > 1 << 60
+    f1 = [c % p for c in s_polynomial(3, 199).coeffs]
+    assert census_module._product_mod_p(roots, p) == _list_product_mod_p(roots, p) == f1
+    assert census_module._product_mod_p([0] * 99, p) == [0] * 99 + [1]
+    assert census_module._product_mod_p([1] * 99, p) == _list_product_mod_p([1] * 99, p)
+
+
+def test_split_route_checks_still_fire(monkeypatch):
+    f1 = s_polynomial(3, 7)
+    monkeypatch.setattr(census_module, "s_polynomial",
+                        lambda m, n: IntPoly([f1.coeffs[0] + 1, *f1.coeffs[1:]]))
+    with pytest.raises(IntegrityError, match=r"^split-route s-values do not multiply "
+                                             r"out to f1 mod 13$"):
+        map_census(3, 7, 13)
+    monkeypatch.undo()
+    # a repeated s_j that got past the product is a bad reduction
+    n_mod, exponents, indices = census_module._split_plan(7)
+    monkeypatch.setattr(census_module, "_split_plan",
+                        lambda n: (n_mod, exponents, indices[:1] + indices))
+    monkeypatch.setattr(census_module, "_product_mod_p",
+                        lambda roots, p: [c % p for c in f1.coeffs])
+    with pytest.raises(BadReduction,
+                       match=r"^f1 for type \{3,7\} is not squarefree mod 13$"):
+        map_census(3, 7, 13)
 
 
 def test_chi_shortcut_cache_matches_formula():

@@ -181,6 +181,35 @@ def test_predict_rejects_a_type_without_root_pairs(capsys, n):
     assert err == "error: invalid-input: n must be >= 3\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--m", "99", "--n", "5", "--galois-override", "full_wreath"),
+     "m=99 is unsupported: the order-99 trace square is irrational"),
+    (("--n", "5"), "type {3,5} is not hyperbolic"),
+    (("--m", "99", "--n", "7"),
+     "m=99 is unsupported: the order-99 trace square is irrational"),
+])
+def test_predict_rejects_the_types_sweep_rejects(capsys, argv, message):
+    code, out, err = run(capsys, "predict", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: inadmissible: {message}\n"
+    m_n = [a for a in argv[:4] if a != "--galois-override"]
+    assert run(capsys, "sweep", *m_n, "--bound", "100") == (code, out, err)
+
+
+def test_predict_keeps_the_curated_m4_n5_model(capsys):
+    code, out, err = run(capsys, "predict", "--m", "4", "--n", "5")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "Galois model for type {4,5}: full_wreath (r=2, negative roots=1)",
+        "relative densities of Sigma_k: 1/4, 1/2, 1/4",
+        "wreath cycle-type densities:",
+        "  (1, 1, 1, 1): 1/8",
+        "  (1, 1, 2): 1/4",
+        "  (2, 2): 3/8",
+        "  (4,): 1/4",
+    ]
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_sweep_of_an_empty_stream_prints_an_empty_tally(capsys, fmt):
     code, out, err = run(capsys, "sweep", "--n", "7", "--bound", "1", "--format", fmt)

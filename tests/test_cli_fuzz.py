@@ -63,3 +63,25 @@ def test_cli_exits_cleanly(argv):
         raise AssertionError(f"{argv} still running after {LIMIT_S} s") from None
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+
+
+def _exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            time_limit(LIMIT_S):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.integers(-2, 120), st.integers(-3, 8),
+       st.none() | OPTIONS["--galois-override"])
+def test_predict_accepts_exactly_the_types_sweep_accepts(m, n, override):
+    # small n and any m, where the model's own checks do not reach
+    argv = ["--m", str(m), "--n", str(n)]
+    predicted = _exit(["predict", *argv]
+                      + (["--galois-override", override] if override else []))
+    swept = _exit(["sweep", "--workers", "1", *argv, "--bound", "30"])
+    assert predicted[0] == swept[0] in (0, 1), (m, n, override)
+    if n >= 3:  # below, predict names the missing root pairs first
+        assert predicted[1] == swept[1], (m, n, override)

@@ -26,7 +26,7 @@ from macbeath.density import (
     wreath_cycle_distribution,
 )
 from macbeath.errors import Error, WorkerError
-from macbeath.numkit import PrimeStream, primes_upto
+from macbeath.numkit import PrimeStream, euler_phi, primes_upto
 
 
 def test_sweep_first_400_counts_and_split():
@@ -281,7 +281,8 @@ def _enumerated_wreath_distribution(n, structure):
     return {pat: Fraction(c, total) for pat, c in sorted(tallies.items())}
 
 
-SMALL_R = [n for n in range(3, 100) if galois_model(3, n).r <= 10]
+# r = phi(n)/2 root pairs; the group depends on n alone, not on a map type
+SMALL_R = [n for n in range(3, 100) if euler_phi(n) // 2 <= 10]
 
 
 @pytest.mark.parametrize("structure", [FULL_WREATH, EVEN_SUBGROUP])
