@@ -17,7 +17,6 @@ from .census import (
     field_data,
     map_census,
     matrix_oracle,
-    parity_verdict,
 )
 from .density import (
     GaloisModel,
@@ -33,6 +32,6 @@ from .density import (
 from .errors import BadReduction, Error, Inadmissible, IntegrityError, OracleError
 from .gf import FactorList, FieldCtx, FieldElem, chi, degree_pattern, reduce_and_factor, sqrt_in_field
 from .intpoly import IntPoly, discriminant, doubled, psi, psi_at_one, s_polynomial, vieta_lucas
-from .numkit import PrimeStream, genus, is_prime, mult_order_signed, primes_in_classes, psl2_order
+from .numkit import PrimeStream, is_prime, mult_order_signed, primes_in_classes
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,7 +18,7 @@ from . import gf
 from .errors import BadReduction, Inadmissible, IntegrityError, OracleError
 from .intpoly import IntPoly, psi, s_polynomial
 from .numkit import (divisors, euler_phi, genus_of_prime_power, is_prime, lucas_v,
-                     moebius, mult_order_signed)
+                     moebius, mult_order_signed, trace_modulus)
 
 # modulus that controls existence of order-m rotations in PSL(2,q)
 _M_MODULUS = {3: 3, 4: 8, 6: 12}
@@ -46,16 +46,14 @@ def _check_prime(p: int) -> None:
 
 def field_data(m: int, n: int, p: int) -> FieldData:
     """Degree and order of the field F_q carrying the type-{m,n} maps in char p."""
+    s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
     _check_prime(p)
     return _field_data(m, n, p)
 
 
 def _field_data(m: int, n: int, p: int) -> FieldData:
-    if m not in _M_MODULUS:
-        raise Inadmissible(f"m={m} is unsupported")
-    if (m - 2) * (n - 2) <= 4:
-        raise Inadmissible(f"type {{{m},{n}}} is not hyperbolic")
-    n_mod = n if n % 2 else 2 * n
+    # for a type s_polynomial has accepted
+    n_mod = trace_modulus(n)
     if gcd(p, n_mod) != 1:
         raise Inadmissible(f"p={p} divides {n_mod}")
     if m == 4 and p == 2:
@@ -194,7 +192,7 @@ def _split_plan(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     gcd(j, N) = 1 give each of the phi(n)/2 roots of f1 once (for even n,
     t_{n-j} = -t_j would give the same root again).
     """
-    n_mod = n if n % 2 else 2 * n
+    n_mod = trace_modulus(n)
     exponents = tuple(n_mod // q for q in divisors(n_mod) if q > 1 and is_prime(q))
     indices = tuple(j for j in range(1, (n + 1) // 2) if gcd(j, n_mod) == 1)
     return n_mod, exponents, indices
@@ -321,11 +319,6 @@ def _parity(m: int, n: int, p: int, d: int, l: int) -> ParityVerdict:
     return verdict
 
 
-def parity_verdict(record: CensusRecord) -> ParityVerdict:
-    """The parity check attached to a census record (recomputed on demand)."""
-    return _parity(record.m, record.n, record.p, record.field.d, record.l)
-
-
 def cps_discriminant(a: gf.FieldElem, b: gf.FieldElem,
                      c: gf.FieldElem) -> tuple[gf.FieldElem, int]:
     """-D = 4 + abc - a^2 - b^2 - c^2 for a triple of rotation traces.
@@ -386,7 +379,7 @@ def matrix_oracle(n: int, p: int, cls: TraceClass,
         raise Inadmissible("the witness construction needs invertible 2")
     d = ambient_d if ambient_d is not None else field_data(3, n, p).d
     e = cls.e
-    base_ctx = gf.FieldCtx(p, cls.factor, ambient_d=d, validate=False)
+    base_ctx = gf.FieldCtx.trusted(p, cls.factor, d)
     if base_ctx == cls.s.ctx:
         base_ctx = cls.s.ctx  # the same field: reuse its packed ring
     s_base = base_ctx.gen()
@@ -408,7 +401,6 @@ def matrix_oracle(n: int, p: int, cls: TraceClass,
     if s_val.is_zero():
         raise OracleError("degenerate class with t^2 = 3")
     half = K.elem((p + 1) // 2)
-    inv2 = K.elem(2).inverse()
 
     x_mat = None
     tried = 0
@@ -420,7 +412,7 @@ def matrix_oracle(n: int, p: int, cls: TraceClass,
         disc = t * t - K.elem(4) * (one - r + r * r)
         root = gf.sqrt_in_field(disc)
         if root is not None:
-            sp = (root - t) * inv2
+            sp = (root - t) * half
             u = t + sp
             if r * v - sp * u != one:
                 raise IntegrityError("constructed x does not have determinant 1")
@@ -505,7 +497,7 @@ def route_product(m: int, n: int, p: int) -> tuple[tuple[int, ...], tuple[int, .
     shift = _T_SQUARE_SHIFT[m]
     left: tuple[int, ...] = (1,)
     for factor, _ in factored.factors:
-        ctx = gf.FieldCtx(p, factor, validate=False)
+        ctx = gf.FieldCtx.trusted(p, factor, len(factor) - 1)
         troot = ctx.gen()
         s_elem = ctx.elem(shift) - troot * troot
         minpoly = s_elem.min_poly()
@@ -554,10 +546,6 @@ def record_to_dict(record: CensusRecord) -> dict:
     }
 
 
-def record_to_json(record: CensusRecord) -> str:
-    return json.dumps(record_to_dict(record), sort_keys=True)
-
-
 def record_from_json(text: str) -> CensusRecord:
     data = json.loads(text)
     m, n, p = data["m"], data["n"], data["p"]
@@ -566,9 +554,9 @@ def record_from_json(text: str) -> CensusRecord:
         raise ValueError("serialized field data is inconsistent")
     classes = []
     for c in data["classes"]:
-        ctx = gf.FieldCtx(p, tuple(c["factor"]), ambient_d=fd.d, validate=False)
+        ctx = gf.FieldCtx(p, c["factor"], ambient_d=fd.d)
         t = ctx.elem(c["t"]) if c["t"] is not None else None
-        classes.append(TraceClass(tuple(c["factor"]), c["e"], ctx.elem(c["s"]),
+        classes.append(TraceClass(ctx.modulus, c["e"], ctx.elem(c["s"]),
                                   c["chi"], c["regularity"], t))
     parity = ParityVerdict(data["parity"]["applicable"], data["parity"]["predicted"],
                            data["parity"]["observed"], data["parity"]["consistent"])

@@ -183,8 +183,6 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if (args.first is None) == (args.bound is None):
-        raise Error("choose exactly one of --first / --bound")
     stream = density.default_stream(args.m, args.n, first=args.first,
                                     bound=args.bound)
     result = density.sweep(args.m, args.n, stream, workers=args.workers,

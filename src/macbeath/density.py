@@ -21,7 +21,8 @@ from typing import NamedTuple
 from . import census, gf
 from .errors import BadReduction, Inadmissible, WorkerError
 from .intpoly import discriminant, doubled, s_polynomial
-from .numkit import PrimeStream, euler_phi, mult_order_signed, primes_in_classes
+from .numkit import (PrimeStream, euler_phi, mult_order_signed, primes_in_classes,
+                     trace_modulus)
 
 FULL_WREATH = "full_wreath"
 EVEN_SUBGROUP = "even_subgroup"
@@ -87,19 +88,18 @@ class SweepResult(NamedTuple):
 def default_stream(m: int, n: int, first: int | None = None,
                    bound: int | None = None) -> PrimeStream:
     """Primes p = +-1 mod N, the ones carrying PSL(2,p) maps of type {m,n}."""
-    modulus = n if n % 2 else 2 * n
-    return PrimeStream.plus_minus_one(modulus, first=first, bound=bound)
+    s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
+    return PrimeStream.plus_minus_one(trace_modulus(n), first=first, bound=bound)
 
 
 def _summarize(m: int, n: int, p: int) -> PrimeSummary | tuple[int, str]:
-    modulus = n if n % 2 else 2 * n
     try:
         record = census.map_census(m, n, p, traces=False)
     except BadReduction as exc:
         return (p, f"bad-reduction: {exc}")
     except Inadmissible as exc:
         return (p, f"inadmissible: {exc}")
-    residue = 1 if p % modulus == 1 else -1
+    residue = 1 if p % record.field.n_modulus == 1 else -1
     return PrimeSummary(p, residue, record.k, record.l, record.field.d,
                         record.field.q, record.genus)
 
@@ -282,28 +282,23 @@ def _append_cache(path: str, end: int, m: int, n: int,
 # negative roots and Galois models
 
 
+# m -> multipliers (odd_low, odd_high, even_low): theta/pi < 1/low or theta/pi
+# > high part; for m = 3, 12j < n or 12j > 5n for odd n and 6j < n for even n
+_NEGATIVE_ROOT_CUTOFFS = {3: (12, 5, 6), 4: (8, 3, 4), 6: (6, 2, 3)}
+
+
 def negative_root_count(n: int, m: int = 3) -> int:
     """Number of negative roots of the s-polynomial, by exact integer inequalities.
 
     A root s_j = (4 - w^2) - 2cos(theta_j) - ... is negative exactly when the
     corresponding trace satisfies t^2 > 4 - w^2, which for m = 3 means
-    |cos(theta)| > sqrt(3)/2; the cutoffs below are that condition cleared of
+    |cos(theta)| > sqrt(3)/2; the cutoffs above are that condition cleared of
     irrationals.
     """
+    s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
     if n < 7:
         raise ValueError("n must be >= 7")
-    # (low, high) multipliers: theta/pi < 1/low or theta/pi > high part
-    if m == 3:
-        odd_low, odd_high = 12, 5   # 12j < n or 12j > 5n
-        even_low = 6                # 6j < n
-    elif m == 4:
-        odd_low, odd_high = 8, 3
-        even_low = 4
-    elif m == 6:
-        odd_low, odd_high = 6, 2
-        even_low = 3
-    else:
-        raise ValueError(f"unsupported m={m}")
+    odd_low, odd_high, even_low = _NEGATIVE_ROOT_CUTOFFS[m]
     count = 0
     if n % 2:
         for j in range(1, (n + 1) // 2):
@@ -330,10 +325,8 @@ def galois_model(m: int, n: int, override: str | None = None) -> GaloisModel:
     The table is not computed here; `override` substitutes a structure for
     n outside it (or forces one for experiments).
     """
+    s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
     r = euler_phi(n) // 2
-    if r < 1:
-        raise ValueError("n must be >= 3")
-    s_polynomial(m, n)  # an inadmissible type fails here, as in a sweep
     if override is not None:
         if override not in (FULL_WREATH, EVEN_SUBGROUP, UNKNOWN):
             raise ValueError(f"unknown structure override {override!r}")
@@ -427,7 +420,7 @@ def _pattern_row(m: int, n: int, f2, p: int) -> tuple | None:
         pattern = gf.degree_pattern(f2, p)
     except ValueError:
         return None
-    modulus = n if n % 2 else 2 * n
+    modulus = trace_modulus(n)
     if p % modulus not in (1, modulus - 1):
         return pattern, None
     try:
@@ -453,7 +446,7 @@ def pattern_census(m: int, n: int, bound: int, *,
     f2 = doubled(s_polynomial(m, n))
     disc = discriminant(f2)
     workers = default_workers() if workers is None else workers
-    primes = primes_in_classes(PrimeStream.up_to(1, {0}, bound))
+    primes = primes_in_classes(PrimeStream(1, {0}, bound=bound))
     rows = _fan_out(functools.partial(_pattern_row, m, n, f2), primes, workers)
     counts: dict[tuple[int, ...], int] = {}
     skipped = []

@@ -554,22 +554,22 @@ class FieldCtx:
 
     __slots__ = ("p", "modulus", "degree", "ambient_d", "_ring", "_p_slots")
 
-    def __init__(self, p: int, modulus, ambient_d: int | None = None, *,
-                 validate: bool = True):
+    def __init__(self, p: int, modulus, ambient_d: int | None = None):
+        """A checked context: p prime, the modulus monic and irreducible mod p
+        once reduced, its degree dividing the ambient degree."""
         modulus = tuple(int(c) % p for c in modulus)
         while modulus and modulus[-1] == 0:
             modulus = modulus[:-1]
         self._set(p, modulus, ambient_d)
-        if validate:
-            e = self.degree
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            if e < 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree >= 1")
-            if self.ambient_d % e:
-                raise ValueError("field degree must divide the ambient degree")
-            if not is_irreducible(list(modulus), p):
-                raise ValueError("modulus is not irreducible mod p")
+        e = self.degree
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if e < 1 or modulus[-1] != 1:
+            raise ValueError("modulus must be monic of degree >= 1")
+        if self.ambient_d % e:
+            raise ValueError("field degree must divide the ambient degree")
+        if not is_irreducible(list(modulus), p):
+            raise ValueError("modulus is not irreducible mod p")
 
     def _set(self, p, modulus, ambient_d):
         e = len(modulus) - 1
@@ -600,16 +600,13 @@ class FieldCtx:
     def order(self) -> int:
         return self.p**self.degree
 
-    def _pack(self, coeffs) -> int:
-        if self.degree == 1:
-            return coeffs[0] if coeffs else 0
-        return self.ring().pack(coeffs)
-
     def elem(self, coeffs) -> FieldElem:
         if isinstance(coeffs, int):
             return FieldElem(self, coeffs % self.p)
         reduced = _rem([c % self.p for c in coeffs], list(self.modulus), self.p)
-        return FieldElem(self, self._pack(reduced))
+        if self.degree == 1:
+            return FieldElem(self, reduced[0] if reduced else 0)
+        return FieldElem(self, self.ring().pack(reduced))
 
     def zero(self) -> FieldElem:
         return FieldElem(self, 0)
@@ -704,30 +701,9 @@ class FieldElem:
             return FieldElem(ctx, self.v * other.v % ctx.p)
         return FieldElem(ctx, (ctx._ring or ctx.ring()).reduce(self.v * other.v))
 
-    def inverse(self) -> FieldElem:
-        if self.is_zero():
-            raise ZeroDivisionError("inverting zero field element")
-        ctx = self.ctx
-        p = ctx.p
-        if ctx.degree == 1:
-            return FieldElem(ctx, pow(self.v, -1, p))
-        # extended Euclid in F_p[x]
-        a, b = list(self.coeffs), list(ctx.modulus)
-        s0, s1 = [1], []
-        while b:
-            q, r = _divmod(a, b, p)
-            a, b = b, r
-            s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
-        inv_lead = pow(a[-1], -1, p)
-        return FieldElem(ctx, ctx._pack(_rem(_mul_scalar(s0, inv_lead, p),
-                                             list(ctx.modulus), p)))
-
-    def __truediv__(self, other: FieldElem) -> FieldElem:
-        return self * other.inverse()
-
     def __pow__(self, exp: int) -> FieldElem:
         if exp < 0:
-            return self.inverse() ** (-exp)
+            raise ValueError("negative exponent")
         ctx = self.ctx
         if ctx.degree == 1:
             return FieldElem(ctx, pow(self.v, exp, ctx.p))

@@ -133,14 +133,6 @@ class PrimeStream(_PrimeStreamFields):
         return super().__new__(cls, modulus, residues, first, bound)
 
     @classmethod
-    def first_k(cls, modulus: int, residues, k: int) -> PrimeStream:
-        return cls(modulus, residues, first=k)
-
-    @classmethod
-    def up_to(cls, modulus: int, residues, bound: int) -> PrimeStream:
-        return cls(modulus, residues, bound=bound)
-
-    @classmethod
     def plus_minus_one(cls, modulus: int, *, first: int | None = None,
                        bound: int | None = None) -> PrimeStream:
         """Primes congruent to +-1 mod `modulus`."""
@@ -179,6 +171,12 @@ def lucas_v(k: int, c: int, p: int) -> int:
         else:
             v, w = (v * v - 2) % p, (v * w - c) % p
     return v
+
+
+def trace_modulus(n: int) -> int:
+    """N, the order in SL(2,q) of a lift of a rotation of order n: n for odd
+    n, 2n for even n.  Its traces are the roots of Psi_N."""
+    return n if n % 2 else 2 * n
 
 
 def mult_order_signed(p: int, modulus: int) -> int:
@@ -241,54 +239,10 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def prime_power_decompose(q: int) -> tuple[int, int]:
-    """Write q = p**d with p prime, or raise ValueError."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    if q < 1 << 64 and is_prime(q):
-        return q, 1
-    # a prime power has one prime base, so the first exponent that fits is
-    # it; a root past 2^64 is skipped, as its primality is not decided
-    for d in range(2, q.bit_length() + 1):
-        p = _integer_nth_root(q, d)
-        if p**d == q and p < 1 << 64 and is_prime(p):
-            return p, d
-    raise ValueError(f"{q} is not a power of a prime below 2^64")
-
-
-def _integer_nth_root(x: int, n: int) -> int:
-    """floor(x ** (1/n)) for x >= 0, by integer Newton steps from above."""
-    if n == 1 or x < 2:
-        return x
-    r = 1 << -(-x.bit_length() // n)  # 2^ceil(bits/n) > x^(1/n)
-    while True:
-        s = ((n - 1) * r + x // r ** (n - 1)) // n
-        if s >= r:
-            return r
-        r = s
-
-
-def psl2_order(q: int) -> int:
-    """|PSL(2,q)| = q(q^2-1)/gcd(2, q-1), exact."""
-    prime_power_decompose(q)  # raises unless q is a prime power
-    return q * (q * q - 1) // math.gcd(2, q - 1)
-
-
-def genus(m: int, n: int, q: int) -> int:
-    """Genus of an orientably regular map of type {m,n} with rotation group PSL(2,q).
-
-    Derived from |G| = 4mn/(mn-2m-2n) * (g-1); raises if the result is not an
-    integer, which signals an inadmissible q for this type.
-    """
-    if (m - 2) * (n - 2) <= 4:
-        raise Inadmissible(f"type {{{m},{n}}} is not hyperbolic")
-    prime_power_decompose(q)  # raises unless q is a prime power
-    return genus_of_prime_power(m, n, q)
-
-
 def genus_of_prime_power(m: int, n: int, q: int) -> int:
-    """`genus` for a hyperbolic {m,n} and a q already known to be a prime
-    power, so q is not decomposed (nor tested for primality) again."""
+    """Genus of a map of hyperbolic type {m,n} with rotation group PSL(2,q),
+    q a prime power, from |G| = 4mn/(mn-2m-2n) * (g-1); a non-integral
+    result signals an inadmissible q for this type."""
     num = q * (q * q - 1) // math.gcd(2, q - 1) * (m * n - 2 * m - 2 * n)
     den = 4 * m * n
     if num % den:

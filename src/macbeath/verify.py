@@ -18,9 +18,6 @@ from .errors import BadReduction, Inadmissible, IntegrityError
 from .intpoly import psi_at_one
 from .numkit import primes_upto
 
-SUITES = ("table1", "examples", "appendix", "parity", "oracle", "patterns")
-
-
 class Check(NamedTuple):
     name: str
     ok: bool
@@ -40,6 +37,13 @@ class SuiteReport(NamedTuple):
 
 def _finish(suite: str, checks: list[Check], start: float) -> SuiteReport:
     return SuiteReport(suite, tuple(checks), time.time() - start)
+
+
+def _over(checked: int, name: str, ok: bool, expected: str, actual: str) -> Check:
+    """A check over `checked` cases: none checked fails, it does not pass on no data."""
+    if not checked:
+        return Check(name, False, expected, "no cases checked")
+    return Check(name, ok, expected, actual)
 
 
 def table1() -> SuiteReport:
@@ -163,25 +167,21 @@ def parity(bound: int = 10**4, workers: int | None = None) -> SuiteReport:
     checks = []
     for n in sorted(per_n):
         count, fails = per_n[n]
-        checks.append(Check(f"parity n={n}", not fails,
+        checks.append(_over(count, f"parity n={n}", not fails,
                             "0 violations",
                             f"{len(fails)} violations over {count} odd-d primes"
                             + (f": {fails[:3]}" if fails else "")))
-    # k_p odd iff p = 1 mod 4, for p = +-1 mod 7 (n = 7 parity theorem)
-    bad = []
-    d3_bad = []
-    for p, k in k_of_n7:
-        if p % 7 in (1, 6):
-            if (k % 2 == 1) != (p % 4 == 1):
-                bad.append(p)
-        elif p != 2:
-            # unique class: inner exactly when p = 1 mod 4
-            if (k == 1) != (p % 4 == 1):
-                d3_bad.append(p)
-    checks.append(Check("k_p odd iff p=1 mod 4 (type {3,7})", not bad,
+    # k_p odd iff p = 1 mod 4, for p = +-1 mod 7 (n = 7 parity theorem); on
+    # the other odd p the unique class is inner exactly when p = 1 mod 4
+    split = [(p, k % 2 == 1) for p, k in k_of_n7 if p % 7 in (1, 6)]
+    inert = [(p, k == 1) for p, k in k_of_n7 if p % 7 not in (1, 6) and p != 2]
+    bad = [p for p, odd in split if odd != (p % 4 == 1)]
+    d3_bad = [p for p, inner in inert if inner != (p % 4 == 1)]
+    checks.append(_over(len(split), "k_p odd iff p=1 mod 4 (type {3,7})", not bad,
                         "0 exceptions", f"{len(bad)} exceptions {bad[:5]}"))
-    checks.append(Check("q=p^3 class inner iff p=1 mod 4 (type {3,7})", not d3_bad,
-                        "0 exceptions", f"{len(d3_bad)} exceptions {d3_bad[:5]}"))
+    checks.append(_over(len(inert), "q=p^3 class inner iff p=1 mod 4 (type {3,7})",
+                        not d3_bad, "0 exceptions",
+                        f"{len(d3_bad)} exceptions {d3_bad[:5]}"))
     return _finish("parity", checks, start)
 
 
@@ -233,7 +233,7 @@ def oracle(bound: int = 500, workers: int | None = None) -> SuiteReport:
     for n in sorted(per_n):
         agreed, degenerate, failures = per_n[n]
         total_degenerate += degenerate
-        checks.append(Check(f"matrix oracle n={n}", not failures,
+        checks.append(_over(agreed + len(failures), f"matrix oracle n={n}", not failures,
                             "oracle = character criterion on every class",
                             f"{agreed} classes agreed, {degenerate} degenerate"
                             + (f", FAILURES {failures[:3]}" if failures else "")))
@@ -244,7 +244,7 @@ def oracle(bound: int = 500, workers: int | None = None) -> SuiteReport:
     rows = density._fan_out(_route_row, items, workers)
     route_failures = [item for item, same in zip(items, rows) if same is False]
     route_count = sum(same is not None for same in rows)
-    checks.append(Check("trace-route equivalence n<=16", not route_failures,
+    checks.append(_over(route_count, "trace-route equivalence n<=16", not route_failures,
                         "identical multisets", f"{route_count} cases checked"
                         + (f", FAILURES {route_failures[:3]}" if route_failures else "")))
     return _finish("oracle", checks, start)
@@ -259,13 +259,14 @@ def patterns(bound: int = 10**6, workers: int | None = None) -> SuiteReport:
     for pattern in sorted(predicted):
         freq = result.frequencies.get(pattern, Fraction(0))
         dev = abs(freq - predicted[pattern])
-        checks.append(Check(f"pattern {pattern}", dev < Fraction(1, 100),
+        checks.append(_over(result.total, f"pattern {pattern}", dev < Fraction(1, 100),
                             f"within 0.01 of {predicted[pattern]}",
                             f"{float(freq):.5f} (dev {float(dev):.5f})"))
     unexpected = set(result.counts) - set(predicted)
-    checks.append(Check("no unpredicted patterns", not unexpected,
+    checks.append(_over(result.total, "no unpredicted patterns", not unexpected,
                         "set()", str(unexpected or "set()")))
-    checks.append(Check("linear factors = 2*k_p", result.bridge_violations == 0,
+    checks.append(_over(result.bridge_checked, "linear factors = 2*k_p",
+                        result.bridge_violations == 0,
                         f"0 violations over {result.bridge_checked} primes",
                         f"{result.bridge_violations} violations"))
     checks.append(Check("bad primes excluded", result.skipped == (2, 7),
@@ -273,18 +274,27 @@ def patterns(bound: int = 10**6, workers: int | None = None) -> SuiteReport:
     return _finish("patterns", checks, start)
 
 
+# name -> (suite, the arguments of run_suite it takes)
+_SUITES = {
+    "table1": (table1, ()),
+    "examples": (examples, ()),
+    "appendix": (appendix, ("workers",)),
+    "parity": (parity, ("workers", "bound")),
+    "oracle": (oracle, ("workers", "bound")),
+    "patterns": (patterns, ("workers", "bound")),
+}
+SUITES = tuple(_SUITES)
+
+
 def run_suite(name: str, *, workers: int | None = None,
               bound: int | None = None) -> SuiteReport:
-    if name == "table1":
-        return table1()
-    if name == "examples":
-        return examples()
-    if name == "appendix":
-        return appendix(workers=workers)
-    if name == "parity":
-        return parity(bound=bound or 10**4, workers=workers)
-    if name == "oracle":
-        return oracle(bound=bound or 500, workers=workers)
-    if name == "patterns":
-        return patterns(bound=bound or 10**6, workers=workers)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    """Run a named suite.  A bound that is not None replaces the suite's
+    default, which only its own signature holds; a suite without one
+    rejects it."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    suite, takes = _SUITES[name]
+    if bound is not None and "bound" not in takes:
+        raise ValueError(f"suite {name} takes no bound")
+    given = {"workers": workers, "bound": bound}
+    return suite(**{arg: given[arg] for arg in takes if given[arg] is not None})

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -9,10 +10,9 @@ from macbeath.census import (
     field_data,
     map_census,
     matrix_oracle,
-    parity_verdict,
     record_from_json,
     record_to_csv_rows,
-    record_to_json,
+    record_to_dict,
     route_product,
 )
 from macbeath.errors import BadReduction, Error, Inadmissible, IntegrityError
@@ -22,6 +22,16 @@ from macbeath.numkit import primes_upto
 
 def s_values(record):
     return sorted(tuple(c.s.coeffs) for c in record.classes)
+
+
+def record_to_json(record):
+    return json.dumps(record_to_dict(record), sort_keys=True)
+
+
+def hurwitz_genus(m, n, q):
+    """The genus from |PSL(2,q)| = 4mn/(mn-2m-2n) * (g-1), as a Fraction."""
+    order = q * (q * q - 1) // (1 if q % 2 == 0 else 2)
+    return 1 + Fraction(order * (m * n - 2 * m - 2 * n), 4 * m * n)
 
 
 def test_field_data_examples():
@@ -127,18 +137,17 @@ def test_census_count_flag_for_folded_even_case():
 
 
 def test_parity_examples():
-    r = map_census(3, 7, 13)
-    v = parity_verdict(r)
+    v = map_census(3, 7, 13).parity
     assert v.applicable and v.predicted == "even" and v.observed == "even" and v.consistent
-    v = parity_verdict(map_census(3, 12, 23))
+    v = map_census(3, 12, 23).parity
     assert v.applicable and v.predicted == "odd" and v.consistent
-    v = parity_verdict(map_census(3, 9, 19))
+    v = map_census(3, 9, 19).parity
     assert v.applicable and v.predicted == "odd" and v.consistent
     # d even: the theorem is silent
-    v = parity_verdict(map_census(3, 13, 5))
+    v = map_census(3, 13, 5).parity
     assert not v.applicable and v.predicted is None and v.consistent is None
     # m = 4: not the theorem's setting
-    assert not parity_verdict(map_census(4, 5, 31)).applicable
+    assert not map_census(4, 5, 31).parity.applicable
 
 
 def test_cps_discriminant():
@@ -236,7 +245,6 @@ def test_route_product_m4_and_m6():
 
 
 def test_genus_integral_for_admissible_types():
-    from macbeath.numkit import genus
     for m, n_range in ((3, range(7, 21)), (4, range(5, 13)), (6, range(4, 11))):
         for n in n_range:
             if (m - 2) * (n - 2) <= 4:
@@ -246,7 +254,7 @@ def test_genus_integral_for_admissible_types():
                     fd = field_data(m, n, p)
                 except Inadmissible:
                     continue
-                genus(m, n, fd.q)  # raises if not an integer
+                assert hurwitz_genus(m, n, fd.q).denominator == 1, (m, n, p)
 
 
 def test_route_product_small():
@@ -269,6 +277,17 @@ def test_json_round_trip():
     r = map_census(3, 11, 23, traces=False)
     assert all(c.t is None for c in r.classes)
     assert record_from_json(record_to_json(r)) == r
+
+
+def test_record_from_json_rejects_a_reducible_factor_and_a_composite_p():
+    data = json.loads(record_to_json(map_census(3, 7, 11)))
+    data["classes"][0]["factor"] = [1, 3, 3, 1]  # (x + 1)^3
+    with pytest.raises(ValueError, match="not irreducible"):
+        record_from_json(json.dumps(data))
+    data = json.loads(record_to_json(map_census(3, 7, 13)))
+    data["p"] = 15
+    with pytest.raises(Inadmissible, match="not a prime"):
+        record_from_json(json.dumps(data))
 
 
 def test_csv_rows():
@@ -498,7 +517,7 @@ def test_chi_shortcut_cache_matches_formula():
 
 
 @pytest.mark.parametrize("m, bound", [(3, 5000), (4, 2000), (6, 2000)])
-def test_census_genus_matches_numkit_genus(m, bound):
+def test_census_genus_matches_the_hurwitz_formula(m, bound):
     # the records of the route-equivalence sweep above: split primes, p | N
     checked = 0
     primes = primes_upto(bound)
@@ -512,7 +531,7 @@ def test_census_genus_matches_numkit_genus(m, bound):
             record = _outcome(m, n, p, False, True)
             if not isinstance(record, census_module.CensusRecord):
                 continue
-            assert record.genus == numkit.genus(m, n, record.field.q), (m, n, p)
+            assert record.genus == hurwitz_genus(m, n, record.field.q), (m, n, p)
             checked += 1
     assert checked > 400
 
@@ -529,7 +548,7 @@ def test_pivot_proportionality_matches_all_six_products():
 
     rng = random.Random(53)
     for p, e in ((3, 1), (3, 4), (5, 3), (13, 2), (499, 3), (65521, 2)):
-        ctx = gf.FieldCtx(p, random_irreducible(p, e, rng), validate=False)
+        ctx = gf.FieldCtx.trusted(p, random_irreducible(p, e, rng), e)
 
         def draw(zero_share=0.0):
             return tuple(ctx.zero() if rng.random() < zero_share

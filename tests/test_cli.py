@@ -13,6 +13,8 @@ import macbeath
 from macbeath import census, refdata
 from macbeath.census import map_census, matrix_oracle, record_from_json
 from macbeath.cli import build_parser, main
+from macbeath.errors import Inadmissible
+from macbeath.intpoly import s_polynomial
 
 
 def run(capsys, *argv):
@@ -99,10 +101,10 @@ def test_seed_flag_is_gone(capsys):
 
 
 def test_sweep_requires_exactly_one_mode(capsys):
-    code, _, err = run(capsys, "sweep", "--n", "7")
-    assert code == 1 and "error:" in err
-    code, _, err = run(capsys, "sweep", "--n", "7", "--first", "3", "--bound", "99")
-    assert code == 1
+    for modes in ((), ("--first", "3", "--bound", "99")):
+        code, out, err = run(capsys, "sweep", "--n", "7", *modes)
+        assert (code, out) == (1, "")
+        assert err == "error: invalid-input: set exactly one of first / bound\n"
 
 
 def test_sweep_json_counts(capsys):
@@ -173,27 +175,40 @@ def test_predict_gives_cycle_densities_for_every_known_structure(capsys):
     assert code == 0 and "1-" * 197 + "1" in json.loads(out)["cycle_densities"]
 
 
-@pytest.mark.parametrize("n", ["1", "2"])
-def test_predict_rejects_a_type_without_root_pairs(capsys, n):
-    code, out, err = run(capsys, "predict", "--n", n, "--galois-override",
-                         "even_subgroup")
-    assert code == 1 and out == ""
-    assert err == "error: invalid-input: n must be >= 3\n"
-
-
 @pytest.mark.parametrize("argv, message", [
     (("--m", "99", "--n", "5", "--galois-override", "full_wreath"),
      "m=99 is unsupported: the order-99 trace square is irrational"),
     (("--n", "5"), "type {3,5} is not hyperbolic"),
     (("--m", "99", "--n", "7"),
      "m=99 is unsupported: the order-99 trace square is irrational"),
+    # no root pairs: rejected as non-hyperbolic before n is read
+    *((("--n", n, "--galois-override", "even_subgroup"),
+       f"type {{3,{n}}} is not hyperbolic") for n in ("-3", "0", "1", "2")),
 ])
 def test_predict_rejects_the_types_sweep_rejects(capsys, argv, message):
     code, out, err = run(capsys, "predict", *argv)
     assert code == 1 and out == ""
     assert err == f"error: inadmissible: {message}\n"
-    m_n = [a for a in argv[:4] if a != "--galois-override"]
+    m_n = argv[:argv.index("--galois-override")] if "--galois-override" in argv else argv
     assert run(capsys, "sweep", *m_n, "--bound", "100") == (code, out, err)
+
+
+def test_every_entry_point_rejects_an_inadmissible_type_alike(capsys):
+    commands = (("predict",), ("sweep", "--bound", "30"), ("pattern", "--bound", "30"),
+                ("classify", "--p", "13"), ("disc",))
+    rejected = 0
+    for m in (*range(-2, 9), 99):
+        for n in range(-3, 7):
+            try:
+                s_polynomial(m, n)
+                continue
+            except Inadmissible as exc:
+                expected = (1, "", f"error: inadmissible: {exc}\n")
+            for command in commands:
+                argv = (command[0], "--m", str(m), "--n", str(n), *command[1:])
+                assert run(capsys, *argv) == expected, argv
+            rejected += 1
+    assert rejected == 12 * 10 - 5  # all but {4,5}, {4,6}, {6,4}, {6,5}, {6,6}
 
 
 def test_predict_keeps_the_curated_m4_n5_model(capsys):
@@ -238,6 +253,21 @@ def test_verify_exit_codes(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "table1")
     assert code == 2
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("suite", ["parity", "oracle", "patterns"])
+@pytest.mark.parametrize("bound", ["0", "1"])
+def test_verify_fails_a_bound_with_no_primes(capsys, suite, bound):
+    code, out, _ = run(capsys, "verify", suite, "--bound", bound)
+    assert code == 2
+    *rows, summary = out.splitlines()
+    assert rows and all(row.startswith("FAIL ") for row in rows)
+    assert summary.startswith(f"suite {suite}: FAIL")
+
+
+def test_verify_rejects_a_bound_for_a_suite_without_one(capsys):
+    code, out, err = run(capsys, "verify", "table1", "--bound", "5")
+    assert (code, out, err) == (1, "", "error: invalid-input: suite table1 takes no bound\n")
 
 
 def test_output_file(tmp_path, capsys):

@@ -83,5 +83,4 @@ def test_predict_accepts_exactly_the_types_sweep_accepts(m, n, override):
                       + (["--galois-override", override] if override else []))
     swept = _exit(["sweep", "--workers", "1", *argv, "--bound", "30"])
     assert predicted[0] == swept[0] in (0, 1), (m, n, override)
-    if n >= 3:  # below, predict names the missing root pairs first
-        assert predicted[1] == swept[1], (m, n, override)
+    assert predicted[1] == swept[1], (m, n, override)

@@ -61,7 +61,7 @@ def test_sweep_worker_determinism():
 
 def test_sweep_reports_bad_reduction():
     # a residue filter that lets the ramified prime 7 through
-    stream = PrimeStream.up_to(2, {1}, 50)  # all odd primes <= 50
+    stream = PrimeStream(2, {1}, bound=50)  # all odd primes <= 50
     res = sweep(3, 7, stream)
     skipped = dict(res.tally.skipped)
     assert 7 in skipped and "bad-reduction" in skipped[7]

@@ -99,9 +99,9 @@ def test_field_ops_examples():
     x = ctx.gen()
     assert (x * x) == ctx.elem(2)
     f41 = FieldCtx(41, [0, 1])
-    assert f41.elem(2).inverse() == f41.elem(21)
-    with pytest.raises(ZeroDivisionError):
-        f41.zero().inverse()
+    assert f41.elem(2) * f41.elem(21) == f41.one()
+    with pytest.raises(ValueError, match="negative exponent"):
+        x ** -1
 
 
 def test_frobenius_fixes_exactly_the_prime_field():
@@ -336,7 +336,7 @@ def test_frobenius_is_identity_after_e_steps():
 def test_packed_field_mul_matches_schoolbook():
     rng = random.Random(29)
     for p, e in ((2, 1), (2, 18), (3, 5), (13, 18), (499, 4), (P63, 1), (P63, 3)):
-        ctx = FieldCtx(p, find_irreducible(p, e), validate=False)
+        ctx = FieldCtx.trusted(p, find_irreducible(p, e), e)
         mod = list(ctx.modulus)
         for _ in range(30):
             a = ctx.elem([rng.randrange(p) for _ in range(e)])
@@ -623,7 +623,7 @@ def test_packed_elements_match_schoolbook_coefficient_lists():
     rng = random.Random(41)
     for p in (2, 3, 5, 13, 499, 65521, P61):
         for e in range(1, 10):
-            ctx = FieldCtx(p, random_irreducible(p, e, rng), validate=False)
+            ctx = FieldCtx.trusted(p, random_irreducible(p, e, rng), e)
             mod = list(ctx.modulus)
             for _ in range(6):
                 la, lb = ([rng.randrange(p) for _ in range(e)] for _ in range(2))
@@ -639,11 +639,9 @@ def test_packed_elements_match_schoolbook_coefficient_lists():
                 assert list((a**exp).coeffs) == list_powmod(la, exp, mod, p)
                 assert (a - a).is_zero() and a + (-a) == ctx.zero()
                 # equality and hashing follow the coefficients, not the object
-                twin = FieldCtx(p, mod, validate=False).elem(la)
+                twin = FieldCtx.trusted(p, ctx.modulus, e).elem(la)
                 assert twin == a and hash(twin) == hash(a)
                 assert (a == b) == (la == lb)
-                if la:
-                    assert a * a.inverse() == ctx.one()
             assert ctx.elem(p + 3) == ctx.elem([3]) and ctx.elem(3).is_constant()
 
 
@@ -681,7 +679,7 @@ def test_odd_degree_norm_root_matches_exponent_route():
     rng = random.Random(43)
     for p in (3, 5, 13, 499, 65521):
         for e in (1, 3, 5, 7, 9):
-            ctx = FieldCtx(p, find_irreducible(p, e), validate=False)
+            ctx = FieldCtx.trusted(p, find_irreducible(p, e), e)
             seen = {1: 0, -1: 0}
             for trial in range(12):
                 a = ctx.elem([rng.randrange(p) for _ in range(e)])

@@ -8,14 +8,14 @@ from macbeath.numkit import (
     PrimeStream,
     divisors,
     euler_phi,
-    genus,
+    genus_of_prime_power,
     is_prime,
     lucas_v,
     moebius,
     mult_order_signed,
     primes_in_classes,
     primes_upto,
-    psl2_order,
+    trace_modulus,
 )
 from timelimit import time_limit
 
@@ -102,15 +102,15 @@ def test_primes_upto_crosses_segment_boundary():
 
 
 def test_primes_in_classes_examples():
-    assert primes_in_classes(PrimeStream.first_k(7, {1, 6}, 4)) == [13, 29, 41, 43]
-    assert primes_in_classes(PrimeStream.first_k(4, {1}, 3)) == [5, 13, 17]
+    assert primes_in_classes(PrimeStream(7, {1, 6}, first=4)) == [13, 29, 41, 43]
+    assert primes_in_classes(PrimeStream(4, {1}, first=3)) == [5, 13, 17]
     first400 = primes_in_classes(PrimeStream.plus_minus_one(7, first=400))
     assert len(first400) == 400
     assert first400[-1] == 9871
 
 
 def test_primes_in_classes_bound_mode():
-    got = primes_in_classes(PrimeStream.up_to(7, {1, 6}, 100))
+    got = primes_in_classes(PrimeStream(7, {1, 6}, bound=100))
     assert got == [13, 29, 41, 43, 71, 83, 97]
 
 
@@ -131,7 +131,7 @@ def test_first_k_stream_matches_bounded_stream():
     assert first[-1] > 1 << 17  # the stream runs past the first segment
     bounded = primes_in_classes(PrimeStream.plus_minus_one(38, bound=first[-1]))
     assert first == bounded
-    assert primes_in_classes(PrimeStream.up_to(7, {1}, 1)) == []
+    assert primes_in_classes(PrimeStream(7, {1}, bound=1)) == []
 
 
 def test_lucas_v_matches_recurrence():
@@ -179,8 +179,8 @@ def test_prime_stream_reduces_its_residues():
 
 
 def test_residue_classes_partition_primes():
-    inner = set(primes_in_classes(PrimeStream.up_to(7, {1, 6}, 3000)))
-    outer = set(primes_in_classes(PrimeStream.up_to(7, {2, 3, 4, 5}, 3000)))
+    inner = set(primes_in_classes(PrimeStream(7, {1, 6}, bound=3000)))
+    outer = set(primes_in_classes(PrimeStream(7, {2, 3, 4, 5}, bound=3000)))
     allp = set(primes_upto(3000))
     assert inner | outer == allp - {7}
     assert not inner & outer
@@ -222,85 +222,35 @@ def test_arith_tables():
     assert euler_phi(1) == 1
 
 
-def test_psl2_order():
-    assert psl2_order(7) == 168
-    assert psl2_order(8) == 504
-    assert psl2_order(13) == 1092
-    assert psl2_order(25) == 7800
-    with pytest.raises(ValueError):
-        psl2_order(12)
-    with pytest.raises(ValueError):
-        psl2_order(1)
-
-
-def test_prime_power_decompose():
-    assert numkit.prime_power_decompose(27) == (3, 3)
-    assert numkit.prime_power_decompose(1024) == (2, 10)
-    assert numkit.prime_power_decompose(9871) == (9871, 1)
-    for p in (2, 3, 13, 2**61 - 1, (1 << 64) - 59):  # the last is the largest 64-bit prime
-        assert numkit.prime_power_decompose(p) == (p, 1)
-    assert numkit.prime_power_decompose(13**5) == (13, 5)
-    assert numkit.prime_power_decompose((2**61 - 1) ** 2) == (2**61 - 1, 2)
-    assert numkit.prime_power_decompose(2**64) == (2, 64)
-    big = 2**89 - 1  # a Mersenne prime past the 64-bit range
-    with pytest.raises(ValueError):
-        numkit.prime_power_decompose(big)  # primality is only decided below 2^64
-    for composite in (12, 15, (1 << 64) - 1, 2**64 + 2):
-        with pytest.raises(ValueError):
-            numkit.prime_power_decompose(composite)
-
-
-def test_prime_power_decompose_tries_small_exponents_first(monkeypatch):
-    roots = []
-    real = numkit._integer_nth_root
-
-    def counted(x, n):
-        roots.append(n)
-        return real(x, n)
-
-    monkeypatch.setattr(numkit, "_integer_nth_root", counted)
-    for p in (2, 3, 13, 499, 65521, 2**61 - 1):
-        for d in range(2, 10):
-            roots.clear()
-            assert numkit.prime_power_decompose(p**d) == (p, d)
-            assert roots == list(range(2, d + 1))  # p^d is found at exponent d
-    for q in (6**2, 6**5, 3**2 * 5, 13**2 * 7, 499**2 * 503, 2**10 * 3**10, 100):
-        with pytest.raises(ValueError):
-            numkit.prime_power_decompose(q)
+def test_trace_modulus_doubles_even_n():
+    assert [trace_modulus(n) for n in (3, 4, 7, 8, 9, 12)] == [3, 8, 7, 16, 9, 24]
 
 
 def test_genus_paper_examples():
-    assert genus(3, 7, 7) == 3
-    assert genus(3, 7, 8) == 7
-    assert genus(3, 9, 19) == 96
-    assert genus(4, 5, 31) == 373
-    assert genus(3, 13, 25) == 351
-    assert genus(3, 11, 32) == 1241
-    assert genus(3, 15, 16) == 205
-    assert genus(3, 17, 16) == 221
-    assert genus(3, 19, 37) == 1444
-    assert genus(3, 10, 19) == 115
-    assert genus(3, 12, 25) == 326
-    assert genus(3, 14, 29) == 581
+    assert genus_of_prime_power(3, 7, 7) == 3
+    assert genus_of_prime_power(3, 7, 8) == 7
+    assert genus_of_prime_power(3, 9, 19) == 96
+    assert genus_of_prime_power(4, 5, 31) == 373
+    assert genus_of_prime_power(3, 13, 25) == 351
+    assert genus_of_prime_power(3, 11, 32) == 1241
+    assert genus_of_prime_power(3, 15, 16) == 205
+    assert genus_of_prime_power(3, 17, 16) == 221
+    assert genus_of_prime_power(3, 19, 37) == 1444
+    assert genus_of_prime_power(3, 10, 19) == 115
+    assert genus_of_prime_power(3, 12, 25) == 326
+    assert genus_of_prime_power(3, 14, 29) == 581
 
 
 def test_genus_hurwitz_identity():
     for q in (7, 8, 13, 27, 29, 41, 43, 64, 97, 113):
         try:
-            g = genus(3, 7, q)
+            g = genus_of_prime_power(3, 7, q)
         except Inadmissible:
             continue
-        assert psl2_order(q) == 84 * (g - 1)
-
-
-def test_genus_rejects_non_hyperbolic():
-    with pytest.raises(Inadmissible):
-        genus(3, 6, 7)
-    with pytest.raises(Inadmissible):
-        genus(4, 4, 7)
+        assert q * (q * q - 1) // math.gcd(2, q - 1) == 84 * (g - 1)  # |PSL(2,q)|
 
 
 def test_genus_rejects_non_integral():
     # q = 11 is inadmissible for type {3,7}: 11 = +-4 mod 7 needs q = 11^3
     with pytest.raises(Inadmissible):
-        genus(3, 7, 11)
+        genus_of_prime_power(3, 7, 11)
