@@ -109,10 +109,10 @@ def _class_sort_key(factor: tuple[int, ...], p: int):
 def map_census(m: int, n: int, p: int, *, traces: bool = True) -> CensusRecord:
     """Full classification of the type-{m,n} Macbeath maps in characteristic p.
 
-    Split primes (d = 1) take the Lucas-ladder route, every other prime the
-    factorization of f1 mod p; both give the same record.  `traces=False`
-    skips the optional square-root representative t on each class (the
-    expensive part of a record); everything else is unchanged.
+    Split primes (d = 1) take the Lucas-ladder witness and its checker, every
+    other prime the factorization of f1 mod p; both give the same record.
+    `traces=False` skips the optional square-root representative t on each
+    class (the expensive part of a record); everything else is unchanged.
     """
     return _map_census(m, n, p, traces, split_route=True)
 
@@ -121,26 +121,31 @@ def _map_census(m: int, n: int, p: int, traces: bool, split_route: bool) -> Cens
     # split_route=False factors f1 on every prime: the reference the split
     # route is tested against
     f1 = s_polynomial(m, n)
-    _check_prime(p)
-    try:
-        fd = _field_data(m, n, p)
-    except Inadmissible:
-        fd = None  # raised again by the factorization route, after its squarefree check
-    if split_route and fd is not None and fd.d == 1:
-        classes = _split_classes(m, n, p, f1, traces)
+    ladder = _ladder(m, n, p) if split_route else None
+    if ladder is not None:
+        s_values, t_values = ladder
+        fd, k, l, genus = check_witness(m, n, p, s_values)
+        classes = [_split_class(p, s, t, traces) for s, t in sorted(zip(s_values, t_values))]
     else:
+        _check_prime(p)
+        try:
+            fd = _field_data(m, n, p)
+        except Inadmissible:
+            fd = None  # raised again by the factorization route, after its squarefree check
         fd, classes = _factored_classes(m, n, p, f1, fd, traces)
-    e = classes[0].e
-    k = sum(1 for c in classes if c.regularity == INNER)
-    l = len(classes) - k
+        k = sum(1 for c in classes if c.regularity == INNER)
+        l = len(classes) - k
+        _check_class_count(m, n, p, k + l, classes[0].e)
+        genus = genus_of_prime_power(m, n, fd.q)
     half_phi = _half_phi(n)
-    if k + l != half_phi // e:
-        raise IntegrityError(f"class count {k + l} != phi(n)/2e for ({m},{n},{p})")
     closed_form = half_phi // fd.d if half_phi % fd.d == 0 else -1
-    return CensusRecord(
-        m, n, p, fd, genus_of_prime_power(m, n, fd.q), tuple(classes), k, l,
-        _parity(m, n, p, fd.d, l),
-        closed_form, closed_form != k + l)
+    return CensusRecord(m, n, p, fd, genus, tuple(classes), k, l,
+                        _parity(m, n, p, fd.d, l), closed_form, closed_form != k + l)
+
+
+def _check_class_count(m: int, n: int, p: int, count: int, e: int) -> None:
+    if count != _half_phi(n) // e:
+        raise IntegrityError(f"class count {count} != phi(n)/2e for ({m},{n},{p})")
 
 
 def _s_zero(m: int, n: int, p: int) -> BadReduction:
@@ -198,23 +203,41 @@ def _split_plan(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return n_mod, exponents, indices
 
 
-def _split_classes(m: int, n: int, p: int, f1: IntPoly,
-                   traces: bool) -> list[TraceClass]:
-    """Classes on a split prime (p = +-1 mod N) from Lucas sequences, no factoring.
+def split_witness(m: int, n: int, p: int) -> list[int] | None:
+    """The d = 1 witness: the s-values of a split prime from the Lucas ladder,
+    in the order of the trace indices j; None when p cannot be split.
+
+    Nothing here checks that the values are right; `check_witness` does.
+    """
+    s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
+    ladder = _ladder(m, n, p)
+    return None if ladder is None else ladder[0]
+
+
+def _ladder(m: int, n: int, p: int) -> tuple[list[int], list[int]] | None:
+    """The j-ordered s-values and traces t_j on a split prime, no factoring.
 
     With eps = +-1 the sign of p mod N and c a parameter with Legendre(c^2 - 4)
     = eps, z + 1/z = c has a root z in F_p or in the norm-one torus of F_{p^2},
     so z^(p - eps) = 1 and t_1 = V_{(p-eps)/N}(c) is the trace of an element of
-    order dividing N, of order exactly N when no V_{N/q}(t_1) equals 2.  The
-    s-values s_j = shift - V_j(t_1)^2 must multiply out to f1 mod p, which
-    one carry-free packed product checks (`_product_mod_p`); each class
-    character is Euler's criterion on the residue s_j itself.
+    order dividing N, of order exactly N when no V_{N/q}(t_1) equals 2; then
+    t_j = V_j(t_1) and s_j = shift - t_j^2.
+
+    None unless 2 < p and p = +-1 mod N and mod the order-m modulus, the d = 1
+    primes.  The ladder assumes p prime but never relies on it: an Euler
+    value other than 0 and +-1 proves p composite, and also gives None.
     """
     n_mod, exponents, indices = _split_plan(n)
+    m_mod = _M_MODULUS[m]
+    if p < 3 or p % n_mod not in (1, n_mod - 1) or p % m_mod not in (1, m_mod - 1):
+        return None
     eps = 1 if p % n_mod == 1 else -1
     half = (p - 1) // 2
     for c in range(3, p):
-        if pow(c * c - 4, half, p) != eps % p:
+        euler = pow(c * c - 4, half, p)
+        if euler != eps % p:
+            if euler not in (0, 1, p - 1):
+                return None
             continue
         t1 = lucas_v((p - eps) // n_mod, c, p)
         if all(lucas_v(k, t1, p) != 2 for k in exponents):
@@ -227,24 +250,50 @@ def _split_classes(m: int, n: int, p: int, f1: IntPoly,
     while len(v) <= indices[-1]:
         v.append((t1 * v[-1] - v[-2]) % p)
     t_values = [v[j] for j in indices]
-    s_values = [(shift - t * t) % p for t in t_values]
+    return [(shift - t * t) % p for t in t_values], t_values
+
+
+def check_witness(m: int, n: int, p: int,
+                  s_values: list[int]) -> tuple[FieldData, int, int, int]:
+    """Check a d = 1 witness and read the census off it: (field data, k, l, genus).
+
+    The checks are the split route's, each made here once: p is a prime
+    below 2^64 with d = 1; prod (x - s_j) is f1 mod p, which one carry-free
+    packed product checks (`_product_mod_p`); the s_j are distinct and
+    nonzero (else a bad reduction); k counts the s_j that are squares mod p
+    (Euler's criterion on the residue), and k + l = phi(n)/2; the parity
+    verdict holds; the genus is integral.
+    """
+    f1 = s_polynomial(m, n)
+    _check_prime(p)
+    fd = _field_data(m, n, p)
+    if fd.d != 1:
+        raise Inadmissible(f"p={p} is not a split prime for type {{{m},{n}}} (d={fd.d})")
     if _product_mod_p(s_values, p) != [c % p for c in f1.coeffs]:
         raise IntegrityError(f"split-route s-values do not multiply out to f1 mod {p}")
     if len(set(s_values)) != len(s_values):
         raise BadReduction(f"f1 for type {{{m},{n}}} is not squarefree mod {p}")
-    classes = []
-    for s, t in sorted(zip(s_values, t_values)):
+    k = 0
+    for s in s_values:
         character = _chi_of_integer(s, p, 1)
         if character == 0:
             raise _s_zero(m, n, p)
-        # x mod (x - s) is s, so the class values are built from the residues
-        factor = ((-s) % p, 1)
-        ctx = gf.FieldCtx.trusted(p, factor, 1)
-        t = min(t, p - t)
-        classes.append(TraceClass(factor, 1, gf.FieldElem(ctx, s), character,
-                                  INNER if character == 1 else OUTER,
-                                  gf.FieldElem(ctx, t) if traces else None))
-    return classes
+        k += character == 1
+    l = len(s_values) - k
+    _check_class_count(m, n, p, k + l, 1)
+    genus = genus_of_prime_power(m, n, fd.q)
+    _parity(m, n, p, 1, l)
+    return fd, k, l, genus
+
+
+def _split_class(p: int, s: int, t: int, traces: bool) -> TraceClass:
+    # x mod (x - s) is s, so the class values are built from the residues
+    character = _chi_of_integer(s, p, 1)
+    factor = ((-s) % p, 1)
+    ctx = gf.FieldCtx.trusted(p, factor, 1)
+    return TraceClass(factor, 1, gf.FieldElem(ctx, s), character,
+                      INNER if character == 1 else OUTER,
+                      gf.FieldElem(ctx, min(t, p - t)) if traces else None)
 
 
 def _product_mod_p(roots: list[int], p: int) -> list[int]:
@@ -547,22 +596,44 @@ def record_to_dict(record: CensusRecord) -> dict:
 
 
 def record_from_json(text: str) -> CensusRecord:
+    """A record from its JSON form, trusting none of its verdicts.
+
+    Each class context is checked (monic, irreducible, degree dividing d),
+    the factors must multiply out to f1 mod p, each s must be its factor's
+    root x and each t must satisfy t^2 = shift - s.  The rest is derived
+    from (m, n, p) and the classes: d, q, e, chi of s in the map field, the
+    regularity, k, l, the genus, the parity verdict and the closed-form
+    count.  ValueError unless the derived record serializes to the input's
+    record keys.
+    """
     data = json.loads(text)
     m, n, p = data["m"], data["n"], data["p"]
     fd = field_data(m, n, p)
-    if fd.d != data["d"] or str(fd.q) != data["q"]:
-        raise ValueError("serialized field data is inconsistent")
     classes = []
+    product: tuple[int, ...] = (1,)
     for c in data["classes"]:
         ctx = gf.FieldCtx(p, c["factor"], ambient_d=fd.d)
+        s = ctx.elem(c["s"])
         t = ctx.elem(c["t"]) if c["t"] is not None else None
-        classes.append(TraceClass(ctx.modulus, c["e"], ctx.elem(c["s"]),
-                                  c["chi"], c["regularity"], t))
-    parity = ParityVerdict(data["parity"]["applicable"], data["parity"]["predicted"],
-                           data["parity"]["observed"], data["parity"]["consistent"])
-    return CensusRecord(m, n, p, fd, int(data["genus"]), tuple(classes),
-                        data["k"], data["l"], parity,
-                        data["closed_form_count"], data["count_flag"])
+        character = gf.chi(s)
+        if s != ctx.gen() or character == 0 or (
+                t is not None and t * t != ctx.elem(_T_SQUARE_SHIFT[m]) - s):
+            raise ValueError(f"serialized class {c['factor']} is inconsistent")
+        classes.append(TraceClass(ctx.modulus, ctx.degree, s, character,
+                                  INNER if character == 1 else OUTER, t))
+        product = gf.poly_mul(product, ctx.modulus, p)
+    if list(product) != gf.reduce_polynomial(s_polynomial(m, n), p):
+        raise ValueError(f"serialized factors do not multiply out to f1 mod {p}")
+    k = sum(1 for c in classes if c.regularity == INNER)
+    l = len(classes) - k
+    half_phi = _half_phi(n)
+    closed_form = half_phi // fd.d if half_phi % fd.d == 0 else -1
+    record = CensusRecord(m, n, p, fd, genus_of_prime_power(m, n, fd.q), tuple(classes),
+                          k, l, _parity(m, n, p, fd.d, l), closed_form, closed_form != k + l)
+    derived = record_to_dict(record)
+    if derived != {key: data.get(key) for key in derived}:  # other keys, like meta, pass
+        raise ValueError("serialized record is inconsistent with its classes")
+    return record
 
 
 CSV_CLASS_HEADER = ("m", "n", "p", "d", "q", "genus", "k", "l", "parity_ok",

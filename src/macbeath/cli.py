@@ -26,8 +26,9 @@ def _meta(args) -> dict:
     return {"version": __version__, "workers": args.workers}
 
 
-def _emit(args, payload: dict, table_lines: list[str],
+def _emit(args, payload: dict | None, table_lines: list[str] | None,
           csv_header=None, csv_rows=None) -> None:
+    # reads only what args.format prints, so a caller may pass None for the rest
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         if args.format == "json":
@@ -188,28 +189,32 @@ def _cmd_sweep(args) -> int:
     result = density.sweep(args.m, args.n, stream, workers=args.workers,
                            cache_path=args.cache)
     tally = result.tally
-    payload = {"tally": density.tally_to_dict(tally),
-               "records": [{"p": r.p, "residue": r.residue, "k": r.k, "l": r.l,
-                            "d": r.d, "q": str(r.q), "genus": str(r.genus)}
-                           for r in result.records]}
-    lines = [f"swept {tally.total} primes for type {{{args.m},{args.n}}}"]
-    lines.append("counts by k: " + ", ".join(
-        f"k={k}: {v}" for k, v in sorted(tally.counts.items())))
-    lines.append("split by residue: " + ", ".join(
-        f"{k}{s}: {v}" for (k, s), v in sorted(tally.split.items()) if v or k <= 3))
-    if tally.predicted is not None:
-        lines.append("predicted densities: "
-                     + ", ".join(str(f) for f in tally.predicted))
-    if tally.max_abs_deviation is not None:
-        lines.append(f"max |freq - predicted| = {tally.max_abs_deviation:.5f}")
-    if tally.skipped:
-        lines.append(f"skipped: {list(tally.skipped)}")
-    csv_rows = density.sweep_csv_rows(result)
-    summary_row = ("# summary", "", "", "", "",
-                   " ".join(f"k{k}={v}" for k, v in sorted(tally.counts.items())),
-                   "", "", "")
-    _emit(args, payload, lines, csv_header=density.SWEEP_CSV_HEADER,
-          csv_rows=csv_rows + [summary_row])
+    # only the chosen format is built: a sweep has one record per prime
+    payload = lines = csv_rows = None
+    if args.format == "json":
+        payload = {"tally": density.tally_to_dict(tally),
+                   "records": [{"p": r.p, "residue": r.residue, "k": r.k, "l": r.l,
+                                "d": r.d, "q": str(r.q), "genus": str(r.genus)}
+                               for r in result.records]}
+    elif args.format == "csv":
+        csv_rows = density.sweep_csv_rows(result)
+        csv_rows.append(("# summary", "", "", "", "",
+                         " ".join(f"k{k}={v}" for k, v in sorted(tally.counts.items())),
+                         "", "", ""))
+    else:
+        lines = [f"swept {tally.total} primes for type {{{args.m},{args.n}}}"]
+        lines.append("counts by k: " + ", ".join(
+            f"k={k}: {v}" for k, v in sorted(tally.counts.items())))
+        lines.append("split by residue: " + ", ".join(
+            f"{k}{s}: {v}" for (k, s), v in sorted(tally.split.items()) if v or k <= 3))
+        if tally.predicted is not None:
+            lines.append("predicted densities: "
+                         + ", ".join(str(f) for f in tally.predicted))
+        if tally.max_abs_deviation is not None:
+            lines.append(f"max |freq - predicted| = {tally.max_abs_deviation:.5f}")
+        if tally.skipped:
+            lines.append(f"skipped: {list(tally.skipped)}")
+    _emit(args, payload, lines, csv_header=density.SWEEP_CSV_HEADER, csv_rows=csv_rows)
     return 0
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from macbeath import census as census_module
-from macbeath import gf, numkit
+from macbeath import density, gf, numkit
 from macbeath.census import (
     cps_discriminant,
     field_data,
@@ -279,6 +279,53 @@ def test_json_round_trip():
     assert record_from_json(record_to_json(r)) == r
 
 
+def test_record_from_json_rejects_tampered_verdicts():
+    def fresh():
+        return json.loads(record_to_json(map_census(3, 7, 13)))
+
+    data = fresh()
+    inner = next(c for c in data["classes"] if c["regularity"] == "inner")
+    inner.update(chi=-1, regularity="outer")
+    data.update(k=0, l=3)
+    with pytest.raises(ValueError, match="inconsistent"):
+        record_from_json(json.dumps(data))
+    parity = {"applicable": True, "predicted": "odd", "observed": "odd", "consistent": True}
+    for edit in ({"k": 2}, {"l": 1}, {"genus": "15"}, {"closed_form_count": 2},
+                 {"count_flag": True}, {"d": 2}, {"q": "169"}, {"parity": parity}):
+        data = fresh()
+        data.update(edit)
+        with pytest.raises(ValueError):
+            record_from_json(json.dumps(data))
+    for edit in ({"chi": -1}, {"regularity": "outer"}, {"e": 2}, {"t": [1]}, {"s": [5]}):
+        data = fresh()
+        data["classes"][0].update(edit)
+        with pytest.raises(ValueError):
+            record_from_json(json.dumps(data))
+    # a class dropped, or swapped for another irreducible factor
+    data = fresh()
+    del data["classes"][0]
+    with pytest.raises(ValueError, match="do not multiply out"):
+        record_from_json(json.dumps(data))
+    data = fresh()
+    data["classes"][0].update(factor=[8, 1], s=[5], t=None)
+    with pytest.raises(ValueError, match="do not multiply out"):
+        record_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_every_record_round_trips(m):
+    checked = 0
+    for n in range(7, 20):
+        for p in primes_upto(500):
+            try:
+                record = map_census(m, n, p, traces=p < 100)
+            except (Inadmissible, BadReduction):
+                continue
+            assert record_from_json(record_to_json(record)) == record, (m, n, p)
+            checked += 1
+    assert checked > 1000
+
+
 def test_record_from_json_rejects_a_reducible_factor_and_a_composite_p():
     data = json.loads(record_to_json(map_census(3, 7, 11)))
     data["classes"][0]["factor"] = [1, 3, 3, 1]  # (x + 1)^3
@@ -309,6 +356,22 @@ def _outcome(m, n, p, traces, split_route):
         return (type(exc).__name__, str(exc))
 
 
+_ERROR_PREFIX = {"BadReduction": "bad-reduction", "Inadmissible": "inadmissible"}
+
+
+def _summary_matches(m, n, p, ref):
+    """The sweep's per-prime summary (the d = 1 witness and its checker) agrees
+    with a factorization-route record, or with its error type and text."""
+    got = density._summarize(m, n, p)
+    if isinstance(ref, census_module.CensusRecord):
+        assert isinstance(got, density.PrimeSummary), (m, n, p, got)
+        assert (got.k, got.l, got.d, got.q, got.genus) == \
+            (ref.k, ref.l, ref.field.d, ref.field.q, ref.genus), (m, n, p)
+    else:
+        kind, text = ref
+        assert got == (p, f"{_ERROR_PREFIX[kind]}: {text}"), (m, n, p)
+
+
 def _without_traces(record):
     data = json.loads(record_to_json(record))
     for c in data["classes"]:
@@ -336,6 +399,7 @@ def test_split_route_matches_factorization_route(m, bound):
             ref = _outcome(m, n, p, False, False)
             got = _outcome(m, n, p, False, True)
             got_traced = _outcome(m, n, p, True, True)
+            _summary_matches(m, n, p, ref)
             if not isinstance(ref, census_module.CensusRecord):
                 assert got == got_traced == ref, (m, n, p)
                 continue
@@ -354,10 +418,16 @@ def test_split_route_matches_factorization_route(m, bound):
 
 
 def test_split_route_errors_match_on_bad_p():
-    for p in (-13, 0, 1, 15, 91, 1 << 64, (1 << 64) + 13):
+    # 43 * 71 and 2^64 + 13 (a prime) are = 1 mod 7 and mod 3: the ladder
+    # runs on them, and the checker rejects p
+    for p in (-13, 0, 1, 15, 91, 43 * 71, 1 << 64, (1 << 64) + 13):
         for split_route in (True, False):
             with pytest.raises(Inadmissible, match="not a prime below 2"):
                 census_module._map_census(3, 7, p, False, split_route)
+        _summary_matches(3, 7, p, ("Inadmissible", f"p={p} is not a prime below 2^64"))
+    assert census_module.split_witness(3, 7, (1 << 64) + 13) is not None
+    for m, n, p in ((3, 7, 7), (4, 7, 2), (6, 7, 3), (6, 7, 2), (4, 9, 17)):
+        _summary_matches(m, n, p, _outcome(m, n, p, False, False))
     # bad (m, n) is reported before p is looked at, as by the factorization route
     for split_route in (True, False):
         with pytest.raises(Inadmissible, match="m=5 is unsupported"):
@@ -505,6 +575,41 @@ def test_split_route_checks_still_fire(monkeypatch):
     with pytest.raises(BadReduction,
                        match=r"^f1 for type \{3,7\} is not squarefree mod 13$"):
         map_census(3, 7, 13)
+
+
+def test_check_witness_rejects_a_bad_witness():
+    m, n, p = 3, 7, 13
+    good = census_module.split_witness(m, n, p)
+    assert good == [6, 4, 7]  # j = 1, 2, 3: the ladder's order, not sorted
+    fd, k, l, genus = census_module.check_witness(m, n, p, good)
+    record = map_census(m, n, p)
+    assert (fd, k, l, genus) == (record.field, record.k, record.l, record.genus)
+    product = r"^split-route s-values do not multiply out to f1 mod 13$"
+    for bad in ([6, 4, 8], [6, 6, 7], [0, 4, 7], [6, 4], [6, 4, 7, 1]):
+        with pytest.raises(IntegrityError, match=product):
+            census_module.check_witness(m, n, p, bad)
+    with pytest.raises(Inadmissible, match=r"^p=15 is not a prime below 2\^64$"):
+        census_module.check_witness(m, n, 15, good)
+    # for m = 4, p = 13 splits f1 (13 = -1 mod 7), whose roots are the m = 3
+    # ones minus 1, but not the order-4 rotations (13 = 5 mod 8): d = 2
+    assert census_module.split_witness(4, 7, 13) is None
+    with pytest.raises(Inadmissible, match=r"^p=13 is not a split prime for type "
+                                           r"\{4,7\} \(d=2\)$"):
+        census_module.check_witness(4, 7, 13, [s - 1 for s in good])
+    with pytest.raises(Inadmissible, match="not a split prime"):
+        census_module.check_witness(3, 7, 5, [])  # d = 3
+
+
+def test_check_witness_reports_repeated_and_zero_values(monkeypatch):
+    # values that pass the product check but repeat, or vanish, are the
+    # split route's bad reductions
+    m, n, p = 3, 7, 13
+    f1 = [c % p for c in s_polynomial(m, n).coeffs]
+    monkeypatch.setattr(census_module, "_product_mod_p", lambda roots, p: f1)
+    with pytest.raises(BadReduction, match=r"^f1 for type \{3,7\} is not squarefree mod 13$"):
+        census_module.check_witness(m, n, p, [7, 7, 6])
+    with pytest.raises(BadReduction, match=r"^s = 0 occurs for \(3,7,13\)"):
+        census_module.check_witness(m, n, p, [0, 4, 6])
 
 
 def test_chi_shortcut_cache_matches_formula():

@@ -362,6 +362,19 @@ def test_pattern_bridge_counts_squares_in_each_class_field(monkeypatch):
     assert pattern_census(4, 19, 3000, workers=1).bridge_violations > 0
 
 
+def test_pattern_bridge_catches_a_flipped_witness_character(monkeypatch):
+    # on split primes the bridge reads k from the d = 1 witness's checker;
+    # flipped in every character the census reads (the classes, Psi_n(1) and
+    # its shortcut), k becomes l and every internal check still holds, so
+    # only the degree patterns can catch it
+    assert pattern_census(3, 7, 3000, workers=1).bridge_violations == 0
+    chi, shortcut = census._chi_of_integer, census._chi_shortcut
+    monkeypatch.setattr(census, "_chi_of_integer", lambda value, p, d: -chi(value, p, d))
+    monkeypatch.setattr(census, "_chi_shortcut", lambda n, p: -shortcut(n, p))
+    res = pattern_census(3, 7, 3000, workers=1)
+    assert res.bridge_violations == res.bridge_checked > 100
+
+
 def test_parity_suite_classifies_each_prime_once(monkeypatch):
     calls = Counter()
     original = census.map_census
