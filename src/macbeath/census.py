@@ -100,6 +100,27 @@ class CensusRecord(NamedTuple):
     count_flag: bool           # True when the factor count differs from it
 
 
+class CensusSummary(NamedTuple):
+    """The census at p without its class objects."""
+
+    field: FieldData
+    k: int
+    l: int
+    genus: int
+    k_square: int  # classes whose s is a square in its own field F_{p^e}; k when d = 1
+
+
+class WitnessCheck(NamedTuple):
+    """The census read off a checked d = 1 witness (`check_witness`)."""
+
+    field: FieldData
+    k: int
+    l: int
+    genus: int
+    characters: list[int]  # chi of each s_j mod p, in the witness's order
+    parity: ParityVerdict
+
+
 def _class_sort_key(factor: tuple[int, ...], p: int):
     # degree first, then the root for linear factors (x - r has key (r,)),
     # extended to higher degree by the negated non-leading coefficients
@@ -124,8 +145,9 @@ def _map_census(m: int, n: int, p: int, traces: bool, split_route: bool) -> Cens
     ladder = _ladder(m, n, p) if split_route else None
     if ladder is not None:
         s_values, t_values = ladder
-        fd, k, l, genus = check_witness(m, n, p, s_values)
-        classes = [_split_class(p, s, t, traces) for s, t in sorted(zip(s_values, t_values))]
+        fd, k, l, genus, characters, parity = check_witness(m, n, p, s_values)
+        classes = [_split_class(p, s, character, t, traces)
+                   for s, character, t in sorted(zip(s_values, characters, t_values))]
     else:
         _check_prime(p)
         try:
@@ -137,10 +159,29 @@ def _map_census(m: int, n: int, p: int, traces: bool, split_route: bool) -> Cens
         l = len(classes) - k
         _check_class_count(m, n, p, k + l, classes[0].e)
         genus = genus_of_prime_power(m, n, fd.q)
+        parity = _parity(m, n, p, fd.d, l)
     half_phi = _half_phi(n)
     closed_form = half_phi // fd.d if half_phi % fd.d == 0 else -1
     return CensusRecord(m, n, p, fd, genus, tuple(classes), k, l,
-                        _parity(m, n, p, fd.d, l), closed_form, closed_form != k + l)
+                        parity, closed_form, closed_form != k + l)
+
+
+def summary(m: int, n: int, p: int) -> CensusSummary:
+    """What `map_census(m, n, p)` reports, less the classes, with its errors.
+
+    A split prime is read off its checked Lucas-ladder witness and builds no
+    class objects; every other p goes through `map_census`.
+    """
+    s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
+    ladder = _ladder(m, n, p)
+    if ladder is not None:
+        fd, k, l, genus, _, _ = check_witness(m, n, p, ladder[0])
+        return CensusSummary(fd, k, l, genus, k)
+    record = map_census(m, n, p, traces=False)
+    # chi is the character in F_{p^d}, the one in F_{p^e} when d/e is odd
+    k_square = sum(1 for c in record.classes
+                   if (c.chi if record.field.d // c.e % 2 else gf._euler_sign(c.s)) == 1)
+    return CensusSummary(record.field, record.k, record.l, record.genus, k_square)
 
 
 def _check_class_count(m: int, n: int, p: int, count: int, e: int) -> None:
@@ -203,17 +244,6 @@ def _split_plan(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return n_mod, exponents, indices
 
 
-def split_witness(m: int, n: int, p: int) -> list[int] | None:
-    """The d = 1 witness: the s-values of a split prime from the Lucas ladder,
-    in the order of the trace indices j; None when p cannot be split.
-
-    Nothing here checks that the values are right; `check_witness` does.
-    """
-    s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
-    ladder = _ladder(m, n, p)
-    return None if ladder is None else ladder[0]
-
-
 def _ladder(m: int, n: int, p: int) -> tuple[list[int], list[int]] | None:
     """The j-ordered s-values and traces t_j on a split prime, no factoring.
 
@@ -223,13 +253,16 @@ def _ladder(m: int, n: int, p: int) -> tuple[list[int], list[int]] | None:
     order dividing N, of order exactly N when no V_{N/q}(t_1) equals 2; then
     t_j = V_j(t_1) and s_j = shift - t_j^2.
 
-    None unless 2 < p and p = +-1 mod N and mod the order-m modulus, the d = 1
-    primes.  The ladder assumes p prime but never relies on it: an Euler
-    value other than 0 and +-1 proves p composite, and also gives None.
+    The s-values, in the order of the trace indices j, are the d = 1 witness
+    that `check_witness` checks; nothing here checks them.  None unless
+    2 < p < 2^64 and p = +-1 mod N and mod the order-m modulus, the d = 1
+    primes in range.  The ladder assumes p prime but never relies on it: an
+    Euler value other than 0 and +-1 proves p composite, and also gives None.
     """
     n_mod, exponents, indices = _split_plan(n)
     m_mod = _M_MODULUS[m]
-    if p < 3 or p % n_mod not in (1, n_mod - 1) or p % m_mod not in (1, m_mod - 1):
+    if not 2 < p < 1 << 64 or p % n_mod not in (1, n_mod - 1) \
+            or p % m_mod not in (1, m_mod - 1):
         return None
     eps = 1 if p % n_mod == 1 else -1
     half = (p - 1) // 2
@@ -253,16 +286,15 @@ def _ladder(m: int, n: int, p: int) -> tuple[list[int], list[int]] | None:
     return [(shift - t * t) % p for t in t_values], t_values
 
 
-def check_witness(m: int, n: int, p: int,
-                  s_values: list[int]) -> tuple[FieldData, int, int, int]:
-    """Check a d = 1 witness and read the census off it: (field data, k, l, genus).
+def check_witness(m: int, n: int, p: int, s_values: list[int]) -> WitnessCheck:
+    """Check a d = 1 witness, the s-values of a split prime, and read the census off it.
 
     The checks are the split route's, each made here once: p is a prime
     below 2^64 with d = 1; prod (x - s_j) is f1 mod p, which one carry-free
     packed product checks (`_product_mod_p`); the s_j are distinct and
     nonzero (else a bad reduction); k counts the s_j that are squares mod p
-    (Euler's criterion on the residue), and k + l = phi(n)/2; the parity
-    verdict holds; the genus is integral.
+    (Euler's criterion on the residue), and k + l = phi(n)/2; the genus is
+    integral; the parity verdict holds.
     """
     f1 = s_polynomial(m, n)
     _check_prime(p)
@@ -273,22 +305,18 @@ def check_witness(m: int, n: int, p: int,
         raise IntegrityError(f"split-route s-values do not multiply out to f1 mod {p}")
     if len(set(s_values)) != len(s_values):
         raise BadReduction(f"f1 for type {{{m},{n}}} is not squarefree mod {p}")
-    k = 0
-    for s in s_values:
-        character = _chi_of_integer(s, p, 1)
-        if character == 0:
-            raise _s_zero(m, n, p)
-        k += character == 1
-    l = len(s_values) - k
+    characters = [_chi_of_integer(s, p, 1) for s in s_values]
+    if 0 in characters:
+        raise _s_zero(m, n, p)
+    k = characters.count(1)
+    l = len(characters) - k
     _check_class_count(m, n, p, k + l, 1)
     genus = genus_of_prime_power(m, n, fd.q)
-    _parity(m, n, p, 1, l)
-    return fd, k, l, genus
+    return WitnessCheck(fd, k, l, genus, characters, _parity(m, n, p, 1, l))
 
 
-def _split_class(p: int, s: int, t: int, traces: bool) -> TraceClass:
+def _split_class(p: int, s: int, character: int, t: int, traces: bool) -> TraceClass:
     # x mod (x - s) is s, so the class values are built from the residues
-    character = _chi_of_integer(s, p, 1)
     factor = ((-s) % p, 1)
     ctx = gf.FieldCtx.trusted(p, factor, 1)
     return TraceClass(factor, 1, gf.FieldElem(ctx, s), character,
@@ -596,44 +624,22 @@ def record_to_dict(record: CensusRecord) -> dict:
 
 
 def record_from_json(text: str) -> CensusRecord:
-    """A record from its JSON form, trusting none of its verdicts.
-
-    Each class context is checked (monic, irreducible, degree dividing d),
-    the factors must multiply out to f1 mod p, each s must be its factor's
-    root x and each t must satisfy t^2 = shift - s.  The rest is derived
-    from (m, n, p) and the classes: d, q, e, chi of s in the map field, the
-    regularity, k, l, the genus, the parity verdict and the closed-form
-    count.  ValueError unless the derived record serializes to the input's
-    record keys.
-    """
     data = json.loads(text)
     m, n, p = data["m"], data["n"], data["p"]
     fd = field_data(m, n, p)
+    if fd.d != data["d"] or str(fd.q) != data["q"]:
+        raise ValueError("serialized field data is inconsistent")
     classes = []
-    product: tuple[int, ...] = (1,)
     for c in data["classes"]:
         ctx = gf.FieldCtx(p, c["factor"], ambient_d=fd.d)
-        s = ctx.elem(c["s"])
         t = ctx.elem(c["t"]) if c["t"] is not None else None
-        character = gf.chi(s)
-        if s != ctx.gen() or character == 0 or (
-                t is not None and t * t != ctx.elem(_T_SQUARE_SHIFT[m]) - s):
-            raise ValueError(f"serialized class {c['factor']} is inconsistent")
-        classes.append(TraceClass(ctx.modulus, ctx.degree, s, character,
-                                  INNER if character == 1 else OUTER, t))
-        product = gf.poly_mul(product, ctx.modulus, p)
-    if list(product) != gf.reduce_polynomial(s_polynomial(m, n), p):
-        raise ValueError(f"serialized factors do not multiply out to f1 mod {p}")
-    k = sum(1 for c in classes if c.regularity == INNER)
-    l = len(classes) - k
-    half_phi = _half_phi(n)
-    closed_form = half_phi // fd.d if half_phi % fd.d == 0 else -1
-    record = CensusRecord(m, n, p, fd, genus_of_prime_power(m, n, fd.q), tuple(classes),
-                          k, l, _parity(m, n, p, fd.d, l), closed_form, closed_form != k + l)
-    derived = record_to_dict(record)
-    if derived != {key: data.get(key) for key in derived}:  # other keys, like meta, pass
-        raise ValueError("serialized record is inconsistent with its classes")
-    return record
+        classes.append(TraceClass(ctx.modulus, c["e"], ctx.elem(c["s"]),
+                                  c["chi"], c["regularity"], t))
+    parity = ParityVerdict(data["parity"]["applicable"], data["parity"]["predicted"],
+                           data["parity"]["observed"], data["parity"]["consistent"])
+    return CensusRecord(m, n, p, fd, int(data["genus"]), tuple(classes),
+                        data["k"], data["l"], parity,
+                        data["closed_form_count"], data["count_flag"])
 
 
 CSV_CLASS_HEADER = ("m", "n", "p", "d", "q", "genus", "k", "l", "parity_ok",

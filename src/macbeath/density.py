@@ -93,21 +93,15 @@ def default_stream(m: int, n: int, first: int | None = None,
 
 
 def _summarize(m: int, n: int, p: int) -> PrimeSummary | tuple[int, str]:
-    # a split prime is read off its checked witness, with no class objects;
-    # map_census answers (or raises) for every other p
     try:
-        s_values = census.split_witness(m, n, p)
-        if s_values is None:
-            record = census.map_census(m, n, p, traces=False)
-            fd, k, l, genus = record.field, record.k, record.l, record.genus
-        else:
-            fd, k, l, genus = census.check_witness(m, n, p, s_values)
+        summary = census.summary(m, n, p)
     except BadReduction as exc:
         return (p, f"bad-reduction: {exc}")
     except Inadmissible as exc:
         return (p, f"inadmissible: {exc}")
+    fd = summary.field
     residue = 1 if p % fd.n_modulus == 1 else -1
-    return PrimeSummary(p, residue, k, l, fd.d, fd.q, genus)
+    return PrimeSummary(p, residue, summary.k, summary.l, fd.d, fd.q, summary.genus)
 
 
 def _fan_out(func, items: list, workers: int) -> list:
@@ -430,18 +424,11 @@ def _pattern_row(m: int, n: int, f2, p: int) -> tuple | None:
     if p % modulus not in (1, modulus - 1):
         return pattern, None
     try:
-        s_values = census.split_witness(m, n, p)
-        if s_values is not None:
-            # d = 1: every s is in F_p, and k counts the squares among them
-            return pattern, census.check_witness(m, n, p, s_values)[1]
-        record = census.map_census(m, n, p, traces=False)
+        # f2 has two linear factors per class whose s is a square in its own
+        # field F_{p^e}
+        return pattern, census.summary(m, n, p).k_square
     except (BadReduction, Inadmissible):
         return None
-    # f2 has two linear factors per class whose s is a square in its own
-    # field F_{p^e}; chi is that character when d/e is odd
-    return pattern, sum(1 for c in record.classes
-                        if (c.chi if record.field.d // c.e % 2
-                            else gf._euler_sign(c.s)) == 1)
 
 
 def pattern_census(m: int, n: int, bound: int, *,
@@ -498,8 +485,8 @@ SWEEP_CSV_HEADER = ("p", "residue_class", "d", "q", "genus", "k", "l",
 def sweep_csv_rows(result: SweepResult) -> list[tuple]:
     rows = []
     for rec in result.records:
-        # check_witness and map_census raise on any parity violation, so
-        # odd-d records that reach a sweep row are consistent (m = 3 only)
+        # census.summary raises on any parity violation, so odd-d records
+        # that reach a sweep row are consistent by construction (m = 3 only)
         parity_ok = "True" if (result.m == 3 and rec.d % 2) else ""
         rows.append((rec.p, rec.residue, rec.d, str(rec.q), str(rec.genus),
                      rec.k, rec.l, parity_ok, f"k={rec.k};l={rec.l}"))

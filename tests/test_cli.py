@@ -432,14 +432,14 @@ def test_two_worker_commands_fork_without_multiprocessing():
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs to fork workers")
 def test_sweep_reports_a_worker_that_dies(capsys, monkeypatch):
     parent = os.getpid()
-    real = census.check_witness  # what a sweep calls on each split prime
+    real = census.summary  # what a sweep calls on each prime
 
-    def dying(m, n, p, s_values):
+    def dying(m, n, p):
         if p == 43 and os.getpid() != parent:
             os._exit(3)
-        return real(m, n, p, s_values)
+        return real(m, n, p)
 
-    monkeypatch.setattr(census, "check_witness", dying)
+    monkeypatch.setattr(census, "summary", dying)
     code, out, err = run(capsys, "sweep", "--n", "7", "--first", "20",
                          "--workers", "2")
     assert code == 1 and out == ""
