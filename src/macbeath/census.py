@@ -100,27 +100,6 @@ class CensusRecord(NamedTuple):
     count_flag: bool           # True when the factor count differs from it
 
 
-class CensusSummary(NamedTuple):
-    """The census at p without its class objects."""
-
-    field: FieldData
-    k: int
-    l: int
-    genus: int
-    k_square: int  # classes whose s is a square in its own field F_{p^e}; k when d = 1
-
-
-class WitnessCheck(NamedTuple):
-    """The census read off a checked d = 1 witness (`check_witness`)."""
-
-    field: FieldData
-    k: int
-    l: int
-    genus: int
-    characters: list[int]  # chi of each s_j mod p, in the witness's order
-    parity: ParityVerdict
-
-
 def _class_sort_key(factor: tuple[int, ...], p: int):
     # degree first, then the root for linear factors (x - r has key (r,)),
     # extended to higher degree by the negated non-leading coefficients
@@ -166,22 +145,24 @@ def _map_census(m: int, n: int, p: int, traces: bool, split_route: bool) -> Cens
                         parity, closed_form, closed_form != k + l)
 
 
-def summary(m: int, n: int, p: int) -> CensusSummary:
-    """What `map_census(m, n, p)` reports, less the classes, with its errors.
+def summary(m: int, n: int, p: int) -> tuple[FieldData, int, int, int, int]:
+    """(field, k, l, genus, k_square): what `map_census(m, n, p)` reports,
+    less the classes, with its errors; k_square counts the classes whose s
+    is a square in its own field F_{p^e}, which is k when d = 1.
 
     A split prime is read off its checked Lucas-ladder witness and builds no
-    class objects; every other p goes through `map_census`.
+    class objects and no record; every other p goes through `map_census`.
     """
     s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
     ladder = _ladder(m, n, p)
     if ladder is not None:
         fd, k, l, genus, _, _ = check_witness(m, n, p, ladder[0])
-        return CensusSummary(fd, k, l, genus, k)
+        return fd, k, l, genus, k
     record = map_census(m, n, p, traces=False)
     # chi is the character in F_{p^d}, the one in F_{p^e} when d/e is odd
     k_square = sum(1 for c in record.classes
                    if (c.chi if record.field.d // c.e % 2 else gf._euler_sign(c.s)) == 1)
-    return CensusSummary(record.field, record.k, record.l, record.genus, k_square)
+    return record.field, record.k, record.l, record.genus, k_square
 
 
 def _check_class_count(m: int, n: int, p: int, count: int, e: int) -> None:
@@ -286,8 +267,12 @@ def _ladder(m: int, n: int, p: int) -> tuple[list[int], list[int]] | None:
     return [(shift - t * t) % p for t in t_values], t_values
 
 
-def check_witness(m: int, n: int, p: int, s_values: list[int]) -> WitnessCheck:
-    """Check a d = 1 witness, the s-values of a split prime, and read the census off it.
+def check_witness(m: int, n: int, p: int, s_values: list[int]
+                  ) -> tuple[FieldData, int, int, int, list[int], ParityVerdict]:
+    """Check a d = 1 witness, the s-values of a split prime, and read the census
+    off it: (field, k, l, genus, characters, parity), the characters being
+    chi of each s_j mod p in the witness's order.  A plain tuple: a sweep
+    takes five numbers from it on every prime and builds no record for them.
 
     The checks are the split route's, each made here once: p is a prime
     below 2^64 with d = 1; prod (x - s_j) is f1 mod p, which one carry-free
@@ -312,7 +297,7 @@ def check_witness(m: int, n: int, p: int, s_values: list[int]) -> WitnessCheck:
     l = len(characters) - k
     _check_class_count(m, n, p, k + l, 1)
     genus = genus_of_prime_power(m, n, fd.q)
-    return WitnessCheck(fd, k, l, genus, characters, _parity(m, n, p, 1, l))
+    return fd, k, l, genus, characters, _parity(m, n, p, 1, l)
 
 
 def _split_class(p: int, s: int, character: int, t: int, traces: bool) -> TraceClass:

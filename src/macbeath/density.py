@@ -14,6 +14,7 @@ import collections
 import functools
 import json
 import math
+import operator
 import os
 from fractions import Fraction
 from typing import NamedTuple
@@ -94,14 +95,13 @@ def default_stream(m: int, n: int, first: int | None = None,
 
 def _summarize(m: int, n: int, p: int) -> PrimeSummary | tuple[int, str]:
     try:
-        summary = census.summary(m, n, p)
+        fd, k, l, genus, _ = census.summary(m, n, p)
     except BadReduction as exc:
         return (p, f"bad-reduction: {exc}")
     except Inadmissible as exc:
         return (p, f"inadmissible: {exc}")
-    fd = summary.field
     residue = 1 if p % fd.n_modulus == 1 else -1
-    return PrimeSummary(p, residue, summary.k, summary.l, fd.d, fd.q, summary.genus)
+    return PrimeSummary(p, residue, k, l, fd.d, fd.q, genus)
 
 
 def _fan_out(func, items: list, workers: int) -> list:
@@ -220,21 +220,24 @@ def _tally(m: int, n: int, stream: PrimeStream | None,
     r = euler_phi(n) // 2
     counts = {k: 0 for k in range(r + 1)}
     split = {(k, sign): 0 for k in range(r + 1) for sign in "+-"}
-    for rec in records:
-        counts[rec.k] = counts.get(rec.k, 0) + 1
-        key = (rec.k, "+" if rec.residue == 1 else "-")
-        split[key] = split.get(key, 0) + 1
+    for (k, residue), c in collections.Counter(
+            map(operator.attrgetter("k", "residue"), records)).items():
+        counts[k] = counts.get(k, 0) + c
+        key = (k, "+" if residue == 1 else "-")
+        split[key] = split.get(key, 0) + c
     total = len(records)
     frequencies = {k: Fraction(c, total) if total else Fraction(0)
                    for k, c in counts.items()}
     model = galois_model(m, n)
-    predicted = None
+    predicted = None if model.structure == UNKNOWN else \
+        _sigma_densities(model.r, model.structure)
     deviation = None
-    if model.structure != UNKNOWN:
-        predicted = tuple(predicted_sigma_densities(model))
-        if total:
-            deviation = float(max(abs(frequencies.get(k, Fraction(0)) - predicted[k])
-                                  for k in range(r + 1)))
+    if predicted is not None and total:
+        # max |c/total - a/b| over k, in integers over the common denominator
+        # total * den: true division rounds it as float(Fraction) would
+        den = math.lcm(*(f.denominator for f in predicted))
+        deviation = max(abs(counts[k] * den - f.numerator * (den // f.denominator) * total)
+                        for k, f in enumerate(predicted)) / (total * den)
     return SigmaTally(m, n, stream, total, counts, split, frequencies,
                       predicted, deviation, skipped)
 
@@ -366,7 +369,12 @@ def predicted_sigma_densities(model: GaloisModel) -> list[Fraction]:
     These are the identity element's cycle statistics: r orbits of length 1,
     of which the k = r - i with even flips are the inner classes.
     """
-    return _odd_orbit_weights(model.r, model.structure)[::-1]
+    return list(_sigma_densities(model.r, model.structure))
+
+
+@functools.lru_cache(maxsize=None)
+def _sigma_densities(r: int, structure: str) -> tuple[Fraction, ...]:
+    return tuple(_odd_orbit_weights(r, structure)[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +434,7 @@ def _pattern_row(m: int, n: int, f2, p: int) -> tuple | None:
     try:
         # f2 has two linear factors per class whose s is a square in its own
         # field F_{p^e}
-        return pattern, census.summary(m, n, p).k_square
+        return pattern, census.summary(m, n, p)[4]  # k_square
     except (BadReduction, Inadmissible):
         return None
 

@@ -7,16 +7,21 @@ are computed in exact arbitrary precision throughout.
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import chain, compress
 from typing import NamedTuple
 
 from .errors import Inadmissible
 
-# Witness set proven deterministic for every n < 3.3 * 10**24, hence for all
-# 64-bit inputs.  Its first four suffice below 3,215,031,751, the least strong
-# pseudoprime to the bases 2, 3, 5 and 7.
+# Strong-pseudoprime bounds (Pomerance, Selfridge and Wagstaff 1980; Jaeschke
+# 1993): below each bound the bases beside it are enough, because the bound
+# is the least strong pseudoprime to all of them.  The twelve primes up to 37
+# are proven deterministic for every n < 3.3 * 10**24, hence for all 64-bit
+# inputs.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_SMALL_BOUND = 3_215_031_751
+_MR_RANGES = ((1_373_653, (2, 3)), (25_326_001, (2, 3, 5)),
+              (3_215_031_751, (2, 3, 5, 7)), (1 << 64, _MR_WITNESSES))
 
 _SEGMENT = 1 << 17
 
@@ -32,12 +37,12 @@ def is_prime(v: int) -> bool:
             return True
         if v % w == 0:
             return False
-    d = v - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for w in _MR_WITNESSES[:4] if v < _MR_SMALL_BOUND else _MR_WITNESSES:
+    s = ((v - 1) & (1 - v)).bit_length() - 1  # v - 1 = d * 2^s with d odd
+    d = (v - 1) >> s
+    for bound, witnesses in _MR_RANGES:
+        if v < bound:
+            break
+    for w in witnesses:
         x = pow(w, d, v)
         if x == 1 or x == v - 1:
             continue
@@ -50,53 +55,70 @@ def is_prime(v: int) -> bool:
     return True
 
 
+def _block(lo: int, hi: int, base: list[int]) -> bytearray:
+    """flags[i] = 1 iff lo + i is prime, for 2 <= lo <= hi and base holding
+    every prime up to isqrt(hi): one slice assignment per base prime."""
+    size = hi - lo + 1
+    flags = bytearray([1]) * size
+    for p in base:
+        if p * p > hi:
+            break
+        first = max(p * p, -(-lo // p) * p) - lo
+        flags[first::p] = bytes(len(range(first, size, p)))
+    return flags
+
+
+@functools.lru_cache(maxsize=None)
 def _small_primes(bound: int) -> list[int]:
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, bound + 1) if sieve[i]]
+    if bound < 2:
+        return []
+    return list(compress(range(2, bound + 1),
+                         _block(2, bound, _small_primes(math.isqrt(bound)))))
+
+
+def _segments(lo: int, stop: int | None = None):
+    """Yield (lo, flags) for consecutive blocks from lo >= 2 up to stop
+    (inclusive; without end when None), as `_block` flags them.
+
+    The base primes reach the power of two above isqrt(hi), at most twice
+    it, and grow when a block passes them, so they stay O(sqrt(hi)) in
+    memory; the powers of two make repeated streams share their cache.
+    """
+    limit, base = 0, []
+    while stop is None or lo <= stop:
+        hi = lo + _SEGMENT - 1 if stop is None else min(lo + _SEGMENT - 1, stop)
+        if limit < math.isqrt(hi):
+            limit = 1 << math.isqrt(hi).bit_length()
+            base = _small_primes(limit)
+        yield lo, _block(lo, hi, base)
+        lo = hi + 1
+
+
+def _in_classes(lo: int, flags: bytearray, modulus: int, residues) -> list[int]:
+    """The flagged lo + i in the residue classes, ascending: one C-level
+    compress per class over the stride-modulus slice of the flags.  An odd
+    modulus is doubled to skip the even half of each class, which holds no
+    prime but 2."""
+    end = lo + len(flags)
+    head = []
+    if modulus % 2:
+        head = [2] if lo <= 2 < end and 2 % modulus in residues else []
+        residues = {r if r % 2 else r + modulus for r in residues}
+        modulus *= 2
+    runs = [compress(range(lo + off, end, modulus), flags[off::modulus])
+            for off in ((r - lo) % modulus for r in residues)]
+    return head + sorted(chain.from_iterable(runs))
 
 
 def iter_primes(start: int = 2):
     """Yield primes >= start in increasing order, sieving one segment at a time."""
-    base = _small_primes(_SEGMENT)
-    if start <= _SEGMENT:
-        for p in base:
-            if p >= start:
-                yield p
-        lo = _SEGMENT + 1
-    else:
-        lo = start
-    while True:
-        hi = lo + _SEGMENT - 1
-        while base[-1] ** 2 < hi:
-            base = _small_primes(2 * base[-1] ** 2)
-        block = bytearray([1]) * (hi - lo + 1)
-        for p in base:
-            if p * p > hi:
-                break
-            first = max(p * p, ((lo + p - 1) // p) * p)
-            block[first - lo :: p] = bytearray(len(block[first - lo :: p]))
-        for i, flag in enumerate(block):
-            if flag:
-                yield lo + i
-        lo = hi + 1
+    for lo, flags in _segments(max(start, 2)):
+        yield from compress(range(lo, lo + len(flags)), flags)
 
 
 def primes_upto(bound: int) -> list[int]:
-    """All primes <= bound, ascending (segmented sieve)."""
-    if bound < 2:
-        return []
-    if bound <= _SEGMENT:
-        return _small_primes(bound)
-    out = []
-    for p in iter_primes():
-        if p > bound:
-            break
-        out.append(p)
-    return out
+    """All primes <= bound, ascending."""
+    return primes_in_classes(PrimeStream(1, {0}, bound=bound))
 
 
 class _PrimeStreamFields(NamedTuple):
@@ -140,18 +162,14 @@ class PrimeStream(_PrimeStreamFields):
 
 
 def primes_in_classes(stream: PrimeStream) -> list[int]:
-    """Materialize a PrimeStream as an ascending list of primes."""
-    m = stream.modulus
-    if stream.bound is not None and 2 <= stream.bound <= _SEGMENT:
-        return [p for p in _small_primes(stream.bound) if p % m in stream.residues]
-    out = []
-    for p in iter_primes():
-        if stream.bound is not None and p > stream.bound:
-            break
-        if p % m in stream.residues:
-            out.append(p)
-            if stream.first is not None and len(out) == stream.first:
-                break
+    """Materialize a PrimeStream as an ascending list of primes, sieving
+    segment after segment until its bound or count is met."""
+    modulus, residues, first, bound = stream
+    out: list[int] = []
+    for lo, flags in _segments(2, bound):
+        out += _in_classes(lo, flags, modulus, residues)
+        if first is not None and len(out) >= first:
+            return out[:first]
     return out
 
 

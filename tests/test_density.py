@@ -388,3 +388,58 @@ def test_parity_suite_classifies_each_prime_once(monkeypatch):
     assert report.passed
     primes = primes_upto(2000)
     assert calls == Counter({(3, n, p): 1 for n in range(7, 20) for p in primes})
+
+
+def _tally_by_hand(m, n, records):
+    """The tally's numbers recomputed from the records in Fractions."""
+    r = euler_phi(n) // 2
+    total = len(records)
+    counts = {k: sum(1 for rec in records if rec.k == k) for k in range(r + 1)}
+    split = {f"{k}{sign}": sum(1 for rec in records
+                               if rec.k == k and rec.residue == int(sign + "1"))
+             for k in range(r + 1) for sign in "+-"}
+    structure = galois_model(m, n).structure
+    if structure == UNKNOWN:
+        predicted = deviation = None
+    else:
+        # C(r, k) / 2^r, or for the even subgroup twice that on k = r mod 2
+        half = structure == EVEN_SUBGROUP
+        predicted = [Fraction(math.comb(r, k) * (2 if half else 1), 2**r)
+                     if not half or (r - k) % 2 == 0 else Fraction(0)
+                     for k in range(r + 1)]
+        deviation = float(max(abs(Fraction(counts[k], total) - predicted[k])
+                              for k in range(r + 1)))
+    return {
+        "total": total,
+        "counts": {str(k): c for k, c in counts.items()},
+        "split": split,
+        "frequencies": {str(k): [Fraction(c, total).numerator, Fraction(c, total).denominator]
+                        for k, c in counts.items()},
+        "predicted": None if predicted is None else
+                     [[f.numerator, f.denominator] for f in predicted],
+        "max_abs_deviation": deviation,
+    }
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_tally_matches_a_fraction_recomputation(m):
+    for n in range(7, 20):
+        res = sweep(m, n, default_stream(m, n, first=80), workers=1)
+        got = tally_to_dict(res.tally)
+        expected = _tally_by_hand(m, n, res.records)
+        assert {key: got[key] for key in expected} == expected, (m, n)
+        assert type(got["max_abs_deviation"]) is type(expected["max_abs_deviation"])
+        assert all(type(f) is Fraction for f in res.tally.frequencies.values())
+        if res.tally.predicted is not None:
+            assert type(res.tally.predicted) is tuple
+            assert all(type(f) is Fraction for f in res.tally.predicted)
+
+
+def test_predicted_sigma_densities_returns_a_fresh_list():
+    model = galois_model(3, 7)
+    expected = [Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8)]
+    densities = predicted_sigma_densities(model)
+    densities[0] = Fraction(1)
+    densities.append(Fraction(0))
+    assert predicted_sigma_densities(model) == expected
+    assert sweep(3, 7, default_stream(3, 7, first=10)).tally.predicted == tuple(expected)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -70,6 +71,38 @@ def test_is_prime_small_witness_boundary():
 def test_is_prime_agrees_with_sieve_to_one_million():
     bound = 10**6
     assert [n for n in range(bound + 1) if is_prime(n)] == primes_upto(bound)
+
+
+# the witness sets by range: each range ends at the least strong pseudoprime
+# to its bases
+_WITNESS_BOUNDARIES = [
+    (1_373_653, (829, 1657), (2, 3)),
+    (25_326_001, (2251, 11251), (2, 3, 5)),
+    (3_215_031_751, (151, 751, 28351), (2, 3, 5, 7)),
+]
+
+
+@pytest.mark.parametrize("n, factors, bases", _WITNESS_BOUNDARIES)
+def test_is_prime_rejects_each_witness_boundary(n, factors, bases):
+    assert math.prod(factors) == n
+    assert all(_strong_probable_prime(n, b) for b in bases)
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [n for n, _, _ in _WITNESS_BOUNDARIES])
+def test_is_prime_next_to_each_witness_boundary(n):
+    divisors_ = primes_upto(math.isqrt(n + 200))
+    window = range(n - 200, n + 201)
+    expected = [v for v in window if all(v % q for q in divisors_)]
+    assert expected[0] < n < expected[-1]
+    assert [v for v in window if is_prime(v)] == expected
+
+
+def test_is_prime_agrees_with_sieve_across_the_first_witness_boundary():
+    # (10^6, 2 * 10^6] crosses 1,373,653, where the bases 2 and 3 stop
+    lo, bound = 10**6, 2 * 10**6
+    assert [v for v in range(lo + 1, bound + 1) if is_prime(v)] == \
+        [p for p in primes_upto(bound) if p > lo]
 
 
 def test_is_prime_just_below_2_64():
@@ -254,3 +287,61 @@ def test_genus_rejects_non_integral():
     # q = 11 is inadmissible for type {3,7}: 11 = +-4 mod 7 needs q = 11^3
     with pytest.raises(Inadmissible):
         genus_of_prime_power(3, 7, 11)
+
+
+# ---------------------------------------------------------------------------
+# the sieve streams against is_prime alone
+
+
+@pytest.fixture(scope="module")
+def filtered_primes():
+    return [v for v in range(300_001) if is_prime(v)]
+
+
+_CLASS_SETS = [(N, {1, N - 1}) for N in (7, 9, 11, 13, 19, 28, 32, 38)] + [
+    (1, {0}), (2, {1}), (3, {2}), (7, {2, 3, 4}), (10, {3, 7}), (12, {5, 7, 11})]
+
+
+@pytest.mark.parametrize("bound", [-1, 0, 1, 2, 3, (1 << 17) - 1, 1 << 17,
+                                   (1 << 17) + 1, 300_000])
+def test_bounded_streams_match_an_is_prime_filter(filtered_primes, bound):
+    expected = [p for p in filtered_primes if p <= bound]
+    assert primes_upto(bound) == expected
+    for modulus, residues in _CLASS_SETS:
+        got = primes_in_classes(PrimeStream(modulus, residues, bound=bound))
+        assert got == [p for p in expected if p % modulus in residues], (modulus, residues)
+
+
+@pytest.mark.parametrize("modulus, residues", _CLASS_SETS)
+def test_first_streams_past_the_first_segment_match_an_is_prime_filter(
+        filtered_primes, modulus, residues):
+    matching = [p for p in filtered_primes if p % modulus in residues]
+    first = sum(1 for p in matching if p <= 1 << 17) + 50
+    got = primes_in_classes(PrimeStream(modulus, residues, first=first))
+    assert got == matching[:first]
+    assert got[-1] > 1 << 17
+    assert primes_in_classes(PrimeStream(modulus, residues, first=1)) == matching[:1]
+
+
+@pytest.mark.parametrize("start", [-5, 0, 2, 3, (1 << 17) - 5, (1 << 17) + 1,
+                                   200_003, 250_000])
+def test_iter_primes_from_a_start_matches_an_is_prime_filter(filtered_primes, start):
+    got = list(itertools.islice(numkit.iter_primes(start), 2000))
+    assert got == [p for p in filtered_primes if p >= start][:2000]
+
+
+def test_segments_grow_the_base_primes_only_to_the_block_root(monkeypatch):
+    # past 131071^2 the next block needs base primes to isqrt(hi), about
+    # 1.3 * 10^5, not a sieve of twice the square of the last base prime
+    real = numkit._small_primes
+
+    def guarded(bound):
+        if bound > 10**7:
+            raise AssertionError(f"base primes asked for up to {bound}")
+        return real(bound)
+
+    monkeypatch.setattr(numkit, "_small_primes", guarded)
+    start = 18_000_000_000
+    p = next(numkit.iter_primes(start))
+    assert is_prime(p)
+    assert not any(is_prime(v) for v in range(start, p))
