@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import functools
 import json
+from itertools import chain, count, islice
 from math import gcd, lcm
 from typing import NamedTuple
 
 from . import gf
 from .errors import BadReduction, Inadmissible, IntegrityError, OracleError
 from .intpoly import IntPoly, psi, s_polynomial
-from .numkit import (divisors, euler_phi, genus_of_prime_power, is_prime, lucas_v,
-                     moebius, mult_order_signed, trace_modulus)
+from .numkit import (_factorize, divisors, euler_phi, genus_of_prime_power, is_prime,
+                     lucas_v, moebius, mult_order_signed, trace_modulus)
 
 # modulus that controls existence of order-m rotations in PSL(2,q)
 _M_MODULUS = {3: 3, 4: 8, 6: 12}
@@ -220,7 +221,7 @@ def _split_plan(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     t_{n-j} = -t_j would give the same root again).
     """
     n_mod = trace_modulus(n)
-    exponents = tuple(n_mod // q for q in divisors(n_mod) if q > 1 and is_prime(q))
+    exponents = tuple(n_mod // q for q in _factorize(n_mod))
     indices = tuple(j for j in range(1, (n + 1) // 2) if gcd(j, n_mod) == 1)
     return n_mod, exponents, indices
 
@@ -290,7 +291,7 @@ def check_witness(m: int, n: int, p: int, s_values: list[int]
         raise IntegrityError(f"split-route s-values do not multiply out to f1 mod {p}")
     if len(set(s_values)) != len(s_values):
         raise BadReduction(f"f1 for type {{{m},{n}}} is not squarefree mod {p}")
-    characters = [_chi_of_integer(s, p, 1) for s in s_values]
+    characters = [_chi_of_integer(s, p) for s in s_values]
     if 0 in characters:
         raise _s_zero(m, n, p)
     k = characters.count(1)
@@ -323,15 +324,14 @@ def _product_mod_p(roots: list[int], p: int) -> list[int]:
     return [(packed >> k & mask) % p for k in range(0, w * len(roots) + 1, w)]
 
 
-def _chi_of_integer(value: int, p: int, d: int) -> int:
-    """Character of an integer inside F_{p^d} (it lives in the prime field)."""
+def _chi_of_integer(value: int, p: int) -> int:
+    """Character of an integer inside F_{p^d} for odd d, which is its
+    character mod p: a non-square mod p stays one in an odd-degree extension."""
     if p == 2:
         return 1 if value % 2 else 0
     v = value % p
     if v == 0:
         return 0
-    if d % 2 == 0:
-        return 1
     return 1 if pow(v, (p - 1) // 2, p) == 1 else -1
 
 
@@ -366,7 +366,7 @@ def _parity(m: int, n: int, p: int, d: int, l: int) -> ParityVerdict:
     if m != 3 or d % 2 == 0:
         return ParityVerdict(False, None, observed, None)
     psi_one = _psi_one(n)
-    character = _chi_of_integer(psi_one, p, d)
+    character = _chi_of_integer(psi_one, p)
     if character == 0:
         raise IntegrityError(f"Psi_{n}(1) = {psi_one} vanishes mod {p} on a good prime")
     if d == 1 and n % 2 and p != 2:
@@ -464,12 +464,9 @@ def matrix_oracle(n: int, p: int, cls: TraceClass,
         raise OracleError("degenerate class with t^2 = 3")
     half = K.elem((p + 1) // 2)
 
-    x_mat = None
-    tried = 0
-    index = 0
-    candidate = half  # try r = 1/2 first so the beta = 0 branch gets exercised
-    while tried < 4000:
-        r = candidate
+    # try r = 1/2 first so the beta = 0 branch gets exercised
+    candidates = chain([half], (c for c in map(K.element_at, count()) if c != half))
+    for r in islice(candidates, 4000):
         v = one - r
         disc = t * t - K.elem(4) * (one - r + r * r)
         root = gf.sqrt_in_field(disc)
@@ -482,13 +479,7 @@ def matrix_oracle(n: int, p: int, cls: TraceClass,
                 raise IntegrityError("constructed x has the wrong zx trace")
             x_mat = (r, sp, u, v)
             break
-        tried += 1
-        candidate = K.element_at(index)
-        index += 1
-        if candidate == half:
-            candidate = K.element_at(index)
-            index += 1
-    if x_mat is None:
+    else:
         raise OracleError(f"no solvable x found for class {cls.factor} mod {p}")
 
     r, sp, u, v = x_mat

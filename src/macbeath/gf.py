@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import IntegrityError
 from .intpoly import IntPoly, discriminant
-from .numkit import is_prime
+from .numkit import _factorize, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -28,16 +28,6 @@ def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _trim(out)
 
 
 def _sub(a, b, p):
@@ -59,28 +49,6 @@ def _mul(a, b, p):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return _trim([c % p for c in out])
-
-
-def _mul_scalar(a, s, p):
-    s %= p
-    if s == 0:
-        return []
-    return _trim([c * s % p for c in a])
-
-
-def _divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(b[-1], -1, p)
-    rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(rem) - len(b), -1, -1):
-        c = rem[i + len(b) - 1] * inv % p
-        if c:
-            quo[i] = c
-            for j, d in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * d) % p
-    return _trim(quo), _trim(rem)
 
 
 def _rem(a, b, p):
@@ -107,13 +75,25 @@ def _rem(a, b, p):
 
 
 def _quo(a, b, p):
-    return _divmod(a, b, p)[0]
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(rem) - len(b), -1, -1):
+        c = rem[i + len(b) - 1] * inv % p
+        if c:
+            quo[i] = c
+            for j, d in enumerate(b):
+                rem[i + j] = (rem[i + j] - c * d) % p
+    return _trim(quo)
 
 
 def _monic(a, p):
     if not a or a[-1] == 1:
         return list(a)
-    return _mul_scalar(a, pow(a[-1], -1, p), p)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 def _gcd(a, b, p):
@@ -271,12 +251,6 @@ class _PackedModulus:
         return b
 
 
-def _pow_mod(base, exp, mod, p):
-    ring = _PackedModulus(mod, p)
-    base = [c % p for c in _rem(base, mod, p)]
-    return ring.unpack(ring.pow(ring.pack(base), exp))
-
-
 # ---------------------------------------------------------------------------
 # factorization
 
@@ -346,16 +320,17 @@ def _ddf(f, p, ring=None):
 def _edf(f, d, p, rng, ring=None):
     """Split monic squarefree f into its irreducible factors, all of degree d.
 
-    For p odd, a^((p^d-1)/2) is taken as (a^(1 + p + ... + p^(d-1)))^((p-1)/2),
-    the first power by Horner's rule on Frobenius maps of one ring mod f
-    (`ring`, with its Frobenius rows, if the caller has it).
+    All arithmetic is on packed residues of one ring mod f (`ring`, if the
+    caller has it).  For p odd, a^((p^d-1)/2) is taken as
+    (a^(1 + p + ... + p^(d-1)))^((p-1)/2), the first power by Horner's rule
+    on Frobenius maps; for p = 2, the trace map sums a^(2^i) for i < d.
     """
     n = len(f) - 1
     if n == d:
         return [f]
     if n % d:  # no split would end: the distinct-degree split went wrong
         raise IntegrityError(f"degree {n} is not a multiple of the factor degree {d}")
-    if ring is None and p > 2:
+    if ring is None:
         ring = _PackedModulus(f, p)
     while True:
         a = [rng.randrange(p) for _ in range(n)]
@@ -363,12 +338,12 @@ def _edf(f, d, p, rng, ring=None):
         if len(a) <= (1 if p > 2 else 0):
             continue
         if p == 2:
-            # trace map sum a^(2^i), i < d
-            t, cur = list(a), list(a)
+            # every slot holds 0 or 1, so xor adds two residues mod 2
+            t = cur = ring.pack(a)
             for _ in range(d - 1):
-                cur = _pow_mod(cur, 2, f, p)
-                t = _add(t, cur, p)
-            g = _gcd(t, f, p)
+                cur = ring.reduce(cur * cur)
+                t ^= cur
+            g = _gcd(ring.unpack(t), f, p)
         else:
             g = _gcd(a, f, p)
             if len(g) <= 1:
@@ -514,27 +489,23 @@ def _half_degree_pattern(g, p):
 
 
 def is_irreducible(g: list[int], p: int) -> bool:
-    """Rabin irreducibility test for monic g over F_p."""
+    """Rabin irreducibility test for monic g over F_p, degree e: x^(p^e) = x
+    mod g, and gcd(x^(p^(e/r)) - x, g) = 1 for each prime r | e.  Each
+    x^(p^i) is one Frobenius map of the one before, on the rows mod g."""
     e = len(g) - 1
     if e < 1 or g[-1] != 1:
         return False
     if e == 1:
         return True
-    x = [0, 1]
-    if _pow_mod(x, p**e, g, p) != _rem(x, g, p):
+    ring = _PackedModulus(g, p)
+    rows = ring.frobenius()
+    powers = [1 << ring.w]  # x^(p^i) mod g, packed, for i = 0..e
+    for _ in range(e):
+        powers.append(ring.frobenius_map(powers[-1], rows))
+    if powers[e] != powers[0]:
         return False
-    rem, r = e, 2
-    prime_divs = []
-    while r * r <= rem:
-        if rem % r == 0:
-            prime_divs.append(r)
-            while rem % r == 0:
-                rem //= r
-        r += 1
-    if rem > 1:
-        prime_divs.append(rem)
-    for r in prime_divs:
-        h = _sub(_pow_mod(x, p ** (e // r), g, p), x, p)
+    for r in _factorize(e):
+        h = _sub(ring.unpack(powers[e // r]), [0, 1], p)
         if len(_gcd(h, g, p)) > 1:
             return False
     return True
@@ -752,30 +723,24 @@ class FieldElem:
         return f"FieldElem({list(self.coeffs)} over {self.ctx!r})"
 
 
-def _norm_to_prime(a: FieldElem) -> int:
-    """Norm from F_{p^e} down to F_p: the resultant of the (monic) modulus
-    with a representative of a, by a Euclidean remainder sequence."""
-    p = a.ctx.p
-    f = list(a.ctx.modulus)
-    g = list(a.coeffs)
-    res = 1
-    while True:
-        if not g:
-            return 0
-        if len(g) == 1:
-            return res * pow(g[0], len(f) - 1, p) % p
-        r = _rem(f, g, p)
-        if ((len(f) - 1) * (len(g) - 1)) % 2:
-            res = -res
-        if g[-1] != 1:
-            res = res * pow(g[-1], (len(f) - 1) - max(len(r) - 1, 0), p)
-        res %= p
-        f, g = g, r
-
-
 def _norm(a: FieldElem) -> int:
-    """Norm of a nonzero a down to F_p (a itself in degree 1)."""
-    norm = a.v if a.ctx.degree == 1 else _norm_to_prime(a)
+    """Norm of a nonzero a down to F_p: a itself in degree 1, else the
+    resultant of the (monic) modulus with a representative of a, by a
+    Euclidean remainder sequence."""
+    p = a.ctx.p
+    if a.ctx.degree == 1:
+        norm = a.v
+    else:
+        f, g, res = list(a.ctx.modulus), list(a.coeffs), 1
+        while len(g) > 1:
+            r = _rem(f, g, p)
+            if ((len(f) - 1) * (len(g) - 1)) % 2:
+                res = -res
+            if g[-1] != 1:
+                res = res * pow(g[-1], (len(f) - 1) - max(len(r) - 1, 0), p)
+            res %= p
+            f, g = g, r
+        norm = res * pow(g[0], len(f) - 1, p) % p if g else 0
     if norm == 0:
         raise IntegrityError("norm of a nonzero field element vanished")
     return norm

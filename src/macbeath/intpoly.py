@@ -146,10 +146,6 @@ class IntPoly:
             result = result * value + c
         return result
 
-    def shift_compose(self, a: int, sign: int = -1) -> IntPoly:
-        """self(a + sign*x)."""
-        return self.compose(IntPoly((a, sign)))
-
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
 
@@ -312,7 +308,7 @@ def s_polynomial(m: int, n: int) -> IntPoly:
     if (m - 2) * (n - 2) <= 4:
         raise Inadmissible(f"type {{{m},{n}}} is not hyperbolic")
     deg = euler_phi(n) // 2
-    f1 = psi(n).shift_compose(_SHIFT[m])
+    f1 = psi(n).compose(IntPoly((_SHIFT[m], -1)))  # Psi_n(shift - x)
     if deg % 2:
         f1 = -f1
     if not f1.is_monic() or f1.degree != deg:

@@ -110,12 +110,6 @@ def _in_classes(lo: int, flags: bytearray, modulus: int, residues) -> list[int]:
     return head + sorted(chain.from_iterable(runs))
 
 
-def iter_primes(start: int = 2):
-    """Yield primes >= start in increasing order, sieving one segment at a time."""
-    for lo, flags in _segments(max(start, 2)):
-        yield from compress(range(lo, lo + len(flags)), flags)
-
-
 def primes_upto(bound: int) -> list[int]:
     """All primes <= bound, ascending."""
     return primes_in_classes(PrimeStream(1, {0}, bound=bound))

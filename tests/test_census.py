@@ -451,7 +451,7 @@ def test_s_zero_is_reported_alike_by_both_routes(monkeypatch):
     # the factorization route reads it from gf.chi, the split route from
     # the residue
     monkeypatch.setattr(gf, "chi", lambda s: 0)
-    monkeypatch.setattr(census_module, "_chi_of_integer", lambda value, p, d: 0)
+    monkeypatch.setattr(census_module, "_chi_of_integer", lambda value, p: 0)
     for split_route in (True, False):
         with pytest.raises(BadReduction, match=r"^s = 0 occurs for \(3,7,13\); "
                                                r"no generating triple has t\^2 = 3$"):

