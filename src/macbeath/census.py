@@ -130,11 +130,7 @@ def _map_census(m: int, n: int, p: int, traces: bool, split_route: bool) -> Cens
                    for s, character, t in sorted(zip(s_values, characters, t_values))]
     else:
         _check_prime(p)
-        try:
-            fd = _field_data(m, n, p)
-        except Inadmissible:
-            fd = None  # raised again by the factorization route, after its squarefree check
-        fd, classes = _factored_classes(m, n, p, f1, fd, traces)
+        fd, classes = _factored_classes(m, n, p, f1, traces)
         k = sum(1 for c in classes if c.regularity == INNER)
         l = len(classes) - k
         _check_class_count(m, n, p, k + l, classes[0].e)
@@ -188,14 +184,14 @@ def _trace_class(m: int, n: int, p: int, factor: tuple[int, ...], d: int,
                       INNER if character == 1 else OUTER, t)
 
 
-def _factored_classes(m: int, n: int, p: int, f1: IntPoly, fd: FieldData | None,
+def _factored_classes(m: int, n: int, p: int, f1: IntPoly,
                       traces: bool) -> tuple[FieldData, list[TraceClass]]:
-    """Classes from the irreducible factors of f1 mod p (any d)."""
+    """Field data and the classes from the irreducible factors of f1 mod p
+    (any d); a bad reduction is reported before an inadmissible p."""
     factored = gf.reduce_and_factor(f1, p)
     if not factored.squarefree:
         raise BadReduction(f"f1 for type {{{m},{n}}} is not squarefree mod {p}")
-    if fd is None:
-        fd = _field_data(m, n, p)
+    fd = _field_data(m, n, p)
     degrees = {len(g) - 1 for g, _ in factored.factors}
     if len(degrees) != 1:
         raise IntegrityError(f"unequal factor degrees {degrees} for ({m},{n},{p})")
@@ -427,19 +423,18 @@ def _conjugation_inverts(w, M) -> bool:
     return _proportional(left, right)
 
 
-def matrix_oracle(n: int, p: int, cls: TraceClass,
-                  ambient_d: int | None = None) -> OracleWitness:
+def matrix_oracle(n: int, p: int, cls: TraceClass, d: int) -> OracleWitness:
     """Re-derive the inner/outer verdict of a type-{3,n} class from matrices.
 
     Constructs z of order 2 and x of order 3 in SL(2) with tr(zx) = t, then
     the involution w = [[alpha, beta], [beta, -alpha]] that inverts both by
     conjugation, and reads the verdict off det w = -alpha^2 - beta^2.  The
     conjugation identities are checked literally, and the result must agree
-    with the character criterion.
+    with the character criterion.  d is the degree of the ambient field F_q
+    over F_p, `record.field.d` of the class's census record.
     """
     if p == 2:
         raise Inadmissible("the witness construction needs invertible 2")
-    d = ambient_d if ambient_d is not None else field_data(3, n, p).d
     e = cls.e
     base_ctx = gf.FieldCtx.trusted(p, cls.factor, d)
     if base_ctx == cls.s.ctx:
@@ -548,7 +543,7 @@ def route_product(m: int, n: int, p: int) -> tuple[tuple[int, ...], tuple[int, .
     if not factored.squarefree:
         raise BadReduction(f"Psi_{fd.n_modulus} is not squarefree mod {p}")
     shift = _T_SQUARE_SHIFT[m]
-    left: tuple[int, ...] = (1,)
+    left = [1]
     for factor, _ in factored.factors:
         ctx = gf.FieldCtx.trusted(p, factor, len(factor) - 1)
         troot = ctx.gen()
@@ -556,11 +551,11 @@ def route_product(m: int, n: int, p: int) -> tuple[tuple[int, ...], tuple[int, .
         minpoly = s_elem.min_poly()
         mult = (len(factor) - 1) // (len(minpoly) - 1)
         for _ in range(mult):
-            left = gf.poly_mul(left, minpoly, p)
-    right: tuple[int, ...] = tuple(gf.reduce_polynomial(s_polynomial(m, n), p))
+            left = gf._mul(left, minpoly, p)
+    right = gf.reduce_polynomial(s_polynomial(m, n), p)
     if n % 2 == 0:
-        right = gf.poly_mul(right, right, p)
-    return left, right
+        right = gf._mul(right, right, p)
+    return tuple(left), tuple(right)
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,12 @@ def _cmd_classify(args) -> int:
 def _cmd_oracle(args) -> int:
     # the oracle derives its own trace from each class, so none is kept here
     record = census.map_census(3, args.n, args.p, traces=False)
-    targets = record.classes if args.class_index is None \
-        else (record.classes[args.class_index],)
+    targets = record.classes
+    if args.class_index is not None:
+        if not 0 <= args.class_index < len(targets):
+            raise ValueError(f"class index {args.class_index} is out of range "
+                             f"for {len(targets)} classes")
+        targets = (targets[args.class_index],)
     witnesses = [census.matrix_oracle(args.n, args.p, cls, record.field.d)
                  for cls in targets]
     payload = {"n": args.n, "p": args.p, "witnesses": [

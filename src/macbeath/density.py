@@ -69,7 +69,7 @@ class PrimeSummary(NamedTuple):
 class SigmaTally(NamedTuple):
     m: int
     n: int
-    stream: PrimeStream | None
+    stream: PrimeStream
     total: int
     counts: dict[int, int]
     split: dict[tuple[int, str], int]
@@ -104,9 +104,10 @@ def _summarize(m: int, n: int, p: int) -> PrimeSummary | tuple[int, str]:
     return PrimeSummary(p, residue, k, l, fd.d, fd.q, genus)
 
 
-def _fan_out(func, items: list, workers: int) -> list:
+def _fan_out(func, items: list, workers: int | None) -> list:
     """[func(x) for x in items], shared out over w = min(workers, len(items))
-    forked children when w > 1 and the platform can fork.
+    forked children when w > 1 and the platform can fork; workers None is
+    `default_workers()`.
 
     Child i computes items[i::w] and writes its results, or the exception
     that stopped it, pickled down its own pipe, then leaves by os._exit
@@ -117,7 +118,7 @@ def _fan_out(func, items: list, workers: int) -> list:
     sending anything raises WorkerError.  The caller must hold no threads:
     a fork copies only the calling one.
     """
-    w = min(workers, len(items))
+    w = min(default_workers() if workers is None else workers, len(items))
     if w < 2 or not hasattr(os, "fork"):
         return [func(x) for x in items]
     import pickle  # loaded only when children start
@@ -179,7 +180,7 @@ def _fan_out_child(func, share: list, write_end: int) -> None:
         os._exit(status)
 
 
-def sweep(m: int, n: int, stream: PrimeStream | None = None, *,
+def sweep(m: int, n: int, stream: PrimeStream, *,
           workers: int | None = None, cache_path: str | None = None) -> SweepResult:
     """Classify every prime admitted by the stream and tally the k values.
 
@@ -189,15 +190,12 @@ def sweep(m: int, n: int, stream: PrimeStream | None = None, *,
     several workers does not change the result.
     """
     s_polynomial(m, n)  # an inadmissible type fails here, before any prime
-    if stream is None:
-        stream = default_stream(m, n, first=400)
     primes = primes_in_classes(stream)
     cached: dict[int, PrimeSummary] = {}
     cache_end = 0
     if cache_path and os.path.exists(cache_path):
         cached, cache_end = _read_cache(cache_path, m, n)
     todo = [p for p in primes if p not in cached]
-    workers = default_workers() if workers is None else workers
     fresh = {}
     skipped = []
     for item in _fan_out(functools.partial(_summarize, m, n), todo, workers):
@@ -214,7 +212,7 @@ def sweep(m: int, n: int, stream: PrimeStream | None = None, *,
                        _tally(m, n, stream, records, tuple(skipped)))
 
 
-def _tally(m: int, n: int, stream: PrimeStream | None,
+def _tally(m: int, n: int, stream: PrimeStream,
            records: tuple[PrimeSummary, ...],
            skipped: tuple[tuple[int, str], ...]) -> SigmaTally:
     r = euler_phi(n) // 2
@@ -233,13 +231,19 @@ def _tally(m: int, n: int, stream: PrimeStream | None,
         _sigma_densities(model.r, model.structure)
     deviation = None
     if predicted is not None and total:
-        # max |c/total - a/b| over k, in integers over the common denominator
-        # total * den: true division rounds it as float(Fraction) would
-        den = math.lcm(*(f.denominator for f in predicted))
-        deviation = max(abs(counts[k] * den - f.numerator * (den // f.denominator) * total)
-                        for k, f in enumerate(predicted)) / (total * den)
+        deviation = _max_deviation(counts, total, dict(enumerate(predicted)))
     return SigmaTally(m, n, stream, total, counts, split, frequencies,
                       predicted, deviation, skipped)
+
+
+def _max_deviation(counts: dict, total: int, predicted: dict) -> float:
+    """max |counts[k]/total - predicted[k]| over the keys of both, a missing
+    key counting 0: in integers over the common denominator total * den,
+    where true division rounds it as float(Fraction) would."""
+    den = math.lcm(*(f.denominator for f in predicted.values()))
+    scaled = {k: f.numerator * (den // f.denominator) * total for k, f in predicted.items()}
+    return max(abs(counts.get(k, 0) * den - scaled.get(k, 0))
+               for k in counts.keys() | scaled.keys()) / (total * den)
 
 
 def _read_cache(path: str, m: int, n: int) -> tuple[dict[int, PrimeSummary], int]:
@@ -424,10 +428,7 @@ class PatternCensus(NamedTuple):
 def _pattern_row(m: int, n: int, f2, p: int) -> tuple | None:
     """(degree pattern of f2 mod p, k') for one prime, k' None off the split
     primes; None when p has bad reduction."""
-    try:
-        pattern = gf.degree_pattern(f2, p)
-    except ValueError:
-        return None
+    pattern = gf.degree_pattern(f2, p)
     modulus = trace_modulus(n)
     if p % modulus not in (1, modulus - 1):
         return pattern, None
@@ -450,7 +451,6 @@ def pattern_census(m: int, n: int, bound: int, *,
     """
     f2 = doubled(s_polynomial(m, n))
     disc = discriminant(f2)
-    workers = default_workers() if workers is None else workers
     primes = primes_in_classes(PrimeStream(1, {0}, bound=bound))
     rows = _fan_out(functools.partial(_pattern_row, m, n, f2), primes, workers)
     counts: dict[tuple[int, ...], int] = {}
@@ -474,10 +474,7 @@ def pattern_census(m: int, n: int, bound: int, *,
     if model.structure != UNKNOWN:
         predicted = wreath_cycle_distribution(n, model.structure)
         if total:
-            keys = set(freqs) | set(predicted)
-            deviation = float(max(abs(freqs.get(k, Fraction(0))
-                                      - predicted.get(k, Fraction(0)))
-                                  for k in keys))
+            deviation = _max_deviation(counts, total, predicted)
     return PatternCensus(m, n, bound, total, dict(sorted(counts.items())), freqs,
                          predicted, deviation, tuple(sorted(skipped)),
                          checked, violations)
@@ -505,7 +502,7 @@ def tally_to_dict(tally: SigmaTally) -> dict:
     return {
         "m": tally.m,
         "n": tally.n,
-        "stream": None if tally.stream is None else {
+        "stream": {
             "modulus": tally.stream.modulus,
             "residues": sorted(tally.stream.residues),
             "first": tally.stream.first,

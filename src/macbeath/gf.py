@@ -382,17 +382,6 @@ class FactorList(NamedTuple):
     factors: tuple[tuple[tuple[int, ...], int], ...]  # (monic irreducible, mult)
     squarefree: bool = True
 
-    def pattern(self) -> tuple[int, ...]:
-        degs: list[int] = []
-        for f, m in self.factors:
-            degs.extend([len(f) - 1] * m)
-        return tuple(sorted(degs))
-
-
-def poly_mul(a, b, p: int) -> tuple[int, ...]:
-    """Product of two coefficient-list polynomials over F_p."""
-    return tuple(_mul(list(a), list(b), p))
-
 
 def reduce_polynomial(f: IntPoly, p: int) -> list[int]:
     """Coefficientwise reduction of f mod p; errors if the leading term dies."""
@@ -686,11 +675,6 @@ class FieldElem:
     def is_constant(self) -> bool:
         return self.v < self.ctx.p  # any higher slot would make v >= 2^w > p
 
-    def constant_value(self) -> int:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not in the prime field")
-        return self.v
-
     def min_poly(self) -> tuple[int, ...]:
         """Minimal polynomial over F_p, ascending coefficients, monic."""
         conjugates = [self]
@@ -709,7 +693,7 @@ class FieldElem:
         for coeff in poly:
             if not coeff.is_constant():
                 raise IntegrityError("minimal polynomial coefficients left the prime field")
-            out.append(coeff.constant_value())
+            out.append(coeff.v)
         return tuple(out)
 
     def __eq__(self, other):

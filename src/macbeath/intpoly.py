@@ -51,12 +51,6 @@ class IntPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -97,18 +91,6 @@ class IntPoly:
         return IntPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> IntPoly:
-        if k < 0:
-            raise ValueError("negative power")
-        result = IntPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def compose(self, inner: IntPoly) -> IntPoly:
         """self(inner(x)), by Horner over polynomials."""
@@ -372,7 +354,7 @@ def discriminant(f: IntPoly) -> int:
         raise ValueError("discriminant needs degree >= 1")
     d = f.degree
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    value, left = divmod(sign * resultant(f, f.derivative()), f.leading)
+    value, left = divmod(sign * resultant(f, f.derivative()), f.coeffs[-1])
     if left:
         raise IntegrityError("discriminant of an integer polynomial must be integral")
     return value

@@ -133,7 +133,8 @@ def appendix(workers: int | None = None) -> SuiteReport:
 
 def _parity_row(item: tuple[int, int]) -> tuple | None:
     """(k, d odd, failure or None) for one (n, p), None when p is skipped;
-    k is None when the census itself failed."""
+    k is None when the census itself failed, as it does on a parity
+    violation (`census._parity` raises IntegrityError)."""
     n, p = item
     try:
         record = census.map_census(3, n, p, traces=False)
@@ -141,15 +142,11 @@ def _parity_row(item: tuple[int, int]) -> tuple | None:
         return None
     except IntegrityError as exc:
         return None, False, f"p={p}: {exc}"
-    odd_d = bool(record.field.d % 2)
-    failure = (f"p={p}: inconsistent parity"
-               if odd_d and not record.parity.consistent else None)
-    return record.k, odd_d, failure
+    return record.k, bool(record.field.d % 2), None
 
 
 def parity(bound: int = 10**4, workers: int | None = None) -> SuiteReport:
     start = time.time()
-    workers = density.default_workers() if workers is None else workers
     primes = primes_upto(bound)
     items = [(n, p) for n in range(7, 20) for p in primes]
     per_n = {n: [0, []] for n in range(7, 20)}  # odd-d primes, failures
@@ -190,7 +187,8 @@ def _oracle_row(item: tuple[int, int]) -> tuple | None:
     skipped."""
     n, p = item
     try:
-        record = census.map_census(3, n, p)
+        # the oracle derives its own trace from each class
+        record = census.map_census(3, n, p, traces=False)
     except (BadReduction, Inadmissible):
         return None
     agreed = degenerate = 0
@@ -218,7 +216,6 @@ def _route_row(item: tuple[int, int]) -> bool | None:
 
 def oracle(bound: int = 500, workers: int | None = None) -> SuiteReport:
     start = time.time()
-    workers = density.default_workers() if workers is None else workers
     primes = primes_upto(bound)
     items = [(n, p) for n in (7, 9, 11) for p in primes if p != 2]
     per_n: dict[int, list] = {n: [0, 0, []] for n in (7, 9, 11)}

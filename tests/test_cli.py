@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 from timelimit import time_limit
@@ -14,7 +15,9 @@ from macbeath import census, refdata
 from macbeath.census import map_census, matrix_oracle, record_from_json
 from macbeath.cli import build_parser, main
 from macbeath.errors import Inadmissible
+from macbeath.gf import reduce_and_factor
 from macbeath.intpoly import s_polynomial
+from macbeath.numkit import primes_upto
 
 
 def run(capsys, *argv):
@@ -119,6 +122,43 @@ def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "--n", "7", "--p", "13")
     assert code == 0
     assert out.count("inner") == 1 and out.count("outer") == 2
+
+
+def test_oracle_class_index_must_name_a_class(capsys):
+    # type {3,7} has three classes at p = 13
+    argv = ("oracle", "--n", "7", "--p", "13", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    witnesses = json.loads(out)["witnesses"]
+    assert code == 0 and len(witnesses) == 3
+    for index in range(3):
+        code, out, err = run(capsys, *argv, "--class-index", str(index))
+        assert code == 0 and err == ""
+        assert json.loads(out)["witnesses"] == [witnesses[index]]
+    for index in (-1, 3, 5):
+        code, out, err = run(capsys, *argv, "--class-index", str(index))
+        assert code == 1 and out == ""
+        assert err == (f"error: invalid-input: class index {index} is out of "
+                       f"range for 3 classes\n")
+
+
+def test_bad_reduction_is_reported_before_an_inadmissible_p(capsys):
+    # a prime dividing N, or one the m rule rejects, is a bad reduction
+    # exactly when f1 is not squarefree mod p, and inadmissible otherwise
+    seen = Counter()
+    for m in (3, 4, 6):
+        for n in range(7, 31):
+            n_mod = n if n % 2 else 2 * n
+            for p in primes_upto(29):
+                if n_mod % p and not (m == 4 and p == 2 or m == 6 and p in (2, 3)):
+                    continue
+                squarefree = reduce_and_factor(s_polynomial(m, n), p).squarefree
+                code, out, err = run(capsys, "classify", "--m", str(m), "--n", str(n),
+                                     "--p", str(p))
+                expected = "inadmissible" if squarefree else "bad-reduction"
+                assert code == 1 and out == "", (m, n, p)
+                assert err.startswith(f"error: {expected}: "), (m, n, p, err)
+                seen[expected] += 1
+    assert seen == {"bad-reduction": 93, "inadmissible": 58}
 
 
 def test_pattern_command(capsys):

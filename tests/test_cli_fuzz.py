@@ -27,12 +27,14 @@ OPTIONS = {
     "--bound": st.integers(-3, 600),
     "--p": st.integers(-3, 300),
     "--galois-override": st.sampled_from(["full_wreath", "even_subgroup", "unknown"]),
+    "--class-index": st.integers(-3, 10),
 }
 COMMANDS = {
     "sweep": ("--m", "--n", "--first", "--bound"),
     "pattern": ("--m", "--n", "--bound"),
     "predict": ("--m", "--n", "--galois-override"),
     "classify": ("--m", "--n", "--p"),
+    "oracle": ("--n", "--p", "--class-index"),
 }
 
 

@@ -433,6 +433,17 @@ def test_tally_matches_a_fraction_recomputation(m):
         if res.tally.predicted is not None:
             assert type(res.tally.predicted) is tuple
             assert all(type(f) is Fraction for f in res.tally.predicted)
+    # the pattern census takes its deviation from the same integer formula
+    for n in (7, 11, 13):
+        res = pattern_census(m, n, 5000, workers=1)
+        if res.predicted is None:
+            assert res.max_abs_deviation is None, (m, n)
+            continue
+        keys = set(res.counts) | set(res.predicted)
+        expected = float(max(abs(Fraction(res.counts.get(k, 0), res.total)
+                                 - res.predicted.get(k, Fraction(0))) for k in keys))
+        assert type(res.max_abs_deviation) is float
+        assert res.max_abs_deviation == expected, (m, n)
 
 
 def test_predicted_sigma_densities_returns_a_fresh_list():
