@@ -423,24 +423,21 @@ def _conjugation_inverts(w, M) -> bool:
     return _proportional(left, right)
 
 
-def matrix_oracle(n: int, p: int, cls: TraceClass, d: int) -> OracleWitness:
+def matrix_oracle(cls: TraceClass) -> OracleWitness:
     """Re-derive the inner/outer verdict of a type-{3,n} class from matrices.
 
     Constructs z of order 2 and x of order 3 in SL(2) with tr(zx) = t, then
     the involution w = [[alpha, beta], [beta, -alpha]] that inverts both by
     conjugation, and reads the verdict off det w = -alpha^2 - beta^2.  The
     conjugation identities are checked literally, and the result must agree
-    with the character criterion.  d is the degree of the ambient field F_q
-    over F_p, `record.field.d` of the class's census record.
+    with the character criterion.  It works in the class's field, where s
+    is the generator, or in the quadratic extension of it that holds t.
     """
+    base_ctx = cls.s.ctx
+    p, d, e = base_ctx.p, base_ctx.ambient_d, cls.e
     if p == 2:
         raise Inadmissible("the witness construction needs invertible 2")
-    e = cls.e
-    base_ctx = gf.FieldCtx.trusted(p, cls.factor, d)
-    if base_ctx == cls.s.ctx:
-        base_ctx = cls.s.ctx  # the same field: reuse its packed ring
-    s_base = base_ctx.gen()
-    t = gf.sqrt_in_field(base_ctx.elem(3) - s_base)
+    t = gf.sqrt_in_field(base_ctx.elem(3) - cls.s)
     if t is not None:
         K = base_ctx
     else:
@@ -484,10 +481,6 @@ def matrix_oracle(n: int, p: int, cls: TraceClass, d: int) -> OracleWitness:
     x3 = _mat_mul(x2, x_mat)
     if x3 != (-one, zero, zero, -one):
         raise IntegrityError("x is not of order 3")
-    # nonsingularity determinant for the trace triple (0, 1, t): equals 3 - t^2
-    nonsing, _ = cps_discriminant(zero, one, u - sp)
-    if nonsing != s_val or nonsing.is_zero():
-        raise OracleError("nonsingularity determinant check failed")
 
     alpha = sp + u
     beta_options = [-(r - v), r - v]
@@ -595,22 +588,17 @@ def record_to_dict(record: CensusRecord) -> dict:
 
 
 def record_from_json(text: str) -> CensusRecord:
+    """The census record a `classify --format json` report names, recomputed:
+    only m, n, p and whether its classes carry traces are read, and ValueError
+    is raised unless its d, q and class factors are the recomputed ones."""
     data = json.loads(text)
-    m, n, p = data["m"], data["n"], data["p"]
-    fd = field_data(m, n, p)
-    if fd.d != data["d"] or str(fd.q) != data["q"]:
-        raise ValueError("serialized field data is inconsistent")
-    classes = []
-    for c in data["classes"]:
-        ctx = gf.FieldCtx(p, c["factor"], ambient_d=fd.d)
-        t = ctx.elem(c["t"]) if c["t"] is not None else None
-        classes.append(TraceClass(ctx.modulus, c["e"], ctx.elem(c["s"]),
-                                  c["chi"], c["regularity"], t))
-    parity = ParityVerdict(data["parity"]["applicable"], data["parity"]["predicted"],
-                           data["parity"]["observed"], data["parity"]["consistent"])
-    return CensusRecord(m, n, p, fd, int(data["genus"]), tuple(classes),
-                        data["k"], data["l"], parity,
-                        data["closed_form_count"], data["count_flag"])
+    classes = data["classes"]
+    record = map_census(data["m"], data["n"], data["p"],
+                        traces=any(c["t"] is not None for c in classes))
+    if (data["d"], data["q"], [c["factor"] for c in classes]) != (
+            record.field.d, str(record.field.q), [list(c.factor) for c in record.classes]):
+        raise ValueError("serialized field or class factors differ from the recomputed census")
+    return record
 
 
 CSV_CLASS_HEADER = ("m", "n", "p", "d", "q", "genus", "k", "l", "parity_ok",

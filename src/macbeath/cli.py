@@ -72,14 +72,21 @@ def _cmd_psi(args) -> int:
 
 
 def _small_prime_factors(value: int, bound: int = 10**5):
+    # primes sieved in stages: once limit^2 exceeds what is left, it is 1 or a prime
     value = abs(value)
     factors = {}
-    for p in primes_upto(bound):
-        while value % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            value //= p
-        if value == 1:
-            break
+    limit = tried = 0
+    while limit < bound and limit * limit <= value:
+        limit = min(max(64, limit * limit), bound)
+        primes = primes_upto(limit)
+        for p in primes[tried:]:
+            while value % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                value //= p
+        tried = len(primes)
+    if 1 < value <= bound:  # a prime that the whole list would have divided out
+        factors[value] = 1
+        value = 1
     return factors, value  # value > 1 is an unfactored cofactor
 
 
@@ -136,8 +143,7 @@ def _cmd_oracle(args) -> int:
             raise ValueError(f"class index {args.class_index} is out of range "
                              f"for {len(targets)} classes")
         targets = (targets[args.class_index],)
-    witnesses = [census.matrix_oracle(args.n, args.p, cls, record.field.d)
-                 for cls in targets]
+    witnesses = [census.matrix_oracle(cls) for cls in targets]
     payload = {"n": args.n, "p": args.p, "witnesses": [
         {"verdict": w.verdict, "degenerate": w.degenerate,
          "field_modulus": list(w.field_modulus),

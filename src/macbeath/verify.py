@@ -137,12 +137,12 @@ def _parity_row(item: tuple[int, int]) -> tuple | None:
     violation (`census._parity` raises IntegrityError)."""
     n, p = item
     try:
-        record = census.map_census(3, n, p, traces=False)
+        field, k, _, _, _ = census.summary(3, n, p)
     except (BadReduction, Inadmissible):
         return None
     except IntegrityError as exc:
         return None, False, f"p={p}: {exc}"
-    return record.k, bool(record.field.d % 2), None
+    return k, bool(field.d % 2), None
 
 
 def parity(bound: int = 10**4, workers: int | None = None) -> SuiteReport:
@@ -195,7 +195,7 @@ def _oracle_row(item: tuple[int, int]) -> tuple | None:
     failures = []
     for cls in record.classes:
         try:
-            witness = census.matrix_oracle(n, p, cls, record.field.d)
+            witness = census.matrix_oracle(cls)
         except (IntegrityError, Inadmissible) as exc:
             failures.append(f"p={p} factor={cls.factor}: {exc}")
             continue

@@ -177,7 +177,7 @@ def test_matrix_oracle_3_7_13():
     r = map_census(3, 7, 13)
     verdicts = {}
     for c in r.classes:
-        w = matrix_oracle(7, 13, c, r.field.d)
+        w = matrix_oracle(c)
         verdicts[c.s.coeffs] = (w.verdict, w.degenerate)
     assert verdicts[(4,)][0] == "inner"
     assert verdicts[(6,)][0] == "outer"
@@ -188,16 +188,16 @@ def test_matrix_oracle_3_7_13():
 def test_matrix_oracle_rejects_char2():
     r = map_census(3, 7, 2)
     with pytest.raises(Inadmissible):
-        matrix_oracle(7, 2, r.classes[0], r.field.d)
+        matrix_oracle(r.classes[0])
 
 
 def test_matrix_oracle_agrees_on_extension_fields():
     r = map_census(3, 7, 5)  # d = 3, one class over F_125
     assert len(r.classes) == 1
-    w = matrix_oracle(7, 5, r.classes[0], r.field.d)
+    w = matrix_oracle(r.classes[0])
     assert w.verdict == r.classes[0].regularity == "inner"  # 5 = 1 mod 4
     r = map_census(3, 7, 3)  # 3 = -1 mod 4: outer
-    w = matrix_oracle(7, 3, r.classes[0], r.field.d)
+    w = matrix_oracle(r.classes[0])
     assert w.verdict == "outer"
 
 
@@ -207,9 +207,26 @@ def test_matrix_oracle_extension_branch():
     r = map_census(3, 8, 7)
     assert r.field.d == 2 and all(c.e == 1 for c in r.classes)
     for c in r.classes:
-        w = matrix_oracle(8, 7, c, r.field.d)
+        w = matrix_oracle(c)
         assert w.verdict == c.regularity == "inner"
         assert len(w.field_modulus) - 1 == 2  # worked in the quadratic extension
+
+
+def test_matrix_oracle_works_in_the_field_of_its_class(monkeypatch):
+    # a class whose trace lies in its own field needs no new context
+    built = []
+    trusted = gf.FieldCtx.trusted
+    monkeypatch.setattr(gf.FieldCtx, "trusted", staticmethod(
+        lambda p, modulus, d: built.append(modulus) or trusted(p, modulus, d)))
+    checked = 0
+    for n, p in ((7, 13), (7, 43), (7, 5), (9, 19), (13, 5)):
+        for c in map_census(3, n, p).classes:
+            if c.t is not None:
+                built.clear()
+                assert matrix_oracle(c).verdict == c.regularity
+                assert c.factor not in built
+                checked += 1
+    assert checked >= 5
 
 
 def test_census_m6():
@@ -282,11 +299,35 @@ def test_json_round_trip():
 def test_record_from_json_rejects_a_reducible_factor_and_a_composite_p():
     data = json.loads(record_to_json(map_census(3, 7, 11)))
     data["classes"][0]["factor"] = [1, 3, 3, 1]  # (x + 1)^3
-    with pytest.raises(ValueError, match="not irreducible"):
+    with pytest.raises(ValueError, match="differ from the recomputed census"):
         record_from_json(json.dumps(data))
     data = json.loads(record_to_json(map_census(3, 7, 13)))
     data["p"] = 15
     with pytest.raises(Inadmissible, match="not a prime"):
+        record_from_json(json.dumps(data))
+
+
+def test_record_from_json_recomputes_a_forged_verdict():
+    # the inner class relabelled outer, with k and l to match: the loader
+    # never reads a verdict, so it returns the true record
+    true = map_census(3, 7, 13)
+    data = json.loads(record_to_json(true))
+    inner = next(c for c in data["classes"] if c["regularity"] == "inner")
+    inner.update(chi=-1, regularity="outer")
+    data.update(k=0, l=3)
+    record = record_from_json(json.dumps(data))
+    assert record == true and (record.k, record.l) == (1, 2)
+    assert record_to_dict(record) != data
+
+
+@pytest.mark.parametrize("key, value", [("d", 2), ("q", "169"), ("factor", [0, 1])])
+def test_record_from_json_rejects_other_field_data_or_factors(key, value):
+    data = json.loads(record_to_json(map_census(3, 7, 13)))
+    if key == "factor":
+        data["classes"][0]["factor"] = value
+    else:
+        data[key] = value
+    with pytest.raises(ValueError, match="differ from the recomputed census"):
         record_from_json(json.dumps(data))
 
 

@@ -11,7 +11,7 @@ import pytest
 from timelimit import time_limit
 
 import macbeath
-from macbeath import census, refdata
+from macbeath import census, cli, refdata
 from macbeath.census import map_census, matrix_oracle, record_from_json
 from macbeath.cli import build_parser, main
 from macbeath.errors import Inadmissible
@@ -47,6 +47,36 @@ def test_disc(capsys):
     data = json.loads(out)
     assert data["disc_f1"] == "49"
     assert data["bad_primes"] == [2, 7]
+
+
+def _trial_division(value, bound):
+    value, factors, p = abs(value), {}, 2
+    while p <= bound and value > 1:
+        while value % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            value //= p
+        p += 1
+    return factors, value
+
+
+@pytest.mark.parametrize("value", [
+    2**5 * 3 * 97,           # a prime cofactor below the bound
+    -(7**3) * 1009,          # negative, with a prime cofactor above it
+    2 * 1009 * 1013,         # two primes above the bound
+    1031 * 1033,             # two primes above the bound and nothing else
+    1, -1, 64 * 64, 4099**2,
+])
+def test_small_prime_factors_matches_trial_division(value):
+    assert cli._small_prime_factors(value, bound=1000) == _trial_division(value, 1000)
+
+
+def test_disc_sieves_only_what_its_discriminant_needs(capsys, monkeypatch):
+    asked = []
+    sieve = cli.primes_upto
+    monkeypatch.setattr(cli, "primes_upto", lambda bound: asked.append(bound) or sieve(bound))
+    code, out, _ = run(capsys, "disc", "--n", "7", "--format", "json")
+    assert code == 0 and json.loads(out)["bad_primes"] == [2, 7]
+    assert asked and max(asked) <= 64
 
 
 def test_classify_json_round_trips(capsys):
@@ -407,7 +437,7 @@ def test_oracle_output_matches_the_traced_record(capsys, n, p):
     # the command classifies without traces; the witnesses must be the ones
     # built from the full record
     record = map_census(3, n, p)
-    expected = [matrix_oracle(n, p, cls, record.field.d) for cls in record.classes]
+    expected = [matrix_oracle(cls) for cls in record.classes]
     code, out, _ = run(capsys, "oracle", "--n", str(n), "--p", str(p),
                        "--format", "json")
     assert code == 0

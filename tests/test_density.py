@@ -375,19 +375,28 @@ def test_pattern_bridge_catches_a_flipped_witness_character(monkeypatch):
     assert res.bridge_violations == res.bridge_checked > 100
 
 
-def test_parity_suite_classifies_each_prime_once(monkeypatch):
-    calls = Counter()
-    original = census.map_census
+def _count_calls(monkeypatch, name):
+    counter, original = Counter(), getattr(census, name)
 
     def counting(m, n, p, **kwargs):
-        calls[(m, n, p)] += 1
+        counter[(m, n, p)] += 1
         return original(m, n, p, **kwargs)
 
-    monkeypatch.setattr(census, "map_census", counting)
+    monkeypatch.setattr(census, name, counting)
+    return counter
+
+
+def test_parity_suite_classifies_each_prime_once(monkeypatch):
+    # every (n, p) goes through census.summary once, which builds a full
+    # record (map_census) at most once, and none on a split prime
+    summaries = _count_calls(monkeypatch, "summary")
+    records = _count_calls(monkeypatch, "map_census")
     report = verify.parity(bound=2000, workers=1)
     assert report.passed
     primes = primes_upto(2000)
-    assert calls == Counter({(3, n, p): 1 for n in range(7, 20) for p in primes})
+    assert summaries == Counter({(3, n, p): 1 for n in range(7, 20) for p in primes})
+    assert set(records.values()) == {1}
+    assert not any(census._ladder(3, n, p) for _, n, p in records)
 
 
 def _tally_by_hand(m, n, records):

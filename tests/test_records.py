@@ -39,7 +39,7 @@ def instances():
     report = verify.table1()
     found = [
         record.field, record.classes[0], record.parity, record,
-        census.matrix_oracle(7, 13, record.classes[0], record.field.d),
+        census.matrix_oracle(record.classes[0]),
         result.records[0], result.tally, result, density.galois_model(3, 7),
         density.pattern_census(3, 7, 200, workers=1),
         gf.reduce_and_factor(s_polynomial(3, 7), 13),
