@@ -126,42 +126,44 @@ def _deriv(a, p):
 class _PackedModulus:
     """Arithmetic in F_p[x]/(f) on Kronecker-packed ints, for a fixed f.
 
-    A reduced residue a_0 + a_1 x + ... + a_{d-1} x^(d-1) (0 <= a_j < p) is
-    the int sum a_j * 2^(j*w): one slot of w bits per coefficient.  The
-    product of two packed residues is then one big-int product whose slot j
-    holds the j-th coefficient of the polynomial product, at most d*(p-1)^2
-    and so free of carries.  Reduction takes the top slots j >= d mod p and
-    adds each, times the packed row T_i = x^(d+i) mod f, into the low d
-    slots; a low slot then holds at most 2d*(p-1)^2 < (2d+1)*p^2 + p, which
-    w is chosen to cover.  A last pass reduces every low slot mod p.  Rows
-    exist for i < d, one more than a product needs, so that a squaring can
-    be multiplied by x (a shift by one slot) before the same reduction.
-    A sum of two residues (slots below 2p) or a residue plus p in every slot
-    minus another (slots in 1..2p-1) needs only the last pass.
+    A residue a_0 + ... + a_{d-1} x^(d-1) (0 <= a_j < p) of the monic f of
+    degree d is the int sum a_j * 2^(j*w), one w-bit slot per coefficient; a
+    product of two is one big-int product, slot j at most d*(p-1)^2.  Every
+    entry point takes slots below d*p^2 < 2^V, V = bitlen(d*p^2), and reduces
+    them in a fixed number of big-int operations whatever d is:
+
+    * mod p, all slots at once, by a Barrett step (Barrett, CRYPTO '86;
+      Granlund and Montgomery, PLDI '94): with K = V + bitlen(p) and M =
+      ceil(2^K/p), floor(v*M/2^K) = floor(v/p) for v < 2^V, as the excess
+      v*(M*p - 2^K)/(p*2^K) is below 2^-bitlen(p) < 1/p.  w = V + bitlen(M)
+      keeps v*M below 2^w, inside its slot, so after the shift by K a
+      (w-K)-bit mask per slot holds each quotient alone;
+    * mod f, by polynomial Barrett reduction (von zur Gathen and Gerhard,
+      Modern Computer Algebra, 9.1): for deg a < 2d, a mod f is the low d
+      slots of a plus those of q*(x^d - f), q = floor(floor(a/x^d) * MU/x^d)
+      with MU = floor(x^(2d)/f).  Nothing carries over F_p, and each sum
+      reduced mod p stays below d*p^2.  A product may first be shifted by
+      one slot (times x), since its degree stays below 2d.
     """
 
-    __slots__ = ("p", "d", "w", "mask", "low", "rows", "slots", "_frobenius")
+    __slots__ = ("p", "d", "w", "mask", "low", "_k", "_m", "_qm", "_mu", "_negf",
+                 "_frobenius")
 
     def __init__(self, f, p):
         f = _monic(f, p)  # the remainder mod c*f is the remainder mod f
         d = len(f) - 1
         if d < 1:
             raise ValueError("modulus must have degree >= 1")
-        w = ((2 * d + 1) * p * p + p).bit_length()
-        self.p, self.d, self.w = p, d, w
-        self.mask = (1 << w) - 1
-        self.low = (1 << d * w) - 1
-        # shift of slot j, highest first, for the normalizing pass
-        self.slots = tuple(range((d - 1) * w, -1, -w))
-        rows = []
-        row = [-c % p for c in f[:-1]]  # x^d mod f
-        for i in range(d):
-            rows.append(((d + i) * w, self.pack(row)))
-            top = row[-1]
-            row = [0] + row[:-1]
-            if top:
-                row = [(a - top * b) % p for a, b in zip(row, f)]
-        self.rows = tuple(rows)
+        v = (d * p * p).bit_length()
+        k = v + p.bit_length()
+        m = -(-(1 << k) // p)
+        w = v + m.bit_length()
+        self.p, self.d, self.w, self._k, self._m = p, d, w, k, m
+        self.mask, self.low = (1 << w) - 1, (1 << d * w) - 1
+        # w - K low bits in each of 2d slots: where the quotients land
+        self._qm = ((1 << 2 * d * w) - 1) // self.mask * ((1 << w - k) - 1)
+        self._mu = self.pack(_quo([0] * (2 * d) + [1], f, p))
+        self._negf = self.pack([-c % p for c in f[:-1]])
         self._frobenius = None
 
     def pack(self, coeffs) -> int:
@@ -179,22 +181,18 @@ class _PackedModulus:
         return _trim(out)
 
     def normalize(self, acc: int) -> int:
-        """Reduce each of the low d slots of acc mod p."""
-        p, w, mask = self.p, self.w, self.mask
-        out = 0
-        for s in self.slots:
-            out = (out << w) | ((acc >> s) & mask) % p
-        return out
+        """Reduce each slot of acc (2d slots at most, each below d*p^2) mod p."""
+        return acc - ((acc * self._m >> self._k) & self._qm) * self.p
 
     def reduce(self, prod: int) -> int:
-        """A packed product (2d slots at most, unreduced) mod f."""
-        p, mask = self.p, self.mask
-        acc = prod & self.low
-        for s, row in self.rows:
-            c = ((prod >> s) & mask) % p
-            if c:
-                acc += c * row
-        return self.normalize(acc)
+        """A packed polynomial of degree < 2d (slots below d*p^2) mod f; its
+        three steps mod p are `normalize` inlined (a call costs ~10% each)."""
+        m, k, qm, p, low, dw = self._m, self._k, self._qm, self.p, self.low, self.d * self.w
+        n = prod - ((prod * m >> k) & qm) * p
+        q = (n >> dw) * self._mu >> dw
+        q -= ((q * m >> k) & qm) * p
+        r = (n & low) + (q * self._negf & low)
+        return r - ((r * m >> k) & qm) * p
 
     def pow(self, a: int, exp: int) -> int:
         """a**exp mod f, left-to-right square and multiply."""

@@ -252,7 +252,8 @@ def patterns(bound: int = 10**6, workers: int | None = None) -> SuiteReport:
     result = density.pattern_census(3, 7, bound, workers=workers)
     checks = []
     predicted = result.predicted
-    assert predicted is not None
+    if predicted is None:
+        raise IntegrityError("no predicted pattern densities for the {3,7} census")
     for pattern in sorted(predicted):
         freq = result.frequencies.get(pattern, Fraction(0))
         dev = abs(freq - predicted[pattern])

@@ -11,7 +11,7 @@ import pytest
 from timelimit import time_limit
 
 import macbeath
-from macbeath import census, cli, refdata
+from macbeath import census, cli, density, refdata
 from macbeath.census import map_census, matrix_oracle, record_from_json
 from macbeath.cli import build_parser, main
 from macbeath.errors import Inadmissible
@@ -333,6 +333,16 @@ def test_verify_fails_a_bound_with_no_primes(capsys, suite, bound):
     *rows, summary = out.splitlines()
     assert rows and all(row.startswith("FAIL ") for row in rows)
     assert summary.startswith(f"suite {suite}: FAIL")
+
+
+def test_verify_patterns_without_a_model_is_an_integrity_error(capsys, monkeypatch):
+    # no prediction to compare with: an error line and exit 1, also under -O
+    real = density.galois_model
+    monkeypatch.setattr(density, "galois_model",
+                        lambda m, n: real(m, n, override=density.UNKNOWN))
+    code, out, err = run(capsys, "verify", "patterns", "--bound", "200", "--workers", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: integrity:") and "Traceback" not in err
 
 
 def test_verify_rejects_a_bound_for_a_suite_without_one(capsys):

@@ -332,6 +332,7 @@ except ImportError:  # sympy is a test-only reference
     gf_pow_mod = None
 
 P63 = 2**63 - 25  # the largest prime below 2^63
+P64 = 2**64 - 59  # the largest prime below 2^64, the CLI's limit
 
 
 def schoolbook_pow_mod(base, exp, mod, p):
@@ -360,7 +361,7 @@ def sympy_pow_mod(base, exp, mod, p):
 def kernel_cases():
     rng = random.Random(23)
     cases = []
-    for p in (2, 3, 5, 101, 65521, P63):
+    for p in (2, 3, 5, 101, 65521, P63, P64):
         for d in (1, 2, 3, 7, 18):
             mod = [rng.randrange(p) for _ in range(d)] + [1]
             for exp in (0, 1, 2, 3, p, p**2 - 1, rng.randrange(1, 1 << 80)):
@@ -393,6 +394,49 @@ def test_packed_pow_mod_edge_values():
     assert packed_pow_mod([0, 1], 9, [6, 0, 2], 7) == packed_pow_mod([0, 1], 9, [3, 0, 1], 7)
     with pytest.raises(ValueError):
         packed_pow_mod([1], 3, [4], 7)
+
+
+def loop_reduce(ring, mod, prod):
+    """The per-slot reduction the Barrett steps replaced, as the reference:
+    each top slot mod p, times the row x^(d+i) mod f, added into the low
+    slots, then each low slot mod p."""
+    p, d, w, mask = ring.p, ring.d, ring.w, ring.mask
+    f = gf._monic(mod, p)
+    acc = [(prod >> j * w) & mask for j in range(d)]
+    row = [-c % p for c in f[:-1]]  # x^d mod f
+    for i in range(d):
+        c = ((prod >> (d + i) * w) & mask) % p
+        acc = [a + c * r for a, r in zip(acc, row)]
+        top, row = row[-1], [0] + row[:-1]
+        row = [(a - top * b) % p for a, b in zip(row, f)]
+    return ring.pack([a % p for a in acc])
+
+
+def test_barrett_steps_at_the_largest_slot_content():
+    # every slot at the documented bound d*p^2 - 1, and the largest product
+    # of two residues (all coefficients p - 1), plain and shifted by x
+    rng = random.Random(53)
+    for p in (2, 3, 65521, P64):
+        for d in (1, 2, 3, 9, 18):
+            mod = [rng.randrange(p) for _ in range(d)] + [1]
+            ring = gf._PackedModulus(mod, p)
+            top = d * p * p - 1
+            full = ring.pack([top] * (2 * d))
+            assert ring.normalize(full) == ring.pack([top % p] * (2 * d)), (p, d)
+            assert ring.unpack(ring.reduce(full)) == gf._rem([top % p] * (2 * d), mod, p)
+            assert ring.reduce(full) == loop_reduce(ring, mod, full), (p, d)
+            for a in ([p - 1] * d, [rng.randrange(p) for _ in range(d)]):
+                a = gf._trim(a)
+                for shift in (0, 1):
+                    prod = (ring.pack(a) ** 2) << shift * ring.w
+                    expected = gf._rem(gf._mul([0] * shift + a, a, p), mod, p)
+                    assert ring.unpack(ring.reduce(prod)) == expected, (p, d, shift)
+                    assert ring.reduce(prod) == loop_reduce(ring, mod, prod), (p, d, shift)
+            for _ in range(20):
+                slots = [rng.randrange(top + 1) for _ in range(2 * d)]
+                acc = ring.pack(slots)
+                assert ring.normalize(acc) == ring.pack([v % p for v in slots])
+                assert ring.reduce(acc) == loop_reduce(ring, mod, acc), (p, d, slots)
 
 
 def test_frobenius_is_identity_after_e_steps():
