@@ -12,6 +12,7 @@ and p, so results are reproducible run to run.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from typing import NamedTuple
 
@@ -146,8 +147,8 @@ class _PackedModulus:
       one slot (times x), since its degree stays below 2d.
     """
 
-    __slots__ = ("p", "d", "w", "mask", "low", "_k", "_m", "_qm", "_mu", "_negf",
-                 "_frobenius")
+    __slots__ = ("p", "d", "w", "mask", "low", "_k", "_m", "_qm", "_p_slots", "_mu",
+                 "_negf", "_frobenius")
 
     def __init__(self, f, p):
         f = _monic(f, p)  # the remainder mod c*f is the remainder mod f
@@ -162,7 +163,12 @@ class _PackedModulus:
         self.mask, self.low = (1 << w) - 1, (1 << d * w) - 1
         # w - K low bits in each of 2d slots: where the quotients land
         self._qm = ((1 << 2 * d * w) - 1) // self.mask * ((1 << w - k) - 1)
-        self._mu = self.pack(_quo([0] * (2 * d) + [1], f, p))
+        self._p_slots = self.low // self.mask * p  # p in each of d slots
+        # MU = floor(x^(2d)/f) reversed is 1/rev(f) mod x^(d+1), rev(f) = x^d f(1/x)
+        inv = [1]
+        for j in range(1, d + 1):
+            inv.append(-sum(map(operator.mul, f[d - j:d], inv)) % p)
+        self._mu = self.pack(inv[::-1])
         self._negf = self.pack([-c % p for c in f[:-1]])
         self._frobenius = None
 
@@ -291,27 +297,39 @@ def _sqf_list(f, p):
 def _ddf(f, p, ring=None):
     """Distinct-degree split of monic squarefree f: list of (product, degree),
     degrees ascending.  `ring` is the packed modulus of f, if the caller has it."""
-    if len(f) <= 2:
-        return [(list(f), 1)] if len(f) == 2 else []
-    out = []
-    # h and the Frobenius rows stay reduced mod the original f: every
-    # cofactor divides it, so a gcd with the cofactor is the same gcd
+    r = len(f) - 1
+    if r <= 1:
+        return [(list(f), 1)] if r == 1 else []
     if ring is None:
         ring = _PackedModulus(f, p)
     rows = ring.frobenius()
-    h = rows[1]  # x^p mod f, packed
-    i = 1
-    while True:
+    x = 1 << ring.w
+    if rows[1] == x:  # x^p = x mod f: every factor is linear
+        return [(list(f), 1)]
+    # x^(p^i) mod f for i <= r/2; f is irreducible iff it has no factor of
+    # degree <= r/2, one gcd with the product of the x^(p^i) - x (Rabin)
+    powers = [rows[1]]
+    while len(powers) < r // 2:
+        powers.append(ring.frobenius_map(powers[-1], rows))
+    prod = 1
+    for h in powers:
+        prod = ring.reduce(prod * ring.normalize(h + ring._p_slots - x))
+    if _gcd_degree(ring.unpack(prod), list(f), p) == 0:
+        return [(list(f), r)]
+    out = []
+    # h and the Frobenius rows stay reduced mod the original f: every
+    # cofactor divides it, so a gcd with the cofactor is the same gcd
+    for i, h in enumerate(powers, 1):
+        if 2 * i > len(f) - 1:
+            break
+        if h == x:  # every factor's degree divides i, and none below i is left
+            return out + [(list(f), i)]  # a copy: callers consume groups
         g = _gcd(_sub(ring.unpack(h), [0, 1], p), f, p)
         if len(g) > 1:
             out.append((g, i))
             f = _quo(f, g, p)
-        i += 1
-        if 2 * i > len(f) - 1:
-            break
-        h = ring.frobenius_map(h, rows)
     if len(f) > 1:
-        out.append((list(f), len(f) - 1))  # a copy: callers consume groups
+        out.append((list(f), len(f) - 1))
     return out
 
 
@@ -468,9 +486,12 @@ def _half_degree_pattern(g, p):
             a = ring.reduce(a1 * ring.frobenius_map(a, rows))
             i += 1
         k = (len(group) - 1) // e
-        s, left = divmod(_gcd_degree(_sub(ring.unpack(a), [1], p), group, p), e)
-        if left or s > k:
-            raise IntegrityError("square roots of g do not fit its factor degrees")
+        if k == 1:  # one factor: its roots are squares iff it divides a_e - 1
+            s = 0 if _rem(_sub(ring.unpack(a), [1], p), group, p) else 1
+        else:
+            s, left = divmod(_gcd_degree(_sub(ring.unpack(a), [1], p), group, p), e)
+            if left or s > k:
+                raise IntegrityError("square roots of g do not fit its factor degrees")
         pattern += [e] * (2 * s) + [2 * e] * (k - s)
     return tuple(sorted(pattern))
 
@@ -510,7 +531,7 @@ class FieldCtx:
     reduces to a computation inside F_{p^e}.
     """
 
-    __slots__ = ("p", "modulus", "degree", "ambient_d", "_ring", "_p_slots")
+    __slots__ = ("p", "modulus", "degree", "ambient_d", "_ring")
 
     def __init__(self, p: int, modulus, ambient_d: int | None = None):
         """A checked context: p prime, the modulus monic and irreducible mod p
@@ -549,9 +570,7 @@ class FieldCtx:
         """Packed arithmetic mod the modulus, built on first use (degree > 1;
         a degree-1 context works on the residue itself and never builds one)."""
         if self._ring is None:
-            ring = _PackedModulus(self.modulus, self.p)
-            self._p_slots = ring.pack([self.p] * self.degree)  # for - and negation
-            self._ring = ring
+            self._ring = _PackedModulus(self.modulus, self.p)
         return self._ring
 
     @property
@@ -642,14 +661,14 @@ class FieldElem:
         if ctx.degree == 1:
             return FieldElem(ctx, (self.v - other.v) % ctx.p)
         ring = ctx._ring or ctx.ring()
-        return FieldElem(ctx, ring.normalize(self.v + ctx._p_slots - other.v))
+        return FieldElem(ctx, ring.normalize(self.v + ring._p_slots - other.v))
 
     def __neg__(self) -> FieldElem:
         ctx = self.ctx
         if ctx.degree == 1:
             return FieldElem(ctx, -self.v % ctx.p)
         ring = ctx._ring or ctx.ring()
-        return FieldElem(ctx, ring.normalize(ctx._p_slots - self.v))
+        return FieldElem(ctx, ring.normalize(ring._p_slots - self.v))
 
     def __mul__(self, other: FieldElem) -> FieldElem:
         ctx = self.ctx

@@ -639,14 +639,112 @@ def euclid_calls(monkeypatch):
 
 
 def test_half_degree_kernel_euclid_count(kernel_calls, euclid_calls):
-    # f1 for n = 11 is irreducible of degree 5 mod 3: the distinct-degree
-    # split runs floor(5/2) gcds and the square count one more
-    f1 = s_polynomial(3, 11)
-    assert factor_pattern(reduce_and_factor(f1, 3)) == (5,)
-    euclid_calls.clear()
-    assert degree_pattern(doubled(f1), 3) == (10,)
-    assert kernel_calls == [3]
-    assert euclid_calls == ["_gcd", "_gcd", "_gcd_degree"]
+    # f1 for n = 11 is irreducible of degree 5 mod 3: one gcd proves it, and
+    # the square count of its one factor is a remainder.  Mod 23 it splits:
+    # x^p = x ends the distinct-degree split, and the square count of the five
+    # linear factors is one gcd
+    f1, f2 = s_polynomial(3, 11), doubled(s_polynomial(3, 11))
+    for p, factors in ((3, (5,)), (23, (1,) * 5)):
+        assert factor_pattern(reduce_and_factor(f1, p)) == factors
+        pattern = factor_pattern(reduce_and_factor(f2, p))
+        kernel_calls.clear()
+        euclid_calls.clear()
+        assert degree_pattern(f2, p) == pattern
+        assert kernel_calls == [p]
+        assert euclid_calls == ["_gcd_degree"], p
+
+
+def loop_ddf(f, p):
+    """The distinct-degree split as one gcd per degree, with no early exit:
+    the reference."""
+    if len(f) <= 2:
+        return [(list(f), 1)] if len(f) == 2 else []
+    out = []
+    ring = gf._PackedModulus(f, p)
+    rows = ring.frobenius()
+    h = rows[1]
+    i = 1
+    while True:
+        g = gf._gcd(gf._sub(ring.unpack(h), [0, 1], p), f, p)
+        if len(g) > 1:
+            out.append((g, i))
+            f = gf._quo(f, g, p)
+        i += 1
+        if 2 * i > len(f) - 1:
+            break
+        h = ring.frobenius_map(h, rows)
+    if len(f) > 1:
+        out.append((list(f), len(f) - 1))
+    return out
+
+
+def squarefree_product(p, degrees, rng):
+    """A product of distinct random monic irreducibles of the given degrees,
+    or None when F_p has too few of some degree."""
+    factors = set()
+    for e in sorted(set(degrees)):
+        k = degrees.count(e)
+        if gauss_count(p, e) < k:
+            return None
+        chosen = set()
+        while len(chosen) < k:
+            chosen.add(random_irreducible(p, e, rng))
+        factors |= chosen
+    f = [1]
+    for g in sorted(factors):
+        f = gf._mul(f, list(g), p)
+    return f
+
+
+def test_ddf_exits_match_the_gcd_loop(euclid_calls):
+    # x^p = x ends a fully split f with no gcd, one gcd proves f irreducible,
+    # x^(p^e) = x ends an equal-degree f after e - 1 gcds, and on mixed
+    # degrees that reach neither exit the gcd loop runs as in the reference
+    rng = random.Random(59)
+    seen = set()
+    for p in (2, 3, 5, 101, 65521, P64):
+        for d in range(1, 19):
+            cases = [("irreducible", [d])]
+            if d > 1:
+                cases.append(("split", [1] * d))
+            cases += [("equal", [e] * (d // e)) for e in range(2, d) if d % e == 0]
+            for _ in range(20 if d > 2 else 0):
+                parts = []
+                while sum(parts) < d:
+                    parts.append(rng.randrange(1, d - sum(parts) + 1))
+                top = max(parts)
+                if len(set(parts)) > 1 and not (all(top % e == 0 for e in parts)
+                                                and parts.count(top) > 1):
+                    cases.append(("mixed", sorted(parts)))
+                    break
+            for kind, degrees in cases:
+                f = squarefree_product(p, degrees, rng)
+                if f is None:
+                    continue
+                euclid_calls.clear()
+                expected = loop_ddf(f, p)
+                reference_calls = list(euclid_calls)
+                euclid_calls.clear()
+                assert gf._ddf(f, p) == expected, (p, d, kind, f)
+                if d == 1 or kind == "split":
+                    exit_calls = []
+                elif kind == "irreducible":
+                    exit_calls = ["_gcd_degree"]
+                elif kind == "equal":
+                    exit_calls = ["_gcd_degree"] + ["_gcd"] * (degrees[0] - 1)
+                else:
+                    exit_calls = ["_gcd_degree"] + reference_calls
+                assert euclid_calls == exit_calls, (p, d, kind, f)
+                seen.add(kind)
+    assert seen == {"irreducible", "split", "equal", "mixed"}
+
+
+def test_series_mu_matches_the_long_division():
+    # MU = floor(x^(2d)/f), from the power series 1/rev(f), against _quo
+    for mod, p in {(tuple(mod), p) for _, _, mod, p in kernel_cases()}:
+        ring = gf._PackedModulus(list(mod), p)
+        d = ring.d
+        assert ring._mu == ring.pack(gf._quo([0] * (2 * d) + [1], list(mod), p)), (mod, p)
 
 
 def test_discriminant_computed_once_per_polynomial(monkeypatch):
