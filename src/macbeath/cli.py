@@ -111,26 +111,30 @@ def _cmd_disc(args) -> int:
 
 def _cmd_classify(args) -> int:
     record = census.map_census(args.m, args.n, args.p, traces=not args.no_traces)
-    payload = census.record_to_dict(record)
-    lines = [f"type {{{args.m},{args.n}}}, p={args.p}: q={record.field.q} "
-             f"(d={record.field.d}), genus {record.genus}",
-             f"classes: {len(record.classes)}  inner k={record.k}  outer l={record.l}"]
-    if record.count_flag:
-        lines.append(f"note: factor count differs from phi(n)/2d = "
-                     f"{record.closed_form_count} (Galois-folded case)")
-    for i, c in enumerate(record.classes):
-        t_part = f" t={list(c.t.coeffs)}" if c.t is not None else ""
-        lines.append(f"  class {i}: factor={list(c.factor)} s={list(c.s.coeffs)} "
-                     f"chi={c.chi:+d} {c.regularity}{t_part}")
-    par = record.parity
-    if par.applicable:
-        lines.append(f"parity: l predicted {par.predicted}, observed {par.observed} "
-                     f"-> {'consistent' if par.consistent else 'VIOLATION'}")
+    # only the chosen format is built, as in _cmd_sweep
+    payload = lines = csv_rows = None
+    if args.format == "json":
+        payload = census.record_to_dict(record)
+    elif args.format == "csv":
+        csv_rows = census.record_to_csv_rows(record)
     else:
-        lines.append("parity: not applicable (d even or m != 3)")
-    _emit(args, payload, lines,
-          csv_header=census.CSV_CLASS_HEADER,
-          csv_rows=census.record_to_csv_rows(record))
+        lines = [f"type {{{args.m},{args.n}}}, p={args.p}: q={record.field.q} "
+                 f"(d={record.field.d}), genus {record.genus}",
+                 f"classes: {len(record.classes)}  inner k={record.k}  outer l={record.l}"]
+        if record.count_flag:
+            lines.append(f"note: factor count differs from phi(n)/2d = "
+                         f"{record.closed_form_count} (Galois-folded case)")
+        for i, c in enumerate(record.classes):
+            t_part = f" t={list(c.t.coeffs)}" if c.t is not None else ""
+            lines.append(f"  class {i}: factor={list(c.factor)} s={list(c.s.coeffs)} "
+                         f"chi={c.chi:+d} {c.regularity}{t_part}")
+        par = record.parity
+        if par.applicable:
+            lines.append(f"parity: l predicted {par.predicted}, observed {par.observed} "
+                         f"-> {'consistent' if par.consistent else 'VIOLATION'}")
+        else:
+            lines.append("parity: not applicable (d even or m != 3)")
+    _emit(args, payload, lines, csv_header=census.CSV_CLASS_HEADER, csv_rows=csv_rows)
     return 0
 
 
@@ -144,17 +148,19 @@ def _cmd_oracle(args) -> int:
                              f"for {len(targets)} classes")
         targets = (targets[args.class_index],)
     witnesses = [census.matrix_oracle(cls) for cls in targets]
-    payload = {"n": args.n, "p": args.p, "witnesses": [
-        {"verdict": w.verdict, "degenerate": w.degenerate,
-         "field_modulus": list(w.field_modulus),
-         "x": [list(c) for c in w.x_matrix],
-         "alpha": list(w.alpha), "beta": list(w.beta), "det_w": list(w.det_w)}
-        for w in witnesses]}
-    lines = []
-    for cls, w in zip(targets, witnesses):
-        lines.append(f"class s={list(cls.s.coeffs)}: {w.verdict}"
-                     f"{' (degenerate beta=0 branch)' if w.degenerate else ''}; "
-                     f"det w = {list(w.det_w)} in F_p[x]/({list(w.field_modulus)})")
+    payload = lines = None  # only the chosen format is built: csv dumps the payload
+    if args.format == "table":
+        lines = [f"class s={list(cls.s.coeffs)}: {w.verdict}"
+                 f"{' (degenerate beta=0 branch)' if w.degenerate else ''}; "
+                 f"det w = {list(w.det_w)} in F_p[x]/({list(w.field_modulus)})"
+                 for cls, w in zip(targets, witnesses)]
+    else:
+        payload = {"n": args.n, "p": args.p, "witnesses": [
+            {"verdict": w.verdict, "degenerate": w.degenerate,
+             "field_modulus": list(w.field_modulus),
+             "x": [list(c) for c in w.x_matrix],
+             "alpha": list(w.alpha), "beta": list(w.beta), "det_w": list(w.det_w)}
+            for w in witnesses]}
     _emit(args, payload, lines)
     return 0
 

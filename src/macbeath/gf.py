@@ -1,12 +1,12 @@
 """Finite fields F_p[x]/(g) and polynomial factorization mod p.
 
-Polynomials over F_p are coefficient lists, constant term first, with
-coefficients reduced to 0..p-1 and no trailing zeros ([] is the zero
-polynomial).  Factorization runs squarefree decomposition, then distinct
-degree factorization with a precomputed Frobenius power table, then
-Cantor-Zassenhaus equal degree splitting (a trace-map variant in
-characteristic 2).  The splitting PRNG is seeded from the input polynomial
-and p, so results are reproducible run to run.
+Polynomials over F_p are coefficient lists, constant term first, entries in
+0..p-1, no trailing zeros ([] is zero).  Factorization runs squarefree
+decomposition, distinct degree factorization on Frobenius rows, then
+Cantor-Zassenhaus equal degree splitting in the same ring (a trace map in
+characteristic 2); its PRNG, seeded from the input, runs only if a class splits.
+Square roots in F_{p^e} descend through its subfields on the Frobenius rows
+of the field's one ring, with no power of full size.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import IntegrityError
 from .intpoly import IntPoly, discriminant
-from .numkit import _factorize, is_prime
+from .numkit import _factorize, divisors, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -306,30 +306,35 @@ def _ddf(f, p, ring=None):
     x = 1 << ring.w
     if rows[1] == x:  # x^p = x mod f: every factor is linear
         return [(list(f), 1)]
-    # x^(p^i) mod f for i <= r/2; f is irreducible iff it has no factor of
-    # degree <= r/2, one gcd with the product of the x^(p^i) - x (Rabin)
+    # x^(p^i) mod f for i <= r/2, up to the first that is x again
     powers = [rows[1]]
-    while len(powers) < r // 2:
+    while len(powers) < r // 2 and powers[-1] != x:
         powers.append(ring.frobenius_map(powers[-1], rows))
-    prod = 1
-    for h in powers:
-        prod = ring.reduce(prod * ring.normalize(h + ring._p_slots - x))
-    if _gcd_degree(ring.unpack(prod), list(f), p) == 0:
-        return [(list(f), r)]
+    if powers[-1] == x:
+        # x^(p^e) = x: every factor's degree divides e, so only the proper
+        # divisors of e can find one, and what is left is one group of degree e
+        e, steps = len(powers), divisors(len(powers))[:-1]
+    else:
+        # f is irreducible iff it has no factor of degree <= r/2, one gcd with
+        # the product of the x^(p^i) - x (Rabin)
+        prod = 1
+        for h in powers:
+            prod = ring.reduce(prod * ring.normalize(h + ring._p_slots - x))
+        if _gcd_degree(ring.unpack(prod), list(f), p) == 0:
+            return [(list(f), r)]
+        e, steps = 0, range(1, len(powers) + 1)
     out = []
     # h and the Frobenius rows stay reduced mod the original f: every
     # cofactor divides it, so a gcd with the cofactor is the same gcd
-    for i, h in enumerate(powers, 1):
-        if 2 * i > len(f) - 1:
+    for i in steps:
+        if not e and 2 * i > len(f) - 1:
             break
-        if h == x:  # every factor's degree divides i, and none below i is left
-            return out + [(list(f), i)]  # a copy: callers consume groups
-        g = _gcd(_sub(ring.unpack(h), [0, 1], p), f, p)
+        g = _gcd(_sub(ring.unpack(powers[i - 1]), [0, 1], p), f, p)
         if len(g) > 1:
             out.append((g, i))
             f = _quo(f, g, p)
     if len(f) > 1:
-        out.append((list(f), len(f) - 1))
+        out.append((list(f), e or len(f) - 1))  # a copy: callers consume groups
     return out
 
 
@@ -337,9 +342,11 @@ def _edf(f, d, p, rng, ring=None):
     """Split monic squarefree f into its irreducible factors, all of degree d.
 
     All arithmetic is on packed residues of one ring mod f (`ring`, if the
-    caller has it).  For p odd, a^((p^d-1)/2) is taken as
-    (a^(1 + p + ... + p^(d-1)))^((p-1)/2), the first power by Horner's rule
-    on Frobenius maps; for p = 2, the trace map sums a^(2^i) for i < d.
+    caller has it).  Each draw a gives one t mod f, and gcd(t, g) splits
+    every part g still above degree d.  For p odd, t = a^((p^d-1)/2) - 1, the
+    power taken as (a^(1 + p + ... + p^(d-1)))^((p-1)/2), the first by
+    Horner's rule on Frobenius maps; for p = 2, t is the trace map, the sum of
+    a^(2^i) for i < d.
     """
     n = len(f) - 1
     if n == d:
@@ -348,9 +355,9 @@ def _edf(f, d, p, rng, ring=None):
         raise IntegrityError(f"degree {n} is not a multiple of the factor degree {d}")
     if ring is None:
         ring = _PackedModulus(f, p)
-    while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        a = _trim(a)
+    done, parts = [], [f]
+    while parts:
+        a = _trim([rng.randrange(p) for _ in range(n)])
         if len(a) <= (1 if p > 2 else 0):
             continue
         if p == 2:
@@ -359,14 +366,17 @@ def _edf(f, d, p, rng, ring=None):
             for _ in range(d - 1):
                 cur = ring.reduce(cur * cur)
                 t ^= cur
-            g = _gcd(ring.unpack(t), f, p)
-        else:
-            g = _gcd(a, f, p)
-            if len(g) <= 1:
-                b = ring.pow(ring.frobenius_sum_power(ring.pack(a), d), (p - 1) // 2)
-                g = _gcd(_sub(ring.unpack(b), [1], p), f, p)
-        if 1 < len(g) < len(f):
-            return _edf(g, d, p, rng) + _edf(_quo(f, g, p), d, p, rng)
+        else:  # p - 1 in slot 0 and p in the others subtracts 1
+            t = ring.pow(ring.frobenius_sum_power(ring.pack(a), d), (p - 1) // 2)
+            t = ring.normalize(t + ring._p_slots - 1)
+        t = ring.unpack(t)
+        left = []
+        for g in parts:
+            h = _gcd(t, g, p)
+            for part in (h, _quo(g, h, p)) if 1 < len(h) < len(g) else (g,):
+                (left if len(part) - 1 > d else done).append(part)
+        parts = left
+    return done
 
 
 def _splitting_seed(coeffs, p):
@@ -377,13 +387,15 @@ def _splitting_seed(coeffs, p):
 
 
 def _factor_monic(f, p, squarefree):
-    rng = random.Random(_splitting_seed(f, p))
+    rng = None  # seeded on the first group that needs splitting
     out = []
     for g, mult in [(f, 1)] if squarefree else _sqf_list(f, p):
         # one ring mod g for its distinct-degree split and, when that finds a
         # single degree class, for the equal-degree split of g itself
         ring = _PackedModulus(g, p) if len(g) > 2 else None
         for h, d in _ddf(g, p, ring):
+            if rng is None and len(h) - 1 > d:
+                rng = random.Random(_splitting_seed(f, p))
             for irr in _edf(h, d, p, rng, ring if len(h) == len(g) else None):
                 out.append((tuple(irr), mult))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
@@ -572,10 +584,6 @@ class FieldCtx:
         if self._ring is None:
             self._ring = _PackedModulus(self.modulus, self.p)
         return self._ring
-
-    @property
-    def order(self) -> int:
-        return self.p**self.degree
 
     def elem(self, coeffs) -> FieldElem:
         if isinstance(coeffs, int):
@@ -778,12 +786,9 @@ def sqrt_in_field(a: FieldElem) -> FieldElem | None:
     """A square root of a inside its own field F_{p^e}, or None.
 
     Note chi may still be +1 when this returns None: the root then lives only
-    in the larger ambient field and is not represented here.  The returned
-    root is the lexicographically smaller of the pair +-r.
-
-    Odd e: with r = (p^e - 1)/(p - 1), a^r = Norm(a) = c^2 for some c in F_p,
-    so a^((r+1)/2) / c squares to a; a^((r+1)/2) = a * phi(u^(1 + p^2 + ...
-    + p^(e-3))) with u = a^((p+1)/2), by Frobenius maps.  Even e: Tonelli-Shanks.
+    in the larger ambient field and is not represented here.  A non-square is
+    rejected by its norm before any Frobenius row is built; a square gets the
+    lexicographically smaller root +-r of `_descent_sqrt` (in F_p, `_sqrt_mod_prime`).
     """
     ctx = a.ctx
     if a.is_zero():
@@ -791,66 +796,95 @@ def sqrt_in_field(a: FieldElem) -> FieldElem | None:
     p, e = ctx.p, ctx.degree
     if p == 2:
         return a ** (2 ** (e - 1))
-    if e % 2:
-        norm = _norm(a)
-        if pow(norm, (p - 1) // 2, p) != 1:
-            return None
-        c = _sqrt_mod_prime(norm, p)
-        if e == 1:
-            r = FieldElem(ctx, c)
-        else:
-            ring = ctx.ring()
-            u = ring.pow(a.v, (p + 1) // 2)
-            h = ring.frobenius_map(ring.frobenius_sum_power(u, (e - 1) // 2, 2),
-                                   ring.frobenius())
-            r = FieldElem(ctx, ring.normalize(ring.reduce(a.v * h) * pow(c, -1, p)))
-    else:
-        if _euler_sign(a) != 1:
-            return None
-        r = _tonelli_shanks(a)
-    if (r * r) != a:
+    norm = _norm(a)
+    if pow(norm, (p - 1) // 2, p) != 1:
+        return None
+    r = FieldElem(ctx, _sqrt_mod_prime(norm, p) if e == 1 else _descent_sqrt(ctx.ring(), a.v, norm))
+    if r.v is None or r * r != a:
         raise IntegrityError("square root verification failed")
     return min(r, -r, key=lambda x: x.coeffs)
 
 
+def _descent_sqrt(ring: _PackedModulus, a: int, norm: int) -> int | None:
+    """A root of the packed a of F_{p^e} = F_p[x]/(f), p odd, or None if a is not
+    a square, level by level in subfields F_{p^k}, k = e first, all in one ring.
+
+    Odd k: with r = (p^k-1)/(p-1), s = a^((r+1)/2) = a * phi(u^(1 + p^2 + ... +
+    p^(k-3))), u = a^((p+1)/2), squares to Norm(a) * a, so s/sqrt(Norm(a)).
+    Even k = 2h, Q = p^h (the complex method of Adj and Rodriguez-Henriquez,
+    IEEE Trans. Computers 63(11), 2014): for a outside F_Q, with a' = phi^h(a)
+    and c = sqrt(a a') in F_Q, one T^2 = a + a' +- 2c is a square in F_Q and
+    (a + c)/T squares to a.  An a of F_Q with no root there has sqrt(a/beta) *
+    iota, iota = z - phi^h(z), beta = iota^2: z = x at the top, and below it
+    the beta of the level above.
+    """
+    p, rows = ring.p, ring.frobenius()
+
+    def conj(v, h):  # phi^h(v)
+        return functools.reduce(lambda u, _: ring.frobenius_map(u, rows), range(h), v)
+
+    def inverse(v, k):  # 1/v = v^(p + ... + p^(k-1)) / Norm(v) in F_{p^k}
+        if v < p:
+            return pow(v, -1, p)
+        u = ring.frobenius_map(ring.frobenius_sum_power(v, k - 1), rows)
+        return ring.normalize(u * pow(ring.reduce(v * u), -1, p))
+
+    def unit(k):  # (iota, beta) of level k
+        z = 1 << ring.w if k == ring.d else unit(2 * k)[1]
+        iota = ring.normalize(z + ring._p_slots - conj(z, k // 2))
+        return iota, ring.reduce(iota * iota)
+
+    def root(v, k, norm=None):  # norm: Norm(v) to F_p, if known
+        if v < p:  # a constant: a square of F_{p^k} when k is even
+            if pow(v, (p - 1) // 2, p) == 1:
+                return _sqrt_mod_prime(v, p)
+            if k % 2:
+                return None
+        elif k % 2:
+            u = ring.pow(v, (p + 1) // 2)
+            s = ring.reduce(v * ring.frobenius_map(
+                ring.frobenius_sum_power(u, (k - 1) // 2, 2), rows))
+            if norm is None:  # s^2 = Norm(v) * v, read at a nonzero slot of v
+                j = ((v & -v).bit_length() - 1) // ring.w * ring.w
+                norm = (ring.reduce(s * s) >> j & ring.mask) * pow(v >> j & ring.mask, -1, p) % p
+                if pow(norm, (p - 1) // 2, p) != 1:
+                    return None
+            return ring.normalize(s * pow(_sqrt_mod_prime(norm, p), -1, p))
+        h = k // 2
+        w = v if v < p else conj(v, h)  # phi^h fixes exactly F_Q
+        if w == v:  # v lies in F_Q
+            r = root(v, h)
+            if r is None:
+                iota, beta = unit(k)
+                r = root(ring.reduce(v * inverse(beta, h)), h)
+                r = None if r is None else ring.reduce(r * iota)
+            return r
+        c = root(ring.reduce(v * w), h)
+        if c is None:
+            return None
+        for c in (c, ring.normalize(ring._p_slots - c)):
+            t = root(ring.normalize(v + w + 2 * c), h)
+            if t is not None:
+                return ring.reduce(ring.normalize(v + c) * inverse(t, h))
+        return None
+
+    return root(a, ring.d, norm)
+
+
 def _sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of the quadratic residue a mod an odd prime p."""
+    """A root of the quadratic residue a mod an odd prime p (Tonelli-Shanks)."""
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
-    return _tonelli_shanks(FieldElem(FieldCtx.trusted(p, (0, 1), 1), a)).v
-
-
-def _tonelli_shanks(a: FieldElem) -> FieldElem:
-    ctx = a.ctx
-    q = ctx.order
-    big_q, s = q - 1, 0
-    while big_q % 2 == 0:
-        big_q //= 2
-        s += 1
-    # in a field of even degree every prime-field constant is a square, so
-    # the walk starts at x (index p) there instead of at the constant 2
-    index = ctx.p if ctx.degree % 2 == 0 else 2
-    while True:
-        z = ctx.element_at(index)
-        if not z.is_zero() and _euler_sign(z) == -1:
-            break
-        index += 1
-    c = z**big_q
-    w = a ** ((big_q - 1) // 2)
-    r = a * w       # a^((Q+1)/2)
-    t = r * w       # a^Q
-    m = s
-    one = ctx.one()
-    while t != one:
-        i, temp = 0, t
-        while temp != one:
-            temp = temp * temp
-            i += 1
-            if i == m:
-                raise IntegrityError("Tonelli-Shanks walked past the 2-part order")
-        b = c ** (1 << (m - i - 1))
-        r = r * b
-        t = t * b * b
-        c = b * b
-        m = i
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:  # t has order 2^i < 2^s: a root of unity moves r closer
+        i = next((i for i in range(1, s) if pow(t, 1 << i, p) == 1), None)
+        if i is None:
+            raise IntegrityError("Tonelli-Shanks walked past the 2-part order")
+        b = pow(c, 1 << (s - i - 1), p)
+        r, c, s = r * b % p, b * b % p, i
+        t = t * c % p
     return r

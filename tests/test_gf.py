@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -149,7 +150,7 @@ def test_chi_ambient_parity_rule():
 
 
 def brute_square_table(ctx):
-    q = ctx.order
+    q = ctx.p**ctx.degree
     squares = set()
     for i in range(q):
         b = ctx.element_at(i)
@@ -204,13 +205,14 @@ def test_sqrt_in_extension_fields():
     for p, e in ((3, 2), (5, 3), (7, 2), (2, 4), (13, 2)):
         ctx = FieldCtx(p, find_irreducible(p, e))
         hits = 0
-        for i in range(ctx.order):
+        q = ctx.p**ctx.degree
+        for i in range(q):
             a = ctx.element_at(i)
             r = sqrt_in_field(a)
             if r is not None:
                 assert r * r == a
                 hits += 1
-        expected = ctx.order if p == 2 else (ctx.order - 1) // 2 + 1
+        expected = q if p == 2 else (q - 1) // 2 + 1
         assert hits == expected
 
 
@@ -698,8 +700,9 @@ def squarefree_product(p, degrees, rng):
 
 def test_ddf_exits_match_the_gcd_loop(euclid_calls):
     # x^p = x ends a fully split f with no gcd, one gcd proves f irreducible,
-    # x^(p^e) = x ends an equal-degree f after e - 1 gcds, and on mixed
-    # degrees that reach neither exit the gcd loop runs as in the reference
+    # x^(p^e) = x ends an equal-degree f after one gcd per proper divisor of
+    # e, and on mixed degrees that reach no exit the gcd loop runs as in the
+    # reference
     rng = random.Random(59)
     seen = set()
     for p in (2, 3, 5, 101, 65521, P64):
@@ -726,17 +729,20 @@ def test_ddf_exits_match_the_gcd_loop(euclid_calls):
                 reference_calls = list(euclid_calls)
                 euclid_calls.clear()
                 assert gf._ddf(f, p) == expected, (p, d, kind, f)
+                e = math.lcm(*degrees)  # the first i with x^(p^i) = x
                 if d == 1 or kind == "split":
                     exit_calls = []
                 elif kind == "irreducible":
                     exit_calls = ["_gcd_degree"]
-                elif kind == "equal":
-                    exit_calls = ["_gcd_degree"] + ["_gcd"] * (degrees[0] - 1)
+                elif 2 * e <= d:  # one gcd per proper divisor of e
+                    exit_calls = ["_gcd"] * sum(e % i == 0 for i in range(1, e))
+                    kind += " at x^(p^e) = x"
                 else:
                     exit_calls = ["_gcd_degree"] + reference_calls
                 assert euclid_calls == exit_calls, (p, d, kind, f)
                 seen.add(kind)
-    assert seen == {"irreducible", "split", "equal", "mixed"}
+    assert seen == {"irreducible", "split", "equal at x^(p^e) = x", "mixed",
+                    "mixed at x^(p^e) = x"}
 
 
 def test_series_mu_matches_the_long_division():
@@ -785,6 +791,86 @@ def test_one_packed_ring_for_the_top_level_split(monkeypatch):
     fl = reduce_and_factor(f1, 7)
     assert fl.factors == (((3, 5, 4, 1), 1), ((3, 6, 1, 1), 1), ((4, 5, 6, 1), 1))
     assert moduli.count(gf._monic(gf.reduce_polynomial(f1, 7), 7)) == 1
+
+
+def recursive_edf(f, d, p, rng):
+    """The equal-degree split with a ring of its own per part, recursing on
+    both halves of each split: the route before the one-ring split, the
+    reference."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    ring = gf._PackedModulus(f, p)
+    while True:
+        a = gf._trim([rng.randrange(p) for _ in range(n)])
+        if len(a) <= (1 if p > 2 else 0):
+            continue
+        if p == 2:
+            t = cur = ring.pack(a)
+            for _ in range(d - 1):
+                cur = ring.reduce(cur * cur)
+                t ^= cur
+            g = gf._gcd(ring.unpack(t), f, p)
+        else:
+            g = gf._gcd(a, f, p)
+            if len(g) <= 1:
+                b = ring.pow(ring.frobenius_sum_power(ring.pack(a), d), (p - 1) // 2)
+                g = gf._gcd(gf._sub(ring.unpack(b), [1], p), f, p)
+        if 1 < len(g) < len(f):
+            return recursive_edf(g, d, p, rng) + recursive_edf(gf._quo(f, g, p), d, p, rng)
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Counts of the packed rings built and the splitting PRNGs seeded."""
+    counts = {"_PackedModulus": 0, "Random": 0}
+    real_ring, real_random = gf._PackedModulus.__init__, random.Random.__init__
+
+    def ring_init(self, *args):
+        counts["_PackedModulus"] += 1
+        real_ring(self, *args)
+
+    def random_init(self, *args):
+        counts["Random"] += 1
+        real_random(self, *args)
+
+    monkeypatch.setattr(gf._PackedModulus, "__init__", ring_init)
+    monkeypatch.setattr(random.Random, "__init__", random_init)
+    return counts
+
+
+def test_one_ring_edf_matches_the_recursive_split(constructed):
+    # k = 2..6 distinct irreducibles of degree d; the split handed the ring
+    # of f builds no other, whatever the number of parts
+    rng = random.Random(67)
+    tried = 0
+    for p in (2, 3, 101, 65521):
+        for d in range(1, 7):
+            for k in range(2, 7):
+                f = squarefree_product(p, [d] * k, rng)
+                if f is None:
+                    continue
+                expected = sorted(recursive_edf(f, d, p, random.Random(k)))
+                ring = gf._PackedModulus(f, p)
+                constructed["_PackedModulus"] = 0
+                assert sorted(gf._edf(list(f), d, p, random.Random(k), ring)) == expected
+                assert constructed["_PackedModulus"] == 0, (p, d, k)
+                tried += 1
+    assert tried == 98  # every (p, d, k) with k irreducibles of degree d
+
+
+def test_irreducible_input_seeds_no_prng(constructed):
+    # the PRNG is seeded only when a degree class holds more than one factor:
+    # f1 for n = 19 is irreducible of degree 9 mod 2 and 3, and splits into
+    # three cubics mod 7
+    f1 = s_polynomial(3, 19)
+    for p in (2, 3):
+        constructed["Random"] = 0
+        assert factor_pattern(reduce_and_factor(f1, p)) == (9,)
+        assert constructed["Random"] == 0, p
+    constructed["Random"] = 0
+    assert factor_pattern(reduce_and_factor(f1, 7)) == (3, 3, 3)
+    assert constructed["Random"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -859,32 +945,52 @@ def test_packed_elements_match_schoolbook_coefficient_lists():
             assert ctx.elem(p + 3) == ctx.elem([3]) and ctx.elem(3).is_constant()
 
 
+def tonelli_shanks(a):
+    """A root of the square a of F_q, q = p^e, by Tonelli-Shanks on field
+    elements: the route even degrees took before the descent."""
+    ctx = a.ctx
+    q = ctx.p**ctx.degree
+    big_q, s = q - 1, 0
+    while big_q % 2 == 0:
+        big_q //= 2
+        s += 1
+    # in a field of even degree every prime-field constant is a square, so
+    # the walk starts at x (index p) there instead of at the constant 2
+    index = ctx.p if ctx.degree % 2 == 0 else 2
+    while True:
+        z = ctx.element_at(index)
+        if not z.is_zero() and gf._euler_sign(z) == -1:
+            break
+        index += 1
+    c = z**big_q
+    w = a ** ((big_q - 1) // 2)
+    r = a * w       # a^((Q+1)/2)
+    t = r * w       # a^Q
+    m = s
+    one = ctx.one()
+    while t != one:
+        i, temp = 0, t
+        while temp != one:
+            temp = temp * temp
+            i += 1
+            assert i < m, "Tonelli-Shanks walked past the 2-part order"
+        b = c ** (1 << (m - i - 1))
+        r = r * b
+        t = t * b * b
+        c = b * b
+        m = i
+    return r
+
+
 def reference_sqrt(a):
     """The exponent / Tonelli-Shanks root: a^((q+1)/4) or the 2-part walk."""
     ctx = a.ctx
-    q = ctx.order
+    q = ctx.p**ctx.degree
     if a.is_zero():
         return a
     if a ** ((q - 1) // 2) != ctx.one():
         return None
-    if q % 4 == 3:
-        r = a ** ((q + 1) // 4)
-    else:
-        big_q, s = q - 1, 0
-        while big_q % 2 == 0:
-            big_q, s = big_q // 2, s + 1
-        index = 2
-        while ctx.element_at(index) ** ((q - 1) // 2) == ctx.one():
-            index += 1
-        c, r, t, m = (ctx.element_at(index) ** big_q, a ** ((big_q + 1) // 2),
-                      a ** big_q, s)
-        while t != ctx.one():
-            i, temp = 0, t
-            while temp != ctx.one():
-                temp, i = temp * temp, i + 1
-            b = c ** (1 << (m - i - 1))
-            r, c = r * b, b * b
-            t, m = t * c, i
+    r = a ** ((q + 1) // 4) if q % 4 == 3 else tonelli_shanks(a)
     assert r * r == a
     return min(r, -r, key=lambda x: x.coeffs)
 
@@ -906,6 +1012,56 @@ def test_odd_degree_norm_root_matches_exponent_route():
                 if not a.is_zero():
                     seen[1 if root is not None else -1] += 1
             assert seen[1] and seen[-1], (p, e)  # squares and non-squares
+
+
+def sqrt_cases(ctx, rng):
+    """(kind, a) for a field F_q, q = p^e: random elements, squares, prime-field
+    constants, non-squares of F_q, and elements of each subfield F_{p^k} of
+    the descent's chain k = e/2, e/4, ... (traces from F_q)."""
+    p, e = ctx.p, ctx.degree
+
+    def draw():
+        return ctx.elem([rng.randrange(p) for _ in range(e)])
+
+    cases = [("random", draw()) for _ in range(3)]
+    cases += [("square", draw() ** 2), ("constant", ctx.elem(rng.randrange(1, p)))]
+    cases.append(("constant", ctx.elem(next(c for c in range(2, p)
+                                            if pow(c, (p - 1) // 2, p) == p - 1))))
+    cases.append(("non-square", next(a for a in iter(draw, None)
+                                     if not a.is_zero() and gf._euler_sign(a) == -1)))
+    k = e
+    while k % 2 == 0:
+        k //= 2
+        for _ in range(2):
+            b = draw()
+            cases.append((f"subfield {k}",
+                          sum((b ** (p ** (k * i)) for i in range(1, e // k)), b)))
+    return cases
+
+
+def test_descent_sqrt_matches_tonelli_shanks():
+    # every root equals Tonelli-Shanks's after the +-r choice; None comes
+    # exactly for the non-squares of F_q, and the subfield elements cover
+    # both branches of the descent in F_Q: a root there and sqrt(a/beta) * iota
+    rng = random.Random(61)
+    fields = [(p, e) for p in (3, 5, 13, 101, 401, 65521, 2**31 - 1) for e in range(1, 11)]
+    fields += [(P64, e) for e in range(1, 5)]
+    seen = set()
+    for p, e in fields:
+        ctx = FieldCtx.trusted(p, random_irreducible(p, e, rng), e)
+        for kind, a in sqrt_cases(ctx, rng):
+            root = sqrt_in_field(a)
+            assert root == reference_sqrt(a), (p, e, kind, a)
+            assert (root is None) == (not a.is_zero() and gf._euler_sign(a) == -1)
+            if kind.startswith("subfield"):
+                k = int(kind.split()[1])
+                half = a ** ((p**k - 1) // 2)  # the character of a in F_{p^k}
+                kind += " square" if half == ctx.one() else " non-square"
+            seen.add((kind, root is None))
+    assert {("subfield 1 square", False), ("subfield 1 non-square", False),
+            ("subfield 2 square", False), ("subfield 2 non-square", False),
+            ("subfield 5 non-square", False), ("non-square", True),
+            ("random", True), ("random", False)} <= seen, seen
 
 
 def test_frobenius_sum_power_matches_plain_power():
