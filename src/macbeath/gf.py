@@ -246,7 +246,7 @@ class _PackedModulus:
     def frobenius_sum_power(self, a: int, terms: int, step: int = 1) -> int:
         """a**(1 + p^step + p^(2 step) + ...), `terms` terms, by Horner:
         b <- phi^step(b) * a with phi(h) = h**p from the Frobenius rows."""
-        rows = self.frobenius()
+        rows = self.frobenius() if terms > 1 else None
         b = a
         for _ in range(terms - 1):
             for _ in range(step):
@@ -481,12 +481,14 @@ def _half_degree_pattern(g, p):
 
     A root b of g of degree e gives f two roots of degree e when b is a
     square in F_{p^e} and two conjugate roots of degree 2e otherwise; all
-    roots of one factor of g agree.  So if G_e, the product of the k_e
-    factors of g of degree e, has s_e = deg gcd(G_e, a_e - 1)/e factors with
-    square roots, a_e = y^((p^e-1)/2), then f has 2 s_e factors of degree e
-    and k_e - s_e of degree 2e.  All arithmetic is mod g, in half the degree
-    of f: y^p = y a_1^2 gives the Frobenius rows for the distinct-degree
-    split of g, and a_(i+1) = a_1 a_i^p.
+    roots of one factor of g agree.  So if s_e of the k_e factors of g of
+    degree e have square roots, f has 2 s_e factors of degree e and k_e - s_e
+    of degree 2e.  A lone factor h of degree e >= 2 has them iff its roots'
+    norm (-1)^e h(0) is a square mod p; any other class, G_e the product of
+    its factors, has s_e = deg gcd(G_e, a_e - 1)/e with a_e = y^((p^e-1)/2).
+    All arithmetic is mod g, in half the degree of f: y^p = y a_1^2 gives the
+    Frobenius rows for the distinct-degree split of g, and a_(i+1) = a_1 a_i^p
+    runs only up to the degree of the last class that needs a_e.
     """
     ring = _PackedModulus(g, p)
     a1 = ring.pow(ring.pack(_rem([0, 1], g, p)), (p - 1) // 2)
@@ -494,13 +496,13 @@ def _half_degree_pattern(g, p):
     pattern: list[int] = []
     a, i = a1, 1
     for group, e in _ddf(g, p, ring):
-        while i < e:
-            a = ring.reduce(a1 * ring.frobenius_map(a, rows))
-            i += 1
         k = (len(group) - 1) // e
-        if k == 1:  # one factor: its roots are squares iff it divides a_e - 1
-            s = 0 if _rem(_sub(ring.unpack(a), [1], p), group, p) else 1
+        if k == 1 and e > 1:  # one factor h: read the character of its norm
+            s = 1 if pow(-group[0] if e % 2 else group[0], (p - 1) // 2, p) == 1 else 0
         else:
+            while i < e:
+                a = ring.reduce(a1 * ring.frobenius_map(a, rows))
+                i += 1
             s, left = divmod(_gcd_degree(_sub(ring.unpack(a), [1], p), group, p), e)
             if left or s > k:
                 raise IntegrityError("square roots of g do not fit its factor degrees")

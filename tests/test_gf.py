@@ -491,6 +491,11 @@ def generic_pattern(f, p):
                         for _ in range((len(h) - 1) // d * mult)))
 
 
+def even_lift(g):
+    """g(x^2) over Z, for g a coefficient list."""
+    return IntPoly([c for b in g for c in (b, 0)][:-1])
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The primes on which degree_pattern took the half-degree kernel."""
@@ -525,7 +530,7 @@ def test_half_degree_kernel_on_random_even_inputs(kernel_calls):
         p = rng.choice([3, 5, 7, 101, 65521, P63])
         r = rng.randrange(1, 9)
         g = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(r - 1)] + [1]
-        f = IntPoly([c for b in g for c in (b, 0)][:-1])
+        f = even_lift(g)
         assert degree_pattern(f, p) == generic_pattern(f, p), (g, p)
     assert len(kernel_calls) > 250  # a random g is squarefree almost always
 
@@ -568,7 +573,8 @@ def test_half_degree_kernel_reads_no_character(kernel_calls, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the pattern kernel reached the census routes")
 
-    for module, name in ((gf, "chi"), (gf, "_euler_sign"), (numkit, "lucas_v"),
+    for module, name in ((gf, "chi"), (gf, "_euler_sign"), (gf, "_norm"),
+                         (gf, "sqrt_in_field"), (numkit, "lucas_v"),
                          (census, "lucas_v"), (census, "map_census")):
         monkeypatch.setattr(module, name, forbidden)
     f2 = doubled(s_polynomial(3, 7))
@@ -640,20 +646,88 @@ def euclid_calls(monkeypatch):
     return calls
 
 
-def test_half_degree_kernel_euclid_count(kernel_calls, euclid_calls):
-    # f1 for n = 11 is irreducible of degree 5 mod 3: one gcd proves it, and
-    # the square count of its one factor is a remainder.  Mod 23 it splits:
-    # x^p = x ends the distinct-degree split, and the square count of the five
-    # linear factors is one gcd
+@pytest.fixture
+def frobenius_maps(monkeypatch):
+    """A one-element list: the number of packed Frobenius maps applied."""
+    count = [0]
+    real = gf._PackedModulus.frobenius_map
+
+    def counted(self, h, rows):
+        count[0] += 1
+        return real(self, h, rows)
+
+    monkeypatch.setattr(gf._PackedModulus, "frobenius_map", counted)
+    return count
+
+
+def test_half_degree_kernel_euclid_count(kernel_calls, euclid_calls, frobenius_maps):
+    # f1 for n = 11 is irreducible of degree 5 mod 3: the distinct-degree
+    # split proves it with one Frobenius map and one gcd, and the square count
+    # of its one factor is the character of its norm, with no a_i step.  Mod
+    # 23 it splits: x^p = x ends the distinct-degree split with no map, and
+    # the square count of the five linear factors is one gcd on a_1
     f1, f2 = s_polynomial(3, 11), doubled(s_polynomial(3, 11))
-    for p, factors in ((3, (5,)), (23, (1,) * 5)):
+    for p, factors, maps in ((3, (5,), 1), (23, (1,) * 5, 0)):
         assert factor_pattern(reduce_and_factor(f1, p)) == factors
         pattern = factor_pattern(reduce_and_factor(f2, p))
         kernel_calls.clear()
         euclid_calls.clear()
+        frobenius_maps[0] = 0
         assert degree_pattern(f2, p) == pattern
         assert kernel_calls == [p]
         assert euclid_calls == ["_gcd_degree"], p
+        assert frobenius_maps[0] == maps, p
+
+
+def test_half_degree_kernel_norm_rule(kernel_calls):
+    # an irreducible h of degree e >= 2: h(x^2) is two factors of degree e
+    # iff the norm (-1)^e h(0) of a root of h is a square mod p, else one of
+    # degree 2e.  The sign matters for odd e when p = 3 mod 4
+    rng = random.Random(73)
+    seen = set()
+    for p in (3, 5, 7, 101, 65521, P64):
+        for e in range(2, 10):
+            for _ in range(4):
+                h = random_irreducible(p, e, rng)
+                f = even_lift(h)
+                expected = generic_pattern(f, p)
+                assert degree_pattern(f, p) == expected, (h, p)
+                square = pow((-1) ** e * h[0], (p - 1) // 2, p) == 1
+                assert expected == ((e, e) if square else (2 * e,)), (h, p)
+                seen.add((p % 4, e % 2, square))
+    assert len(kernel_calls) == 6 * 8 * 4
+    assert seen == {(r, e, square) for r in (1, 3) for e in (0, 1) for square in (False, True)}
+
+
+def test_half_degree_kernel_linear_class_takes_the_gcd(kernel_calls, euclid_calls,
+                                                       frobenius_maps):
+    # g = (y - c) h with h irreducible of degree e >= 2: the class of h reads
+    # its norm with no a_i step, and the linear class still takes one gcd on
+    # a_1, so every linear factor of g(x^2) comes from a_1 alone
+    rng = random.Random(71)
+    seen = set()
+    for p in (3, 5, 7, 101, 65521):
+        for e in range(2, 6):
+            for _ in range(4):
+                c = rng.randrange(1, p)
+                h = list(random_irreducible(p, e, rng))
+                g = gf._mul([-c % p, 1], h, p)
+                f = even_lift(g)
+                expected = generic_pattern(f, p)
+                euclid_calls.clear()
+                frobenius_maps[0] = 0
+                gf._ddf(g, p)
+                ddf_calls, ddf_maps = list(euclid_calls), frobenius_maps[0]
+                kernel_calls.clear()
+                euclid_calls.clear()
+                frobenius_maps[0] = 0
+                assert degree_pattern(f, p) == expected, (g, p)
+                assert kernel_calls == [p]
+                assert euclid_calls == ddf_calls + ["_gcd_degree"], (g, p)
+                assert frobenius_maps[0] == ddf_maps, (g, p)
+                seen.add((pow(c, (p - 1) // 2, p) == 1,
+                          pow((-1) ** e * h[0], (p - 1) // 2, p) == 1))
+    assert seen == {(a, b) for a in (False, True) for b in (False, True)}
 
 
 def loop_ddf(f, p):
@@ -1062,6 +1136,24 @@ def test_descent_sqrt_matches_tonelli_shanks():
             ("subfield 2 square", False), ("subfield 2 non-square", False),
             ("subfield 5 non-square", False), ("non-square", True),
             ("random", True), ("random", False)} <= seen, seen
+
+
+def test_linear_group_split_builds_no_frobenius_rows(monkeypatch):
+    # (x - 1)(x - 2)(x^2 + 2) mod 101: the distinct-degree split takes x^p
+    # mod f, and the equal-degree split of the two linear factors, in a ring
+    # of its own, only its (p - 1)/2 power: no x^p for rows it never reads
+    calls = []
+    real = gf._PackedModulus.pow
+
+    def counted(self, a, exp):
+        calls.append((self.d, exp))
+        return real(self, a, exp)
+
+    monkeypatch.setattr(gf._PackedModulus, "pow", counted)
+    x = IntPoly([0, 1])
+    f = (x - IntPoly([1])) * (x - IntPoly([2])) * (x * x + IntPoly([2]))
+    assert factor_pattern(reduce_and_factor(f, 101)) == (1, 1, 2)
+    assert calls == [(4, 101), (2, 50)]
 
 
 def test_frobenius_sum_power_matches_plain_power():
