@@ -13,7 +13,6 @@ from .census import (
     FieldData,
     ParityVerdict,
     TraceClass,
-    cps_discriminant,
     field_data,
     map_census,
     matrix_oracle,

@@ -3,8 +3,8 @@
 One isomorphism class of maps corresponds to one irreducible factor of the
 s-polynomial mod p; the class is inner regular exactly when its s-value is a
 square in the ambient field F_q.  This module builds the census records,
-checks the parity prediction, evaluates the general three-trace discriminant,
-and provides an independent matrix-witness oracle for the criterion.
+checks the parity prediction, and provides an independent matrix-witness
+oracle for the criterion.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def _map_census(m: int, n: int, p: int, traces: bool, split_route: bool) -> Cens
     ladder = _ladder(m, n, p) if split_route else None
     if ladder is not None:
         s_values, t_values = ladder
-        fd, k, l, genus, characters, parity = check_witness(m, n, p, s_values)
+        fd, k, l, genus, characters, parity = _check_witness(m, n, p, s_values, f1)
         classes = [_split_class(p, s, character, t, traces)
                    for s, character, t in sorted(zip(s_values, characters, t_values))]
     else:
@@ -150,10 +150,10 @@ def summary(m: int, n: int, p: int) -> tuple[FieldData, int, int, int, int]:
     A split prime is read off its checked Lucas-ladder witness and builds no
     class objects and no record; every other p goes through `map_census`.
     """
-    s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
+    f1 = s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
     ladder = _ladder(m, n, p)
     if ladder is not None:
-        fd, k, l, genus, _, _ = check_witness(m, n, p, ladder[0])
+        fd, k, l, genus, _, _ = _check_witness(m, n, p, ladder[0], f1)
         return fd, k, l, genus, k
     record = map_census(m, n, p, traces=False)
     # chi is the character in F_{p^d}, the one in F_{p^e} when d/e is odd
@@ -278,7 +278,11 @@ def check_witness(m: int, n: int, p: int, s_values: list[int]
     (Euler's criterion on the residue), and k + l = phi(n)/2; the genus is
     integral; the parity verdict holds.
     """
-    f1 = s_polynomial(m, n)
+    return _check_witness(m, n, p, s_values, s_polynomial(m, n))
+
+
+def _check_witness(m: int, n: int, p: int, s_values: list[int], f1: IntPoly):
+    # check_witness with f1 = s_polynomial(m, n) in hand
     _check_prime(p)
     fd = _field_data(m, n, p)
     if fd.d != 1:
@@ -287,7 +291,7 @@ def check_witness(m: int, n: int, p: int, s_values: list[int]
         raise IntegrityError(f"split-route s-values do not multiply out to f1 mod {p}")
     if len(set(s_values)) != len(s_values):
         raise BadReduction(f"f1 for type {{{m},{n}}} is not squarefree mod {p}")
-    characters = [_chi_of_integer(s, p) for s in s_values]
+    characters = _characters(s_values, p)
     if 0 in characters:
         raise _s_zero(m, n, p)
     k = characters.count(1)
@@ -320,15 +324,15 @@ def _product_mod_p(roots: list[int], p: int) -> list[int]:
     return [(packed >> k & mask) % p for k in range(0, w * len(roots) + 1, w)]
 
 
-def _chi_of_integer(value: int, p: int) -> int:
-    """Character of an integer inside F_{p^d} for odd d, which is its
-    character mod p: a non-square mod p stays one in an odd-degree extension."""
+def _characters(values, p: int) -> list[int]:
+    """Characters of integers inside F_{p^d} for odd d, which are their
+    characters mod p: a non-square mod p stays one in an odd-degree
+    extension.  Euler's criterion, one power each: v^((p-1)/2) is 0, 1 or
+    p - 1 mod an odd prime p."""
     if p == 2:
-        return 1 if value % 2 else 0
-    v = value % p
-    if v == 0:
-        return 0
-    return 1 if pow(v, (p - 1) // 2, p) == 1 else -1
+        return [value % 2 for value in values]
+    half = (p - 1) // 2
+    return [(pow(value, half, p) + 1) % p - 1 for value in values]
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,37 +361,29 @@ def _psi_one(n: int) -> int:
     return psi(n)(1)
 
 
+# the verdicts a record can carry, by (predicted, observed): shared, not
+# built per prime
+_VERDICTS = {(None, obs): ParityVerdict(False, None, obs, None) for obs in ("even", "odd")}
+_VERDICTS.update({(obs, obs): ParityVerdict(True, obs, obs, True) for obs in ("even", "odd")})
+
+
 def _parity(m: int, n: int, p: int, d: int, l: int) -> ParityVerdict:
     observed = "even" if l % 2 == 0 else "odd"
     if m != 3 or d % 2 == 0:
-        return ParityVerdict(False, None, observed, None)
+        return _VERDICTS[None, observed]
     psi_one = _psi_one(n)
-    character = _chi_of_integer(psi_one, p)
+    character = _characters((psi_one,), p)[0]
     if character == 0:
         raise IntegrityError(f"Psi_{n}(1) = {psi_one} vanishes mod {p} on a good prime")
     if d == 1 and n % 2 and p != 2:
         if _chi_shortcut(n, p % 8) != character:  # it reads p only mod 8
             raise IntegrityError(f"chi(b_e) shortcut disagrees for n={n}, p={p}")
     predicted = "even" if character == 1 else "odd"
-    verdict = ParityVerdict(True, predicted, observed, predicted == observed)
-    if not verdict.consistent:
+    if predicted != observed:
         raise IntegrityError(
             f"parity prediction falsified at ({m},{n},{p}): predicted l {predicted}, "
             f"observed l={l}")
-    return verdict
-
-
-def cps_discriminant(a: gf.FieldElem, b: gf.FieldElem,
-                     c: gf.FieldElem) -> tuple[gf.FieldElem, int]:
-    """-D = 4 + abc - a^2 - b^2 - c^2 for a triple of rotation traces.
-
-    Inner regularity of the corresponding hypermap is equivalent to -D being
-    a square in the ambient field; the character is returned alongside.
-    """
-    if a.ctx != b.ctx or a.ctx != c.ctx:
-        raise ValueError("trace elements from mixed field contexts")
-    value = a.ctx.elem(4) + a * b * c - a * a - b * b - c * c
-    return value, gf.chi(value)
+    return _VERDICTS[predicted, observed]
 
 
 # ---------------------------------------------------------------------------

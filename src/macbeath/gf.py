@@ -124,6 +124,23 @@ def _deriv(a, p):
     return _trim([i * c % p for i, c in enumerate(a)][1:])
 
 
+def _series_mu(f, p=0):
+    """MU = floor(x^(2d)/f) for f monic of degree d, ascending: reversed, it is
+    the power series 1/rev(f) mod x^(d+1), rev(f) = x^d f(1/x).  Mod p, or over
+    Z for p = 0, where a monic f keeps every coefficient integral."""
+    d = len(f) - 1
+    inv = [1]
+    for j in range(1, d + 1):
+        c = -sum(map(operator.mul, f[d - j:d], inv))
+        inv.append(c % p if p else c)
+    return inv[::-1]
+
+
+# (mask, low, quotient mask, repunit) of a ring, by (d, w, K): they depend on
+# p only through its size
+_LAYOUTS: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
+
+
 class _PackedModulus:
     """Arithmetic in F_p[x]/(f) on Kronecker-packed ints, for a fixed f.
 
@@ -150,7 +167,9 @@ class _PackedModulus:
     __slots__ = ("p", "d", "w", "mask", "low", "_k", "_m", "_qm", "_p_slots", "_mu",
                  "_negf", "_frobenius")
 
-    def __init__(self, f, p):
+    def __init__(self, f, p, series=None):
+        """The ring mod f.  `series`, if given, is `_series_mu` over Z of a monic
+        integer polynomial that reduces to f: MU is then that, reduced mod p."""
         f = _monic(f, p)  # the remainder mod c*f is the remainder mod f
         d = len(f) - 1
         if d < 1:
@@ -160,15 +179,17 @@ class _PackedModulus:
         m = -(-(1 << k) // p)
         w = v + m.bit_length()
         self.p, self.d, self.w, self._k, self._m = p, d, w, k, m
-        self.mask, self.low = (1 << w) - 1, (1 << d * w) - 1
-        # w - K low bits in each of 2d slots: where the quotients land
-        self._qm = ((1 << 2 * d * w) - 1) // self.mask * ((1 << w - k) - 1)
-        self._p_slots = self.low // self.mask * p  # p in each of d slots
-        # MU = floor(x^(2d)/f) reversed is 1/rev(f) mod x^(d+1), rev(f) = x^d f(1/x)
-        inv = [1]
-        for j in range(1, d + 1):
-            inv.append(-sum(map(operator.mul, f[d - j:d], inv)) % p)
-        self._mu = self.pack(inv[::-1])
+        layout = _LAYOUTS.get((d, w, k))
+        if layout is None:
+            mask, low = (1 << w) - 1, (1 << d * w) - 1
+            # w - K low bits in each of 2d slots: where the quotients land, and
+            # the repunit with 1 in each of d slots
+            layout = _LAYOUTS[d, w, k] = (mask, low, ((1 << 2 * d * w) - 1) // mask
+                                          * ((1 << w - k) - 1), low // mask)
+        self.mask, self.low, self._qm, ones = layout
+        self._p_slots = ones * p  # p in each of d slots
+        self._mu = self.pack([c % p for c in series] if series is not None
+                          else _series_mu(f, p))
         self._negf = self.pack([-c % p for c in f[:-1]])
         self._frobenius = None
 
@@ -230,18 +251,21 @@ class _PackedModulus:
             h >>= w
         return self.normalize(acc)
 
-    def frobenius(self, xp: int | None = None) -> list[int]:
-        """Packed x**(p*j) mod f for j < d, to apply Frobenius in one pass;
-        built on first use (d > 1) from xp = x**p mod f, computed here
-        unless given."""
+    def x_power_p(self, xp: int | None = None) -> int:
+        """x**p mod f, the Frobenius row after 1, set on first use: to xp if
+        the caller has it, else computed here."""
         if self._frobenius is None:
-            if xp is None:
-                xp = self.pow(1 << self.w, self.p)
-            rows = [1]
-            for _ in range(self.d - 1):
-                rows.append(self.reduce(rows[-1] * xp))
-            self._frobenius = rows
-        return self._frobenius
+            self._frobenius = [1, self.pow(1 << self.w, self.p) if xp is None else xp]
+        return self._frobenius[1]
+
+    def frobenius(self) -> list[int]:
+        """Packed x**(p*j) mod f for j < d, to apply Frobenius in one pass;
+        the rows past x**p are built on the first call (d > 1)."""
+        xp = self.x_power_p()
+        rows = self._frobenius
+        while len(rows) < self.d:
+            rows.append(self.reduce(rows[-1] * xp))
+        return rows
 
     def frobenius_sum_power(self, a: int, terms: int, step: int = 1) -> int:
         """a**(1 + p^step + p^(2 step) + ...), `terms` terms, by Horner:
@@ -302,14 +326,13 @@ def _ddf(f, p, ring=None):
         return [(list(f), 1)] if r == 1 else []
     if ring is None:
         ring = _PackedModulus(f, p)
-    rows = ring.frobenius()
-    x = 1 << ring.w
-    if rows[1] == x:  # x^p = x mod f: every factor is linear
+    x, xp = 1 << ring.w, ring.x_power_p()
+    if xp == x:  # x^p = x mod f: every factor is linear
         return [(list(f), 1)]
     # x^(p^i) mod f for i <= r/2, up to the first that is x again
-    powers = [rows[1]]
+    powers = [xp]
     while len(powers) < r // 2 and powers[-1] != x:
-        powers.append(ring.frobenius_map(powers[-1], rows))
+        powers.append(ring.frobenius_map(powers[-1], ring.frobenius()))
     if powers[-1] == x:
         # x^(p^e) = x: every factor's degree divides e, so only the proper
         # divisors of e can find one, and what is left is one group of degree e
@@ -317,8 +340,8 @@ def _ddf(f, p, ring=None):
     else:
         # f is irreducible iff it has no factor of degree <= r/2, one gcd with
         # the product of the x^(p^i) - x (Rabin)
-        prod = 1
-        for h in powers:
+        prod = ring.normalize(powers[0] + ring._p_slots - x)
+        for h in powers[1:]:
             prod = ring.reduce(prod * ring.normalize(h + ring._p_slots - x))
         if _gcd_degree(ring.unpack(prod), list(f), p) == 0:
             return [(list(f), r)]
@@ -436,6 +459,14 @@ def _half_discriminant(f: IntPoly) -> int:
     return _discriminant(IntPoly(f.coeffs[::2]))
 
 
+@functools.lru_cache(maxsize=256)
+def _half_series(f: IntPoly) -> tuple[int, ...] | None:
+    """MU of g over Z (`_series_mu`) for f = g(x^2) with g monic over Z, the
+    modulus of the half-degree kernel; None when g is not monic."""
+    g = f.coeffs[::2]
+    return tuple(_series_mu(g)) if g[-1] == 1 else None
+
+
 def reduce_and_factor(f: IntPoly, p: int) -> FactorList:
     """Fully factor f mod p into monic irreducibles with multiplicities.
 
@@ -465,10 +496,11 @@ def degree_pattern(f: IntPoly, p: int) -> tuple[int, ...]:
     with p odd, g(0) != 0 mod p and p not dividing disc g (g squarefree mod
     p) is done mod g instead, in half the degree (`_half_degree_pattern`).
     """
-    coeffs = reduce_polynomial(f, p)
-    monic = _monic(coeffs, p)
-    if p > 2 and monic[0] and _half_discriminant(f) % p:
-        return _half_degree_pattern(monic[::2], p)
+    if p > 2 and _half_discriminant(f) % p and f.coeffs[0] % p and f.coeffs[-1] % p:
+        # only g is reduced; an f that reduce_polynomial rejects is not taken
+        g = _monic([c % p for c in f.coeffs[::2]], p)
+        return _half_degree_pattern(g, p, _half_series(f))
+    monic = _monic(reduce_polynomial(f, p), p)
     degs: list[int] = []
     for g, mult in _sqf_list(monic, p):
         for h, d in _ddf(g, p):
@@ -476,7 +508,7 @@ def degree_pattern(f: IntPoly, p: int) -> tuple[int, ...]:
     return tuple(sorted(degs))
 
 
-def _half_degree_pattern(g, p):
+def _half_degree_pattern(g, p, series=None):
     """Degree pattern of f = g(x^2) for p odd, g(0) != 0 and g squarefree.
 
     A root b of g of degree e gives f two roots of degree e when b is a
@@ -488,11 +520,13 @@ def _half_degree_pattern(g, p):
     its factors, has s_e = deg gcd(G_e, a_e - 1)/e with a_e = y^((p^e-1)/2).
     All arithmetic is mod g, in half the degree of f: y^p = y a_1^2 gives the
     Frobenius rows for the distinct-degree split of g, and a_(i+1) = a_1 a_i^p
-    runs only up to the degree of the last class that needs a_e.
+    runs only up to the degree of the last class that needs a_e.  `series`,
+    when given, is `_half_series(f)`: MU of g over Z, for g monic over Z.
     """
-    ring = _PackedModulus(g, p)
-    a1 = ring.pow(ring.pack(_rem([0, 1], g, p)), (p - 1) // 2)
-    rows = ring.frobenius(ring.reduce((a1 * a1) << ring.w))  # y^p = y a_1^2
+    ring = _PackedModulus(g, p, series)
+    y = 1 << ring.w if ring.d > 1 else p - g[0]  # y mod g
+    a1 = ring.pow(y, (p - 1) // 2)
+    ring.x_power_p(ring.reduce((a1 * a1) << ring.w))  # y^p = y a_1^2
     pattern: list[int] = []
     a, i = a1, 1
     for group, e in _ddf(g, p, ring):
@@ -501,7 +535,7 @@ def _half_degree_pattern(g, p):
             s = 1 if pow(-group[0] if e % 2 else group[0], (p - 1) // 2, p) == 1 else 0
         else:
             while i < e:
-                a = ring.reduce(a1 * ring.frobenius_map(a, rows))
+                a = ring.reduce(a1 * ring.frobenius_map(a, ring.frobenius()))
                 i += 1
             s, left = divmod(_gcd_degree(_sub(ring.unpack(a), [1], p), group, p), e)
             if left or s > k:

@@ -6,7 +6,6 @@ import pytest
 from macbeath import census as census_module
 from macbeath import density, gf, numkit
 from macbeath.census import (
-    cps_discriminant,
     field_data,
     map_census,
     matrix_oracle,
@@ -150,27 +149,37 @@ def test_parity_examples():
     assert not map_census(4, 5, 31).parity.applicable
 
 
+def cps_discriminant(a, b, c):
+    """-D = 4 + abc - a^2 - b^2 - c^2 for a triple of rotation traces: the
+    hypermap is inner regular iff -D is a square in the ambient field."""
+    return a.ctx.elem(4) + a * b * c - a * a - b * b - c * c
+
+
 def test_cps_discriminant():
     ctx = gf.FieldCtx(13, [0, 1])
     t = ctx.elem(5)
-    val, character = cps_discriminant(t, ctx.zero(), ctx.one())
-    assert val == ctx.elem(3) - t * t
-    assert character == gf.chi(val)
-    val, _ = cps_discriminant(ctx.zero(), ctx.zero(), ctx.zero())
-    assert val == ctx.elem(4)
+    assert cps_discriminant(t, ctx.zero(), ctx.one()) == ctx.elem(3) - t * t
+    assert cps_discriminant(ctx.zero(), ctx.zero(), ctx.zero()) == ctx.elem(4)
     # with w^2 = 2 adjoined: (t, 0, w) evaluates to 2 - t^2
     ext = gf.FieldCtx(5, [-2, 0, 1])
     w = ext.gen()
     t5 = ext.elem(3)
-    val, _ = cps_discriminant(t5, ext.zero(), w)
-    assert val == ext.elem(2) - t5 * t5
-
-
-def test_cps_discriminant_mixed_contexts():
-    a = gf.FieldCtx(13, [0, 1]).elem(1)
-    b = gf.FieldCtx(11, [0, 1]).elem(1)
-    with pytest.raises(ValueError):
-        cps_discriminant(a, a, b)
+    assert cps_discriminant(t5, ext.zero(), w) == ext.elem(2) - t5 * t5
+    # the census reads -D off s: for the traces (1, t, 0) of the order-3
+    # rotation, a class's t and an involution, -D = 3 - t^2 = s, and the
+    # class is inner regular iff -D is an ambient square
+    checked = set()
+    for p in primes_upto(60)[1:]:
+        if p == 7:
+            continue  # p | N: f1 is not squarefree
+        record = map_census(3, 7, p)
+        for c in record.classes:
+            if c.t is not None:
+                ctx = c.s.ctx
+                minus_d = cps_discriminant(ctx.one(), c.t, ctx.zero())
+                assert minus_d == c.s and gf.chi(minus_d) == c.chi, (p, c.factor)
+                checked.add((record.field.d, c.regularity))
+    assert checked == {(d, r) for d in (1, 3) for r in ("inner", "outer")}
 
 
 def test_matrix_oracle_3_7_13():
@@ -492,7 +501,7 @@ def test_s_zero_is_reported_alike_by_both_routes(monkeypatch):
     # the factorization route reads it from gf.chi, the split route from
     # the residue
     monkeypatch.setattr(gf, "chi", lambda s: 0)
-    monkeypatch.setattr(census_module, "_chi_of_integer", lambda value, p: 0)
+    monkeypatch.setattr(census_module, "_characters", lambda values, p: [0] * len(values))
     for split_route in (True, False):
         with pytest.raises(BadReduction, match=r"^s = 0 occurs for \(3,7,13\); "
                                                r"no generating triple has t\^2 = 3$"):

@@ -368,8 +368,9 @@ def test_pattern_bridge_catches_a_flipped_witness_character(monkeypatch):
     # its shortcut), k becomes l and every internal check still holds, so
     # only the degree patterns can catch it
     assert pattern_census(3, 7, 3000, workers=1).bridge_violations == 0
-    chi, shortcut = census._chi_of_integer, census._chi_shortcut
-    monkeypatch.setattr(census, "_chi_of_integer", lambda value, p: -chi(value, p))
+    characters, shortcut = census._characters, census._chi_shortcut
+    monkeypatch.setattr(census, "_characters",
+                        lambda values, p: [-c for c in characters(values, p)])
     monkeypatch.setattr(census, "_chi_shortcut", lambda n, p: -shortcut(n, p))
     res = pattern_census(3, 7, 3000, workers=1)
     assert res.bridge_violations == res.bridge_checked > 100

@@ -502,9 +502,9 @@ def kernel_calls(monkeypatch):
     calls = []
     real = gf._half_degree_pattern
 
-    def counted(g, p):
+    def counted(g, p, series=None):
         calls.append(p)
-        return real(g, p)
+        return real(g, p, series)
 
     monkeypatch.setattr(gf, "_half_degree_pattern", counted)
     return calls
@@ -825,6 +825,144 @@ def test_series_mu_matches_the_long_division():
         ring = gf._PackedModulus(list(mod), p)
         d = ring.d
         assert ring._mu == ring.pack(gf._quo([0] * (2 * d) + [1], list(mod), p)), (mod, p)
+
+
+def fresh_layout(d, p):
+    """(w, K, mask, low, quotient mask, p in each slot) of a ring of degree d
+    mod p, slot by slot: the reference for the memoized layout."""
+    v = (d * p * p).bit_length()
+    k = v + p.bit_length()
+    w = v + (-(-(1 << k) // p)).bit_length()
+    slots = [j * w for j in range(2 * d)]
+    return (w, k, (1 << w) - 1, (1 << d * w) - 1,
+            sum(((1 << w - k) - 1) << s for s in slots), sum(p << s for s in slots[:d]))
+
+
+def test_memoized_layout_matches_a_fresh_computation(monkeypatch):
+    # the layout depends on p only through (w, K): the primes on either side
+    # of a power of two can share d and w but not K, so a memo that ignored K
+    # would hand the second the first one's quotient mask
+    primes = [2, 3, 5, 499, 65521, 2**61 - 1, P64]
+    below_above = [(max(q for q in primes_upto(1 << b) if q < 1 << b),
+                    next(q for q in range((1 << b) + 1, 1 << b + 1) if is_prime(q)))
+                   for b in range(3, 17)]
+    monkeypatch.setattr(gf, "_LAYOUTS", {})
+    shared = set()
+    for d in range(1, 19):
+        rings = [(p, gf._PackedModulus([1] * d + [1], p)) for p in primes]
+        for low, high in below_above:
+            if fresh_layout(d, low)[0] == fresh_layout(d, high)[0]:
+                shared.add(d)
+                rings += [(p, gf._PackedModulus([1] * d + [1], p)) for p in (low, high)]
+        for p, ring in rings:
+            assert (ring.w, ring._k, ring.mask, ring.low, ring._qm, ring._p_slots) \
+                == fresh_layout(d, p), (d, p)
+    assert len(shared) > 10
+
+
+def test_integer_series_mu_matches_the_loop():
+    # MU over Z, reduced mod p, against the loop mod p and the long division
+    # for every census modulus g, up to p = 2^64 - 59
+    for m in (3, 4, 6):
+        for n in range(7, 61):
+            g = s_polynomial(m, n)
+            series = gf._half_series(doubled(g))
+            assert series == tuple(gf._series_mu(g.coeffs)), (m, n)
+            for p in (3, 5, 13, 65521, P63, P64):
+                mod = [c % p for c in g.coeffs]
+                ring = gf._PackedModulus(mod, p, series)
+                loop = gf._PackedModulus(mod, p)
+                quotient = ring.pack(gf._quo([0] * (2 * ring.d) + [1], mod, p))
+                assert ring._mu == loop._mu == quotient, (m, n, p)
+
+
+def test_non_monic_modulus_takes_the_loop(monkeypatch, kernel_calls):
+    # g with leading coefficient 2 or -1 over Z is monic only once reduced,
+    # so its ring takes the series loop mod p
+    series_given = []
+    real = gf._PackedModulus.__init__
+
+    def spy(self, f, p, series=None):
+        series_given.append(series)
+        real(self, f, p, series)
+
+    monkeypatch.setattr(gf._PackedModulus, "__init__", spy)
+    g = s_polynomial(3, 11)
+    for lead in (2, -1):
+        f = doubled(g * IntPoly([lead]))
+        assert gf._half_series(f) is None
+        for p in (3, 13, 43, 101):
+            series_given.clear()
+            kernel_calls.clear()
+            assert degree_pattern(f, p) == generic_pattern(f, p), (lead, p)
+            assert kernel_calls == [p] and series_given[0] is None, (lead, p)
+    series_given.clear()
+    degree_pattern(doubled(g), 13)
+    assert series_given == [gf._half_series(doubled(g))]
+
+
+def test_pattern_census_pays_per_prime_only_its_arithmetic(monkeypatch, kernel_calls):
+    # one ring per kernel prime, the integer series computed once for the
+    # type, and on n = 7 (deg g = 3, so no Frobenius map) no row past x^p
+    from macbeath import density
+
+    rings, series_over_z, rows_built = [0], [0], [0]
+    ring_init, series_mu, frobenius = (gf._PackedModulus.__init__, gf._series_mu,
+                                       gf._PackedModulus.frobenius)
+
+    def counted_init(self, *args):
+        rings[0] += 1
+        ring_init(self, *args)
+
+    def counted_series(f, p=0):
+        series_over_z[0] += not p
+        return series_mu(f, p)
+
+    def counted_rows(self):
+        rows_built[0] += 1
+        return frobenius(self)
+
+    counted_kernel = gf._half_degree_pattern
+
+    def kernel_rings(g, p, series=None):
+        before = rings[0]
+        pattern = counted_kernel(g, p, series)
+        assert rings[0] == before + 1, p
+        return pattern
+
+    monkeypatch.setattr(gf._PackedModulus, "__init__", counted_init)
+    monkeypatch.setattr(gf, "_series_mu", counted_series)
+    monkeypatch.setattr(gf._PackedModulus, "frobenius", counted_rows)
+    monkeypatch.setattr(gf, "_half_degree_pattern", kernel_rings)
+    gf._half_series.cache_clear()
+    try:
+        census = density.pattern_census(3, 11, 3000, workers=1)
+        assert series_over_z == [1]
+        assert census.skipped == (2, 11) and census.total == len(kernel_calls)
+        kernel_calls.clear()
+        rows_built[0] = 0
+        census = density.pattern_census(3, 7, 3000, workers=1)
+        assert rows_built == [0] and census.total == len(kernel_calls) > 400
+    finally:
+        gf._half_series.cache_clear()
+
+
+def test_half_degree_route_keeps_the_reduction_errors():
+    # the route is chosen before f is reduced, and its errors are
+    # reduce_polynomial's, in its order: a zero reduction, then a dead lead
+    zero = r"^polynomial reduces to zero mod p$"
+    lead = r"^leading coefficient vanishes mod p; normalize first$"
+    for p in (3, 5, 13, 101):
+        for f in (IntPoly(), IntPoly([p, 0, 2 * p]), IntPoly([p, 0, -p, 0, p])):
+            with pytest.raises(ValueError, match=zero):
+                degree_pattern(f, p)
+        # g = p y^2 + y + 1: disc g = 1 - 4p and g(0) = 1 are units mod p;
+        # the odd f beside it takes the generic route
+        assert gf._half_discriminant(IntPoly([1, 0, 1, 0, p])) % p
+        for f in (IntPoly([1, 0, 1, 0, p]), IntPoly([1, 0, 1, 0, 3 * p]),
+                  IntPoly([1, 1, 1, 0, p])):
+            with pytest.raises(ValueError, match=lead):
+                degree_pattern(f, p)
 
 
 def test_discriminant_computed_once_per_polynomial(monkeypatch):
