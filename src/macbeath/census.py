@@ -447,7 +447,8 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
         K = gf.FieldCtx.trusted(p, tuple(c % p for c in comp.coeffs), d)
         t = K.gen()
     one, zero = K.one(), K.zero()
-    s_val = K.elem(3) - t * t
+    tt, four = t * t, K.elem(4)
+    s_val = K.elem(3) - tt
     if s_val.is_zero():
         raise OracleError("degenerate class with t^2 = 3")
     half = K.elem((p + 1) // 2)
@@ -456,7 +457,7 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
     candidates = chain([half], (c for c in map(K.element_at, count()) if c != half))
     for r in islice(candidates, 4000):
         v = one - r
-        disc = t * t - K.elem(4) * (one - r + r * r)
+        disc = tt - four * (one - r + r * r)
         root = gf.sqrt_in_field(disc)
         if root is not None:
             sp = (root - t) * half
@@ -465,32 +466,23 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
                 raise IntegrityError("constructed x does not have determinant 1")
             if u - sp != t:
                 raise IntegrityError("constructed x has the wrong zx trace")
-            x_mat = (r, sp, u, v)
             break
     else:
         raise OracleError(f"no solvable x found for class {cls.factor} mod {p}")
 
-    r, sp, u, v = x_mat
-    z_mat = (zero, one, -one, zero)
+    x_mat, z_mat = (r, sp, u, v), (zero, one, -one, zero)
     # x^3 = -I: order 3 in PSL(2,q)
-    x2 = _mat_mul(x_mat, x_mat)
-    x3 = _mat_mul(x2, x_mat)
-    if x3 != (-one, zero, zero, -one):
+    if _mat_mul(_mat_mul(x_mat, x_mat), x_mat) != (-one, zero, zero, -one):
         raise IntegrityError("x is not of order 3")
 
     alpha = sp + u
-    beta_options = [-(r - v), r - v]
-    w_mat = None
-    for beta in beta_options:
-        if alpha.is_zero() and beta.is_zero():
-            continue
-        cand = (alpha, beta, beta, -alpha)
-        if _conjugation_inverts(cand, z_mat) and _conjugation_inverts(cand, x_mat):
-            w_mat = cand
+    for beta in (v - r, r - v):
+        w_mat = (alpha, beta, beta, -alpha)
+        if (not (alpha.is_zero() and beta.is_zero()) and _conjugation_inverts(w_mat, z_mat)
+                and _conjugation_inverts(w_mat, x_mat)):
             break
-    if w_mat is None:
+    else:
         raise OracleError("no sign choice of w inverts both z and x")
-    alpha, beta = w_mat[0], w_mat[1]
     degenerate = beta.is_zero()
     det_w = -(alpha * alpha) - beta * beta
     if det_w.is_zero():

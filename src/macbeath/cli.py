@@ -278,10 +278,15 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 2
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared: parsing
     leaves it unchanged, so callers must not modify it either."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="macbeath",
         description="Inner/outer regularity census for Macbeath maps over PSL(2,q)")
@@ -347,12 +352,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--bound", type=int,
                        help="override the suite's default sweep bound")
     p_ver.set_defaults(func=_cmd_verify)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    # argv is read once, by the named command's parser; the top-level parser
+    # runs only to report what that leaves: no command, or arguments over
+    command = commands.get(argv[0]) if argv else None
+    args, extra = command.parse_known_args(argv[1:]) if command else (None, True)
+    if extra:
+        args = parser.parse_args(argv)
+    else:
+        args.command = argv[0]
     try:
         args.workers = (density.default_workers() if args.workers is None
                         else density.clamp_workers(args.workers))

@@ -453,8 +453,7 @@ def pattern_census(m: int, n: int, bound: int, *,
     disc = discriminant(f2)
     primes = primes_in_classes(PrimeStream(1, {0}, bound=bound))
     # the kernel's per-type constants, computed here once for every worker
-    gf._half_discriminant(f2)
-    gf._half_series(f2)
+    gf._half_modulus(f2)
     rows = _fan_out(functools.partial(_pattern_row, m, n, f2), primes, workers)
     counts: dict[tuple[int, ...], int] = {}
     skipped = []

@@ -452,19 +452,14 @@ def _discriminant(f: IntPoly) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _half_discriminant(f: IntPoly) -> int:
-    """disc g for f = g(x^2) over Z with deg g >= 1; 0 for any other f."""
+def _half_modulus(f: IntPoly) -> tuple[int, tuple[int, ...] | None, tuple[int, ...]]:
+    """(disc g, MU of g over Z, g) for f = g(x^2) over Z with deg g >= 1: g is
+    the half-degree kernel's modulus, MU its `_series_mu`, None unless g is
+    monic over Z.  (0, None, ()) for any other f."""
     if f.degree < 2 or any(f.coeffs[1::2]):
-        return 0
-    return _discriminant(IntPoly(f.coeffs[::2]))
-
-
-@functools.lru_cache(maxsize=256)
-def _half_series(f: IntPoly) -> tuple[int, ...] | None:
-    """MU of g over Z (`_series_mu`) for f = g(x^2) with g monic over Z, the
-    modulus of the half-degree kernel; None when g is not monic."""
+        return 0, None, ()
     g = f.coeffs[::2]
-    return tuple(_series_mu(g)) if g[-1] == 1 else None
+    return _discriminant(IntPoly(g)), tuple(_series_mu(g)) if g[-1] == 1 else None, g
 
 
 def reduce_and_factor(f: IntPoly, p: int) -> FactorList:
@@ -496,10 +491,10 @@ def degree_pattern(f: IntPoly, p: int) -> tuple[int, ...]:
     with p odd, g(0) != 0 mod p and p not dividing disc g (g squarefree mod
     p) is done mod g instead, in half the degree (`_half_degree_pattern`).
     """
-    if p > 2 and _half_discriminant(f) % p and f.coeffs[0] % p and f.coeffs[-1] % p:
+    disc, series, g = _half_modulus(f)
+    if p > 2 and disc % p and g[0] % p and g[-1] % p:
         # only g is reduced; an f that reduce_polynomial rejects is not taken
-        g = _monic([c % p for c in f.coeffs[::2]], p)
-        return _half_degree_pattern(g, p, _half_series(f))
+        return _half_degree_pattern(_monic([c % p for c in g], p), p, series)
     monic = _monic(reduce_polynomial(f, p), p)
     degs: list[int] = []
     for g, mult in _sqf_list(monic, p):
@@ -521,7 +516,7 @@ def _half_degree_pattern(g, p, series=None):
     All arithmetic is mod g, in half the degree of f: y^p = y a_1^2 gives the
     Frobenius rows for the distinct-degree split of g, and a_(i+1) = a_1 a_i^p
     runs only up to the degree of the last class that needs a_e.  `series`,
-    when given, is `_half_series(f)`: MU of g over Z, for g monic over Z.
+    when given, is MU of g over Z (`_half_modulus`), for g monic over Z.
     """
     ring = _PackedModulus(g, p, series)
     y = 1 << ring.w if ring.d > 1 else p - g[0]  # y mod g
@@ -720,7 +715,10 @@ class FieldElem:
             self._check(other)
         if ctx.degree == 1:
             return FieldElem(ctx, self.v * other.v % ctx.p)
-        return FieldElem(ctx, (ctx._ring or ctx.ring()).reduce(self.v * other.v))
+        ring = ctx._ring or ctx.ring()
+        # a constant factor scales each slot, to below p^2: one step mod p
+        reduce = ring.normalize if self.v < ctx.p or other.v < ctx.p else ring.reduce
+        return FieldElem(ctx, reduce(self.v * other.v))
 
     def __pow__(self, exp: int) -> FieldElem:
         if exp < 0:
@@ -835,10 +833,15 @@ def sqrt_in_field(a: FieldElem) -> FieldElem | None:
     norm = _norm(a)
     if pow(norm, (p - 1) // 2, p) != 1:
         return None
-    r = FieldElem(ctx, _sqrt_mod_prime(norm, p) if e == 1 else _descent_sqrt(ctx.ring(), a.v, norm))
-    if r.v is None or r * r != a:
+    v = _sqrt_mod_prime(norm, p) if e == 1 else _descent_sqrt(ctx.ring(), a.v, norm)
+    r = FieldElem(ctx, v)
+    if v is None or r * r != a:
         raise IntegrityError("square root verification failed")
-    return min(r, -r, key=lambda x: x.coeffs)
+    # -r holds p - r_j in each nonzero slot j, so the coefficient tuples of
+    # +-r first differ at the lowest one, and r is the smaller iff 2 r_j < p
+    ring = ctx._ring  # built by the descent when e > 1
+    low = v >> ((v & -v).bit_length() - 1) // ring.w * ring.w & ring.mask if e > 1 else v
+    return r if 2 * low < p else -r
 
 
 def _descent_sqrt(ring: _PackedModulus, a: int, norm: int) -> int | None:

@@ -24,13 +24,14 @@ class IntPoly:
     empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
+        object.__setattr__(self, "_hash", hash(self.coeffs))  # the caches' key
 
     def __setattr__(self, *args):
         raise AttributeError("IntPoly is immutable")
@@ -61,7 +62,7 @@ class IntPoly:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return self._hash
 
     def __add__(self, other: IntPoly) -> IntPoly:
         a, b = self.coeffs, other.coeffs

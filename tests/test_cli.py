@@ -442,6 +442,60 @@ def test_parser_is_shared_without_leaking_state(capsys, monkeypatch):
     assert out2 == _fresh_stdout(second)
 
 
+B13 = ["--n", "7", "--p", "13"]
+
+
+@pytest.mark.parametrize("argv, code, last", [
+    ([], 2, "macbeath: error: the following arguments are required: command"),
+    (["bogus"], 2, "macbeath: error: argument command: invalid choice: 'bogus'"),
+    (["classify", *B13, "extra"], 2, "macbeath: error: unrecognized arguments: extra"),
+    (["classify", "--n", "x", "--p", "13"], 2,
+     "macbeath classify: error: argument --n: invalid int value: 'x'"),
+    (["-h"], 0, "  {psi,disc,classify,oracle,pattern,sweep,predict,verify}"),
+    (["classify", "-h"], 0, "  --no-traces           skip the optional trace representatives"),
+    (["--format", "json", "classify", *B13], 2,
+     "macbeath: error: argument command: invalid choice: 'json'"),
+])
+def test_argparse_paths_print_what_the_full_parser_prints(capsys, monkeypatch,
+                                                          argv, code, last):
+    # main hands argv to the named command's parser alone; help, usage and
+    # errors must stay what the top-level parser prints for the same argv
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    out, err = capsys.readouterr()
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    assert (got.value.code, out, err) == (full.value.code, *capsys.readouterr())
+    assert got.value.code == code
+    text, other = (out, err) if code == 0 else (err, out)
+    assert other == "" and text.startswith("usage: macbeath")
+    assert any(line.startswith(last) for line in text.splitlines()), text
+
+
+def test_a_valid_command_is_parsed_once(capsys, monkeypatch):
+    calls = []
+    real = cli.argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, "classify", *B13, "--format", "json")[0] == 0
+    assert calls == ["macbeath classify"]
+
+
+def test_a_dispatched_command_leaks_no_option_into_the_next(capsys):
+    # --class-index set by one call must not narrow the next one
+    code1, one, _ = run(capsys, "oracle", *B13, "--class-index", "1", "--format", "json")
+    code2, every, _ = run(capsys, "oracle", *B13, "--format", "json")
+    assert code1 == code2 == 0
+    witnesses = json.loads(every)["witnesses"]
+    assert len(witnesses) == len(map_census(3, 7, 13).classes) == 3
+    assert json.loads(one)["witnesses"] == witnesses[1:2]
+
+
 @pytest.mark.parametrize("n,p", [(7, 5), (9, 23), (11, 3), (13, 47)])
 def test_oracle_output_matches_the_traced_record(capsys, n, p):
     # the command classifies without traces; the witnesses must be the ones

@@ -464,6 +464,29 @@ def test_packed_field_mul_matches_schoolbook():
             assert (a**3).coeffs == (a * a * a).coeffs
 
 
+def test_constant_factor_products_match_the_generic_reduction(monkeypatch):
+    # a factor c of F_p (v = c < p) scales each slot and takes one step mod p,
+    # no reduction mod f: in both orders, with zero on either side, it must
+    # equal the reduction of the product (degree 1: the residue mod p); a
+    # product needs no field
+    reduced = []
+    reduce = gf._PackedModulus.reduce
+    monkeypatch.setattr(gf._PackedModulus, "reduce",
+                        lambda ring, prod: reduced.append(prod) or reduce(ring, prod))
+    rng = random.Random(24)
+    for p in (2, 3, 499, 65521, P64):
+        for e in range(1, 19):
+            ctx = FieldCtx.trusted(p, tuple(rng.randrange(p) for _ in range(e)) + (1,), e)
+            elems = [ctx.zero(), ctx.one(), ctx.elem(p - 1)]
+            elems += [ctx.elem([rng.randrange(p) for _ in range(e)]) for _ in range(4)]
+            for c in (ctx.zero(), ctx.one(), ctx.elem(p - 1), ctx.elem(rng.randrange(p))):
+                for a in elems:
+                    expected = c.v * a.v % p if e == 1 else reduce(ctx.ring(), c.v * a.v)
+                    reduced.clear()
+                    assert (c * a).v == (a * c).v == expected, (p, e, c, a)
+                    assert reduced == [], (p, e, c, a)
+
+
 def test_degree_pattern_matches_sympy_factor_degrees():
     # the distinct-degree split, with its packed Frobenius map and the rows
     # carried over to each cofactor, against an independent factorization
@@ -866,7 +889,7 @@ def test_integer_series_mu_matches_the_loop():
     for m in (3, 4, 6):
         for n in range(7, 61):
             g = s_polynomial(m, n)
-            series = gf._half_series(doubled(g))
+            series = gf._half_modulus(doubled(g))[1]
             assert series == tuple(gf._series_mu(g.coeffs)), (m, n)
             for p in (3, 5, 13, 65521, P63, P64):
                 mod = [c % p for c in g.coeffs]
@@ -890,7 +913,7 @@ def test_non_monic_modulus_takes_the_loop(monkeypatch, kernel_calls):
     g = s_polynomial(3, 11)
     for lead in (2, -1):
         f = doubled(g * IntPoly([lead]))
-        assert gf._half_series(f) is None
+        assert gf._half_modulus(f)[1] is None
         for p in (3, 13, 43, 101):
             series_given.clear()
             kernel_calls.clear()
@@ -898,7 +921,7 @@ def test_non_monic_modulus_takes_the_loop(monkeypatch, kernel_calls):
             assert kernel_calls == [p] and series_given[0] is None, (lead, p)
     series_given.clear()
     degree_pattern(doubled(g), 13)
-    assert series_given == [gf._half_series(doubled(g))]
+    assert series_given == [gf._half_modulus(doubled(g))[1]]
 
 
 def test_pattern_census_pays_per_prime_only_its_arithmetic(monkeypatch, kernel_calls):
@@ -934,7 +957,7 @@ def test_pattern_census_pays_per_prime_only_its_arithmetic(monkeypatch, kernel_c
     monkeypatch.setattr(gf, "_series_mu", counted_series)
     monkeypatch.setattr(gf._PackedModulus, "frobenius", counted_rows)
     monkeypatch.setattr(gf, "_half_degree_pattern", kernel_rings)
-    gf._half_series.cache_clear()
+    gf._half_modulus.cache_clear()
     try:
         census = density.pattern_census(3, 11, 3000, workers=1)
         assert series_over_z == [1]
@@ -944,7 +967,7 @@ def test_pattern_census_pays_per_prime_only_its_arithmetic(monkeypatch, kernel_c
         census = density.pattern_census(3, 7, 3000, workers=1)
         assert rows_built == [0] and census.total == len(kernel_calls) > 400
     finally:
-        gf._half_series.cache_clear()
+        gf._half_modulus.cache_clear()
 
 
 def test_half_degree_route_keeps_the_reduction_errors():
@@ -958,7 +981,7 @@ def test_half_degree_route_keeps_the_reduction_errors():
                 degree_pattern(f, p)
         # g = p y^2 + y + 1: disc g = 1 - 4p and g(0) = 1 are units mod p;
         # the odd f beside it takes the generic route
-        assert gf._half_discriminant(IntPoly([1, 0, 1, 0, p])) % p
+        assert gf._half_modulus(IntPoly([1, 0, 1, 0, p]))[0] % p
         for f in (IntPoly([1, 0, 1, 0, p]), IntPoly([1, 0, 1, 0, 3 * p]),
                   IntPoly([1, 1, 1, 0, p])):
             with pytest.raises(ValueError, match=lead):
@@ -976,7 +999,7 @@ def test_discriminant_computed_once_per_polynomial(monkeypatch):
 
     monkeypatch.setattr(gf, "discriminant", spy)
     gf._discriminant.cache_clear()
-    gf._half_discriminant.cache_clear()
+    gf._half_modulus.cache_clear()
     try:
         f1 = s_polynomial(3, 13)
         for p in primes_upto(2000)[1:]:
@@ -985,7 +1008,7 @@ def test_discriminant_computed_once_per_polynomial(monkeypatch):
         assert seen == [f1]
     finally:
         gf._discriminant.cache_clear()
-        gf._half_discriminant.cache_clear()
+        gf._half_modulus.cache_clear()
 
 
 def test_one_packed_ring_for_the_top_level_split(monkeypatch):
@@ -1274,6 +1297,21 @@ def test_descent_sqrt_matches_tonelli_shanks():
             ("subfield 2 square", False), ("subfield 2 non-square", False),
             ("subfield 5 non-square", False), ("non-square", True),
             ("random", True), ("random", False)} <= seen, seen
+
+
+def test_sqrt_returns_the_smaller_root_by_coefficients():
+    # the root is chosen by its lowest nonzero slot; it must be the one min
+    # takes of the roots +-b of b*b by coefficient tuples, also when b's
+    # lowest slots are zero
+    rng = random.Random(67)
+    fields = [(p, e) for p in (3, 5, 13, 499, 65521) for e in range(1, 11)]
+    fields += [(P64, e) for e in range(1, 5)]
+    for p, e in fields:
+        ctx = FieldCtx.trusted(p, random_irreducible(p, e, rng), e)
+        for sparse in (False, True) * 4:
+            b = ctx.elem([0 if sparse and rng.random() < 0.6 else rng.randrange(p)
+                          for _ in range(e)])
+            assert sqrt_in_field(b * b) == min(b, -b, key=lambda x: x.coeffs), (p, e, b)
 
 
 def test_linear_group_split_builds_no_frobenius_rows(monkeypatch):
