@@ -17,14 +17,14 @@ from typing import NamedTuple
 
 from . import gf
 from .errors import BadReduction, Inadmissible, IntegrityError, OracleError
-from .intpoly import IntPoly, psi, s_polynomial
+from .intpoly import _W_SQUARE, IntPoly, psi, s_polynomial
 from .numkit import (_factorize, divisors, euler_phi, genus_of_prime_power, is_prime,
                      lucas_v, moebius, mult_order_signed, trace_modulus)
 
 # modulus that controls existence of order-m rotations in PSL(2,q)
-_M_MODULUS = {3: 3, 4: 8, 6: 12}
+_M_MODULUS = {m: trace_modulus(m) for m in _W_SQUARE}
 # 4 - w_m^2 where +-w_m is the order-m rotation trace; t^2 = this - s
-_T_SQUARE_SHIFT = {3: 3, 4: 2, 6: 1}
+_T_SQUARE_SHIFT = {m: 4 - w2 for m, w2 in _W_SQUARE.items()}
 
 INNER = "inner"
 OUTER = "outer"
@@ -174,7 +174,7 @@ def _s_zero(m: int, n: int, p: int) -> BadReduction:
 
 def _trace_class(m: int, n: int, p: int, factor: tuple[int, ...], d: int,
                  traces: bool) -> TraceClass:
-    ctx = gf.FieldCtx.trusted(p, factor, d)
+    ctx = gf.FieldCtx(p, factor, d)
     s = ctx.gen()
     character = gf.chi(s)
     if character == 0:
@@ -304,7 +304,7 @@ def _check_witness(m: int, n: int, p: int, s_values: list[int], f1: IntPoly):
 def _split_class(p: int, s: int, character: int, t: int, traces: bool) -> TraceClass:
     # x mod (x - s) is s, so the class values are built from the residues
     factor = ((-s) % p, 1)
-    ctx = gf.FieldCtx.trusted(p, factor, 1)
+    ctx = gf.FieldCtx(p, factor, 1)
     return TraceClass(factor, 1, gf.FieldElem(ctx, s), character,
                       INNER if character == 1 else OUTER,
                       gf.FieldElem(ctx, min(t, p - t)) if traces else None)
@@ -444,7 +444,7 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
         comp = IntPoly(cls.factor).compose(IntPoly([3, 0, -1]))
         if e % 2:
             comp = -comp
-        K = gf.FieldCtx.trusted(p, tuple(c % p for c in comp.coeffs), d)
+        K = gf.FieldCtx(p, tuple(c % p for c in comp.coeffs), d)
         t = K.gen()
     one, zero = K.one(), K.zero()
     tt, four = t * t, K.elem(4)
@@ -526,7 +526,7 @@ def route_product(m: int, n: int, p: int) -> tuple[tuple[int, ...], tuple[int, .
     shift = _T_SQUARE_SHIFT[m]
     left = [1]
     for factor, _ in factored.factors:
-        ctx = gf.FieldCtx.trusted(p, factor, len(factor) - 1)
+        ctx = gf.FieldCtx(p, factor, len(factor) - 1)
         troot = ctx.gen()
         s_elem = ctx.elem(shift) - troot * troot
         minpoly = s_elem.min_poly()

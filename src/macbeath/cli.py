@@ -122,8 +122,11 @@ def _cmd_classify(args) -> int:
                  f"(d={record.field.d}), genus {record.genus}",
                  f"classes: {len(record.classes)}  inner k={record.k}  outer l={record.l}"]
         if record.count_flag:
-            lines.append(f"note: factor count differs from phi(n)/2d = "
-                         f"{record.closed_form_count} (Galois-folded case)")
+            closed = record.closed_form_count
+            if closed < 0:  # d does not divide phi(n)/2, the sum of the class degrees
+                closed = f"{sum(c.e for c in record.classes)}/{record.field.d}, not an integer"
+            lines.append(f"note: factor count differs from phi(n)/2d = {closed} "
+                         f"(Galois-folded case)")
         for i, c in enumerate(record.classes):
             t_part = f" t={list(c.t.coeffs)}" if c.t is not None else ""
             lines.append(f"  class {i}: factor={list(c.factor)} s={list(c.s.coeffs)} "

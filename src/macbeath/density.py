@@ -228,7 +228,7 @@ def _tally(m: int, n: int, stream: PrimeStream,
                    for k, c in counts.items()}
     model = galois_model(m, n)
     predicted = None if model.structure == UNKNOWN else \
-        _sigma_densities(model.r, model.structure)
+        tuple(predicted_sigma_densities(model))
     deviation = None
     if predicted is not None and total:
         deviation = _max_deviation(counts, total, dict(enumerate(predicted)))
@@ -373,12 +373,7 @@ def predicted_sigma_densities(model: GaloisModel) -> list[Fraction]:
     These are the identity element's cycle statistics: r orbits of length 1,
     of which the k = r - i with even flips are the inner classes.
     """
-    return list(_sigma_densities(model.r, model.structure))
-
-
-@functools.lru_cache(maxsize=None)
-def _sigma_densities(r: int, structure: str) -> tuple[Fraction, ...]:
-    return tuple(_odd_orbit_weights(r, structure)[::-1])
+    return _odd_orbit_weights(model.r, model.structure)[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -574,47 +574,38 @@ class FieldCtx:
     reduces to a computation inside F_{p^e}.
     """
 
-    __slots__ = ("p", "modulus", "degree", "ambient_d", "_ring")
+    __slots__ = ("p", "modulus", "degree", "ambient_d", "ring")
 
-    def __init__(self, p: int, modulus, ambient_d: int | None = None):
-        """A checked context: p prime, the modulus monic and irreducible mod p
-        once reduced, its degree dividing the ambient degree."""
+    def __init__(self, p: int, modulus: tuple[int, ...], ambient_d: int):
+        """A context for a modulus the program built: a tuple, monic, reduced
+        mod p, trimmed and irreducible, with nothing checked (library input goes
+        through `checked`).  `ring` is the packed arithmetic mod the modulus in
+        degree > 1, and None in degree 1, which works on the residue itself."""
+        self.p = p
+        self.modulus = modulus
+        self.degree = len(modulus) - 1
+        self.ambient_d = ambient_d
+        self.ring = _PackedModulus(modulus, p) if self.degree > 1 else None
+
+    @classmethod
+    def checked(cls, p: int, modulus, ambient_d: int | None = None) -> FieldCtx:
+        """A context for library input: p prime, the modulus monic and
+        irreducible mod p once reduced, its degree dividing the ambient degree
+        (default: the field's own degree).  ValueError otherwise."""
         modulus = tuple(int(c) % p for c in modulus)
         while modulus and modulus[-1] == 0:
             modulus = modulus[:-1]
-        self._set(p, modulus, ambient_d)
-        e = self.degree
+        e = len(modulus) - 1
+        ambient_d = e if ambient_d is None else ambient_d
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if e < 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
-        if self.ambient_d % e:
+        if ambient_d % e:
             raise ValueError("field degree must divide the ambient degree")
         if not is_irreducible(list(modulus), p):
             raise ValueError("modulus is not irreducible mod p")
-
-    def _set(self, p, modulus, ambient_d):
-        e = len(modulus) - 1
-        self.p = p
-        self.modulus = modulus
-        self.degree = e
-        self.ambient_d = e if ambient_d is None else ambient_d
-        self._ring = None
-
-    @classmethod
-    def trusted(cls, p: int, modulus: tuple[int, ...], ambient_d: int) -> FieldCtx:
-        """A context for a modulus the program built itself: a tuple, monic,
-        reduced mod p and trimmed.  No normalizing pass, no checks."""
-        ctx = cls.__new__(cls)
-        ctx._set(p, modulus, ambient_d)
-        return ctx
-
-    def ring(self) -> _PackedModulus:
-        """Packed arithmetic mod the modulus, built on first use (degree > 1;
-        a degree-1 context works on the residue itself and never builds one)."""
-        if self._ring is None:
-            self._ring = _PackedModulus(self.modulus, self.p)
-        return self._ring
+        return cls(p, modulus, ambient_d)
 
     def elem(self, coeffs) -> FieldElem:
         if isinstance(coeffs, int):
@@ -622,7 +613,7 @@ class FieldCtx:
         reduced = _rem([c % self.p for c in coeffs], list(self.modulus), self.p)
         if self.degree == 1:
             return FieldElem(self, reduced[0] if reduced else 0)
-        return FieldElem(self, self.ring().pack(reduced))
+        return FieldElem(self, self.ring.pack(reduced))
 
     def zero(self) -> FieldElem:
         return FieldElem(self, 0)
@@ -673,7 +664,7 @@ class FieldElem:
         """Coefficients of the reduced residue, constant term first, trimmed."""
         if self.ctx.degree == 1:
             return (self.v,) if self.v else ()
-        return tuple(self.ctx.ring().unpack(self.v))
+        return tuple(self.ctx.ring.unpack(self.v))
 
     def is_zero(self) -> bool:
         return not self.v
@@ -683,7 +674,7 @@ class FieldElem:
             raise ValueError("elements from different field contexts")
 
     # Each operation takes the residue itself in degree 1 and the packed
-    # kernel otherwise; `ctx._ring or ctx.ring()` skips a call once built.
+    # kernel otherwise.
 
     def __add__(self, other: FieldElem) -> FieldElem:
         ctx = self.ctx
@@ -691,7 +682,7 @@ class FieldElem:
             self._check(other)
         if ctx.degree == 1:
             return FieldElem(ctx, (self.v + other.v) % ctx.p)
-        return FieldElem(ctx, (ctx._ring or ctx.ring()).normalize(self.v + other.v))
+        return FieldElem(ctx, ctx.ring.normalize(self.v + other.v))
 
     def __sub__(self, other: FieldElem) -> FieldElem:
         ctx = self.ctx
@@ -699,14 +690,14 @@ class FieldElem:
             self._check(other)
         if ctx.degree == 1:
             return FieldElem(ctx, (self.v - other.v) % ctx.p)
-        ring = ctx._ring or ctx.ring()
+        ring = ctx.ring
         return FieldElem(ctx, ring.normalize(self.v + ring._p_slots - other.v))
 
     def __neg__(self) -> FieldElem:
         ctx = self.ctx
         if ctx.degree == 1:
             return FieldElem(ctx, -self.v % ctx.p)
-        ring = ctx._ring or ctx.ring()
+        ring = ctx.ring
         return FieldElem(ctx, ring.normalize(ring._p_slots - self.v))
 
     def __mul__(self, other: FieldElem) -> FieldElem:
@@ -715,7 +706,7 @@ class FieldElem:
             self._check(other)
         if ctx.degree == 1:
             return FieldElem(ctx, self.v * other.v % ctx.p)
-        ring = ctx._ring or ctx.ring()
+        ring = ctx.ring
         # a constant factor scales each slot, to below p^2: one step mod p
         reduce = ring.normalize if self.v < ctx.p or other.v < ctx.p else ring.reduce
         return FieldElem(ctx, reduce(self.v * other.v))
@@ -726,7 +717,7 @@ class FieldElem:
         ctx = self.ctx
         if ctx.degree == 1:
             return FieldElem(ctx, pow(self.v, exp, ctx.p))
-        return FieldElem(ctx, ctx.ring().pow(self.v, exp))
+        return FieldElem(ctx, ctx.ring.pow(self.v, exp))
 
     def frobenius(self) -> FieldElem:
         return self**self.ctx.p
@@ -767,23 +758,20 @@ class FieldElem:
 
 
 def _norm(a: FieldElem) -> int:
-    """Norm of a nonzero a down to F_p: a itself in degree 1, else the
-    resultant of the (monic) modulus with a representative of a, by a
-    Euclidean remainder sequence."""
+    """Norm of a nonzero a down to F_p: the resultant of the (monic) modulus
+    with a representative of a, by a Euclidean remainder sequence (a itself
+    in degree 1, where the loop never runs)."""
     p = a.ctx.p
-    if a.ctx.degree == 1:
-        norm = a.v
-    else:
-        f, g, res = list(a.ctx.modulus), list(a.coeffs), 1
-        while len(g) > 1:
-            r = _rem(f, g, p)
-            if ((len(f) - 1) * (len(g) - 1)) % 2:
-                res = -res
-            if g[-1] != 1:
-                res = res * pow(g[-1], (len(f) - 1) - max(len(r) - 1, 0), p)
-            res %= p
-            f, g = g, r
-        norm = res * pow(g[0], len(f) - 1, p) % p if g else 0
+    f, g, res = list(a.ctx.modulus), list(a.coeffs), 1
+    while len(g) > 1:
+        r = _rem(f, g, p)
+        if ((len(f) - 1) * (len(g) - 1)) % 2:
+            res = -res
+        if g[-1] != 1:
+            res = res * pow(g[-1], (len(f) - 1) - max(len(r) - 1, 0), p)
+        res %= p
+        f, g = g, r
+    norm = res * pow(g[0], len(f) - 1, p) % p if g else 0
     if norm == 0:
         raise IntegrityError("norm of a nonzero field element vanished")
     return norm
@@ -833,13 +821,13 @@ def sqrt_in_field(a: FieldElem) -> FieldElem | None:
     norm = _norm(a)
     if pow(norm, (p - 1) // 2, p) != 1:
         return None
-    v = _sqrt_mod_prime(norm, p) if e == 1 else _descent_sqrt(ctx.ring(), a.v, norm)
+    ring = ctx.ring
+    v = _sqrt_mod_prime(norm, p) if e == 1 else _descent_sqrt(ring, a.v, norm)
     r = FieldElem(ctx, v)
     if v is None or r * r != a:
         raise IntegrityError("square root verification failed")
     # -r holds p - r_j in each nonzero slot j, so the coefficient tuples of
     # +-r first differ at the lowest one, and r is the smaller iff 2 r_j < p
-    ring = ctx._ring  # built by the descent when e > 1
     low = v >> ((v & -v).bit_length() - 1) // ring.w * ring.w & ring.mask if e > 1 else v
     return r if 2 * low < p else -r
 

@@ -274,8 +274,8 @@ def psi_at_one(n: int) -> PsiOne:
     return PsiOne(n, direct, product, True)
 
 
-# shift constants 2 - w_m^2 where +-w_m is the trace of a rotation of order m
-_SHIFT = {3: 1, 4: 0, 6: -1}
+# w_m^2 where +-w_m is the trace of a rotation of order m, for each supported m
+_W_SQUARE = {3: 1, 4: 2, 6: 3}
 
 
 @functools.lru_cache(maxsize=None)
@@ -286,12 +286,12 @@ def s_polynomial(m: int, n: int) -> IntPoly:
     Supported face valencies are m = 3, 4, 6, the ones whose order-m trace
     has a rational square (1, 2, 3 respectively).
     """
-    if m not in _SHIFT:
+    if m not in _W_SQUARE:
         raise Inadmissible(f"m={m} is unsupported: the order-{m} trace square is irrational")
     if (m - 2) * (n - 2) <= 4:
         raise Inadmissible(f"type {{{m},{n}}} is not hyperbolic")
     deg = euler_phi(n) // 2
-    f1 = psi(n).compose(IntPoly((_SHIFT[m], -1)))  # Psi_n(shift - x)
+    f1 = psi(n).compose(IntPoly((2 - _W_SQUARE[m], -1)))  # Psi_n(2 - w_m^2 - x)
     if deg % 2:
         f1 = -f1
     if not f1.is_monic() or f1.degree != deg:

@@ -156,12 +156,12 @@ def cps_discriminant(a, b, c):
 
 
 def test_cps_discriminant():
-    ctx = gf.FieldCtx(13, [0, 1])
+    ctx = gf.FieldCtx.checked(13, [0, 1])
     t = ctx.elem(5)
     assert cps_discriminant(t, ctx.zero(), ctx.one()) == ctx.elem(3) - t * t
     assert cps_discriminant(ctx.zero(), ctx.zero(), ctx.zero()) == ctx.elem(4)
     # with w^2 = 2 adjoined: (t, 0, w) evaluates to 2 - t^2
-    ext = gf.FieldCtx(5, [-2, 0, 1])
+    ext = gf.FieldCtx.checked(5, [-2, 0, 1])
     w = ext.gen()
     t5 = ext.elem(3)
     assert cps_discriminant(t5, ext.zero(), w) == ext.elem(2) - t5 * t5
@@ -222,20 +222,25 @@ def test_matrix_oracle_extension_branch():
 
 
 def test_matrix_oracle_works_in_the_field_of_its_class(monkeypatch):
-    # a class whose trace lies in its own field needs no new context
+    # a class whose trace lies in its own field builds no context at all;
+    # any other builds one, the quadratic extension of its field that holds t
     built = []
-    trusted = gf.FieldCtx.trusted
-    monkeypatch.setattr(gf.FieldCtx, "trusted", staticmethod(
-        lambda p, modulus, d: built.append(modulus) or trusted(p, modulus, d)))
-    checked = 0
-    for n, p in ((7, 13), (7, 43), (7, 5), (9, 19), (13, 5)):
+    init = gf.FieldCtx.__init__
+    monkeypatch.setattr(gf.FieldCtx, "__init__", lambda ctx, p, modulus, d:
+                        built.append(modulus) or init(ctx, p, modulus, d))
+    seen = {True: 0, False: 0}
+    for n, p in ((7, 13), (7, 43), (7, 5), (9, 19), (13, 5), (8, 7)):
         for c in map_census(3, n, p).classes:
+            built.clear()
+            witness = matrix_oracle(c)
+            assert witness.verdict == c.regularity
             if c.t is not None:
-                built.clear()
-                assert matrix_oracle(c).verdict == c.regularity
-                assert c.factor not in built
-                checked += 1
-    assert checked >= 5
+                assert built == [] and witness.field_modulus == c.factor, (n, p)
+            else:
+                assert built == [witness.field_modulus], (n, p)
+                assert len(witness.field_modulus) - 1 == 2 * c.e
+            seen[c.t is not None] += 1
+    assert seen[True] >= 5 and seen[False] >= 2, seen
 
 
 def test_census_m6():
@@ -467,7 +472,8 @@ def test_extension_square_roots_skip_prime_field_walk(monkeypatch):
 
 
 def test_split_route_builds_classes_from_integers(monkeypatch):
-    calls = {"_rem": 0, "elem": 0, "is_prime": 0, "FieldCtx": 0, "chi": 0}
+    calls = {"_rem": 0, "elem": 0, "is_prime": 0, "FieldCtx": 0, "checked": 0,
+             "_PackedModulus": 0, "chi": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -479,8 +485,13 @@ def test_split_route_builds_classes_from_integers(monkeypatch):
         map_census(3, n, warm)  # fill the per-n caches first
         monkeypatch.setattr(gf, "_rem", counted("_rem", gf._rem))
         monkeypatch.setattr(gf.FieldCtx, "elem", counted("elem", gf.FieldCtx.elem))
-        # the normalizing constructor: the split route's moduli are reduced
+        # one degree-1 context per class from its reduced modulus: no checks
+        # and no packed ring
         monkeypatch.setattr(gf.FieldCtx, "__init__", counted("FieldCtx", gf.FieldCtx.__init__))
+        monkeypatch.setattr(gf.FieldCtx, "checked",
+                            staticmethod(counted("checked", gf.FieldCtx.checked)))
+        monkeypatch.setattr(gf._PackedModulus, "__init__",
+                            counted("_PackedModulus", gf._PackedModulus.__init__))
         # the characters come from the residues, not from field elements
         monkeypatch.setattr(gf, "chi", counted("chi", gf.chi))
         is_prime = counted("is_prime", numkit.is_prime)
@@ -490,8 +501,9 @@ def test_split_route_builds_classes_from_integers(monkeypatch):
             calls.update(dict.fromkeys(calls, 0))
             record = map_census(3, n, p, traces=traces)
             assert record.field.d == 1 and len(record.classes) > 1
-            assert calls == {"_rem": 0, "elem": 0, "is_prime": 1, "FieldCtx": 0,
-                             "chi": 0}, \
+            assert calls == {"_rem": 0, "elem": 0, "is_prime": 1,
+                             "FieldCtx": len(record.classes), "checked": 0,
+                             "_PackedModulus": 0, "chi": 0}, \
                 (n, p, traces)
         monkeypatch.undo()
 
@@ -661,7 +673,7 @@ def test_pivot_proportionality_matches_all_six_products():
 
     rng = random.Random(53)
     for p, e in ((3, 1), (3, 4), (5, 3), (13, 2), (499, 3), (65521, 2)):
-        ctx = gf.FieldCtx.trusted(p, random_irreducible(p, e, rng), e)
+        ctx = gf.FieldCtx(p, random_irreducible(p, e, rng), e)
 
         def draw(zero_share=0.0):
             return tuple(ctx.zero() if rng.random() < zero_share

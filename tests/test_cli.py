@@ -11,7 +11,7 @@ import pytest
 from timelimit import time_limit
 
 import macbeath
-from macbeath import census, cli, density, refdata
+from macbeath import census, cli, density, gf, refdata
 from macbeath.census import map_census, matrix_oracle, record_from_json
 from macbeath.cli import build_parser, main
 from macbeath.errors import Inadmissible
@@ -98,6 +98,50 @@ def test_classify_table(capsys):
     assert code == 0
     assert "k=1" in out and "outer l=2" in out.replace("  ", " ")
     assert "parity: l predicted even" in out
+
+
+@pytest.mark.parametrize("argv, quotient", [
+    (("--n", "8", "--p", "3"), "2/4"),
+    (("--m", "4", "--n", "8", "--p", "3"), "2/4"),
+    (("--m", "6", "--n", "4", "--p", "5"), "1/2"),
+])
+def test_classify_table_names_a_closed_form_that_is_not_an_integer(capsys, argv, quotient):
+    # d does not divide phi(n)/2: the table prints the quotient, json and
+    # csv keep the closed-form count -1
+    code, out, _ = run(capsys, "classify", *argv)
+    assert code == 0 and "= -1" not in out
+    assert (f"note: factor count differs from phi(n)/2d = {quotient}, not an integer "
+            f"(Galois-folded case)") in out.splitlines()
+    code, out, _ = run(capsys, "classify", *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["closed_form_count"] == -1
+    # an integral closed form keeps its line
+    code, out, _ = run(capsys, "classify", "--n", "8", "--p", "7")
+    assert "note: factor count differs from phi(n)/2d = 1 (Galois-folded case)" in out
+
+
+def test_no_command_builds_a_checked_field(capsys, monkeypatch):
+    # FieldCtx.checked validates library input; every program path builds
+    # its contexts from moduli it reduced itself, so each run below prints
+    # what it prints with checked unavailable
+    runs = [("classify", "--n", "7", "--p", "43"), ("classify", "--n", "7", "--p", "5"),
+            ("classify", "--m", "4", "--n", "9", "--p", "19", "--format", "json"),
+            ("classify", "--m", "6", "--n", "13", "--p", "5", "--format", "csv"),
+            ("oracle", "--n", "7", "--p", "13"), ("oracle", "--n", "8", "--p", "7"),
+            ("oracle", "--n", "11", "--p", "23", "--format", "json"),
+            ("sweep", "--n", "7", "--first", "20", "--format", "json"),
+            ("pattern", "--n", "11", "--bound", "400", "--workers", "1")]
+    pairs = ((7, 13), (9, 5), (11, 23))
+    expected = [run(capsys, *argv) for argv in runs]
+    routes = [census.route_product(3, n, p) for n, p in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("FieldCtx.checked called on a program path")
+
+    monkeypatch.setattr(gf.FieldCtx, "checked", refuse)
+    for argv, before in zip(runs, expected):
+        assert before[0] == 0 and run(capsys, *argv) == before, argv
+    assert [census.route_product(3, n, p) for n, p in pairs] == routes
+    assert all(left == right for left, right in routes)
 
 
 def test_classify_bad_reduction_exit_code(capsys):

@@ -102,17 +102,17 @@ def test_reduce_rejects_vanishing_lead():
 
 def test_field_ops_examples():
     # x^2-2 splits mod 7 (2 = 3^2), so use p = 5 where it is irreducible
-    ctx = FieldCtx(5, [-2, 0, 1])  # F_25 as F_5[x]/(x^2-2)
+    ctx = FieldCtx.checked(5, [-2, 0, 1])  # F_25 as F_5[x]/(x^2-2)
     x = ctx.gen()
     assert (x * x) == ctx.elem(2)
-    f41 = FieldCtx(41, [0, 1])
+    f41 = FieldCtx.checked(41, [0, 1])
     assert f41.elem(2) * f41.elem(21) == f41.one()
     with pytest.raises(ValueError, match="negative exponent"):
         x ** -1
 
 
 def test_frobenius_fixes_exactly_the_prime_field():
-    ctx = FieldCtx(3, find_irreducible(3, 3))
+    ctx = FieldCtx.checked(3, find_irreducible(3, 3))
     fixed = [i for i in range(27) if (e := ctx.element_at(i)).frobenius() == e]
     assert len(fixed) == 3
     # and a^(p^e) = a for everything
@@ -120,32 +120,32 @@ def test_frobenius_fixes_exactly_the_prime_field():
 
 
 def test_element_min_poly():
-    ctx = FieldCtx(2, [1, 1, 0, 1])  # F_8 = F_2[x]/(x^3+x+1)
+    ctx = FieldCtx.checked(2, [1, 1, 0, 1])  # F_8 = F_2[x]/(x^3+x+1)
     x = ctx.gen()
     assert x.min_poly() == (1, 1, 0, 1)
     assert ctx.one().min_poly() == (1, 1)  # y - 1 = y + 1 over F_2
 
 
 def test_chi_prime_field_examples():
-    f13 = FieldCtx(13, [0, 1])
+    f13 = FieldCtx.checked(13, [0, 1])
     assert chi(f13.elem(4)) == 1
     assert chi(f13.elem(6)) == -1
     assert chi(f13.zero()) == 0
 
 
 def test_chi_characteristic_two():
-    ctx = FieldCtx(2, [1, 1, 0, 1], ambient_d=3)
+    ctx = FieldCtx.checked(2, [1, 1, 0, 1], ambient_d=3)
     assert all(chi(ctx.element_at(i)) == 1 for i in range(1, 8))
 
 
 def test_chi_ambient_parity_rule():
     # a non-square of F_19 becomes a square in the ambient F_19^2
-    f19 = FieldCtx(19, [0, 1])
+    f19 = FieldCtx.checked(19, [0, 1])
     nonsquare = next(a for a in range(2, 19) if chi(f19.elem(a)) == -1)
-    ambient = FieldCtx(19, [0, 1], ambient_d=2)
+    ambient = FieldCtx.checked(19, [0, 1], ambient_d=2)
     assert chi(ambient.elem(nonsquare)) == 1
     # odd ambient index keeps the subfield verdict
-    ambient3 = FieldCtx(19, [0, 1], ambient_d=3)
+    ambient3 = FieldCtx.checked(19, [0, 1], ambient_d=3)
     assert chi(ambient3.elem(nonsquare)) == -1
 
 
@@ -166,7 +166,7 @@ def test_chi_against_exhaustive_squares_small_fields():
         while qq > 1:
             qq //= p
             e += 1
-        ctx = FieldCtx(p, find_irreducible(p, e))
+        ctx = FieldCtx.checked(p, find_irreducible(p, e))
         squares = brute_square_table(ctx)
         for i in range(q):
             a = ctx.element_at(i)
@@ -182,7 +182,7 @@ def test_chi_multiplicative_all_fields():
     for p in primes_upto(2000):
         e = 1
         while p**e <= 2000:
-            ctx = FieldCtx(p, [0, 1] if e == 1 else find_irreducible(p, e))
+            ctx = FieldCtx.checked(p, [0, 1] if e == 1 else find_irreducible(p, e))
             q = p**e
             for _ in range(1000):
                 a = ctx.element_at(rng.randrange(q))
@@ -194,16 +194,16 @@ def test_chi_multiplicative_all_fields():
 
 
 def test_sqrt_examples():
-    f13 = FieldCtx(13, [0, 1])
+    f13 = FieldCtx.checked(13, [0, 1])
     assert sqrt_in_field(f13.elem(4)) == f13.elem(2)
     assert sqrt_in_field(f13.elem(6)) is None
-    f41 = FieldCtx(41, [0, 1])
+    f41 = FieldCtx.checked(41, [0, 1])
     assert sqrt_in_field(f41.elem(5)) == f41.elem(13)
 
 
 def test_sqrt_in_extension_fields():
     for p, e in ((3, 2), (5, 3), (7, 2), (2, 4), (13, 2)):
-        ctx = FieldCtx(p, find_irreducible(p, e))
+        ctx = FieldCtx.checked(p, find_irreducible(p, e))
         hits = 0
         q = ctx.p**ctx.degree
         for i in range(q):
@@ -217,9 +217,9 @@ def test_sqrt_in_extension_fields():
 
 
 def test_sqrt_ambient_square_may_have_no_represented_root():
-    f19 = FieldCtx(19, [0, 1], ambient_d=2)
+    f19 = FieldCtx.checked(19, [0, 1], ambient_d=2)
     nonsquare = next(a for a in range(2, 19)
-                     if sqrt_in_field(FieldCtx(19, [0, 1]).elem(a)) is None)
+                     if sqrt_in_field(FieldCtx.checked(19, [0, 1]).elem(a)) is None)
     elem = f19.elem(nonsquare)
     assert chi(elem) == 1
     assert sqrt_in_field(elem) is None
@@ -242,18 +242,43 @@ def test_equal_degree_factors_of_s_polynomial():
 
 def test_field_ctx_validation():
     with pytest.raises(ValueError):
-        FieldCtx(10, [0, 1])
+        FieldCtx.checked(10, [0, 1])
     with pytest.raises(ValueError):
-        FieldCtx(3, [2, 0, 1])  # x^2+2 = (x+1)(x+2) mod 3
+        FieldCtx.checked(3, [2, 0, 1])  # x^2+2 = (x+1)(x+2) mod 3
     with pytest.raises(ValueError):
-        FieldCtx(3, [1, 0, 1], ambient_d=3)  # 2 does not divide 3
+        FieldCtx.checked(3, [1, 0, 1], ambient_d=3)  # 2 does not divide 3
     with pytest.raises(ValueError):
-        FieldCtx(5, [2])  # degree 0
+        FieldCtx.checked(5, [2])  # degree 0
+
+
+def test_field_ctx_builds_its_ring_exactly_above_degree_one():
+    # the constructor builds the packed ring for degree > 1 and none in
+    # degree 1, which works on the residue; checked contexts and those of
+    # census classes alike
+    from macbeath.census import map_census
+
+    for p in (2, 3, 13, 499):
+        for e in range(1, 7):
+            modulus = find_irreducible(p, e)
+            for ctx in (FieldCtx(p, modulus, e), FieldCtx.checked(p, modulus),
+                        FieldCtx.checked(p, modulus, ambient_d=2 * e)):
+                assert ctx.degree == e and (ctx.ring is None) == (e == 1), (p, e)
+                if e > 1:
+                    assert (ctx.ring.p, ctx.ring.d) == (p, e)
+                    assert ctx.gen().v == 1 << ctx.ring.w
+    seen = set()
+    for m, n, p in ((3, 7, 13), (3, 7, 5), (3, 8, 7), (4, 9, 19), (6, 13, 5)):
+        for c in map_census(m, n, p).classes:
+            assert (c.s.ctx.ring is None) == (c.e == 1), (m, n, p)
+            seen.add(c.e)
+    assert {1, 2, 3} <= seen
+    with pytest.raises(TypeError):
+        FieldCtx(13, (0, 1))  # the modulus alone is FieldCtx.checked's call
 
 
 def test_mixed_context_arithmetic_rejected():
-    a = FieldCtx(5, [0, 1]).elem(2)
-    b = FieldCtx(7, [0, 1]).elem(2)
+    a = FieldCtx.checked(5, [0, 1]).elem(2)
+    b = FieldCtx.checked(7, [0, 1]).elem(2)
     with pytest.raises(ValueError):
         _ = a + b
 
@@ -454,7 +479,7 @@ def test_frobenius_is_identity_after_e_steps():
 def test_packed_field_mul_matches_schoolbook():
     rng = random.Random(29)
     for p, e in ((2, 1), (2, 18), (3, 5), (13, 18), (499, 4), (P63, 1), (P63, 3)):
-        ctx = FieldCtx.trusted(p, find_irreducible(p, e), e)
+        ctx = FieldCtx(p, find_irreducible(p, e), e)
         mod = list(ctx.modulus)
         for _ in range(30):
             a = ctx.elem([rng.randrange(p) for _ in range(e)])
@@ -476,12 +501,12 @@ def test_constant_factor_products_match_the_generic_reduction(monkeypatch):
     rng = random.Random(24)
     for p in (2, 3, 499, 65521, P64):
         for e in range(1, 19):
-            ctx = FieldCtx.trusted(p, tuple(rng.randrange(p) for _ in range(e)) + (1,), e)
+            ctx = FieldCtx(p, tuple(rng.randrange(p) for _ in range(e)) + (1,), e)
             elems = [ctx.zero(), ctx.one(), ctx.elem(p - 1)]
             elems += [ctx.elem([rng.randrange(p) for _ in range(e)]) for _ in range(4)]
             for c in (ctx.zero(), ctx.one(), ctx.elem(p - 1), ctx.elem(rng.randrange(p))):
                 for a in elems:
-                    expected = c.v * a.v % p if e == 1 else reduce(ctx.ring(), c.v * a.v)
+                    expected = c.v * a.v % p if e == 1 else reduce(ctx.ring, c.v * a.v)
                     reduced.clear()
                     assert (c * a).v == (a * c).v == expected, (p, e, c, a)
                     assert reduced == [], (p, e, c, a)
@@ -1158,7 +1183,7 @@ def test_packed_elements_match_schoolbook_coefficient_lists():
     rng = random.Random(41)
     for p in (2, 3, 5, 13, 499, 65521, P61):
         for e in range(1, 10):
-            ctx = FieldCtx.trusted(p, random_irreducible(p, e, rng), e)
+            ctx = FieldCtx(p, random_irreducible(p, e, rng), e)
             mod = list(ctx.modulus)
             for _ in range(6):
                 la, lb = ([rng.randrange(p) for _ in range(e)] for _ in range(2))
@@ -1174,7 +1199,7 @@ def test_packed_elements_match_schoolbook_coefficient_lists():
                 assert list((a**exp).coeffs) == list_powmod(la, exp, mod, p)
                 assert (a - a).is_zero() and a + (-a) == ctx.zero()
                 # equality and hashing follow the coefficients, not the object
-                twin = FieldCtx.trusted(p, ctx.modulus, e).elem(la)
+                twin = FieldCtx(p, ctx.modulus, e).elem(la)
                 assert twin == a and hash(twin) == hash(a)
                 assert (a == b) == (la == lb)
             assert ctx.elem(p + 3) == ctx.elem([3]) and ctx.elem(3).is_constant()
@@ -1234,7 +1259,7 @@ def test_odd_degree_norm_root_matches_exponent_route():
     rng = random.Random(43)
     for p in (3, 5, 13, 499, 65521):
         for e in (1, 3, 5, 7, 9):
-            ctx = FieldCtx.trusted(p, find_irreducible(p, e), e)
+            ctx = FieldCtx(p, find_irreducible(p, e), e)
             seen = {1: 0, -1: 0}
             for trial in range(12):
                 a = ctx.elem([rng.randrange(p) for _ in range(e)])
@@ -1283,7 +1308,7 @@ def test_descent_sqrt_matches_tonelli_shanks():
     fields += [(P64, e) for e in range(1, 5)]
     seen = set()
     for p, e in fields:
-        ctx = FieldCtx.trusted(p, random_irreducible(p, e, rng), e)
+        ctx = FieldCtx(p, random_irreducible(p, e, rng), e)
         for kind, a in sqrt_cases(ctx, rng):
             root = sqrt_in_field(a)
             assert root == reference_sqrt(a), (p, e, kind, a)
@@ -1307,7 +1332,7 @@ def test_sqrt_returns_the_smaller_root_by_coefficients():
     fields = [(p, e) for p in (3, 5, 13, 499, 65521) for e in range(1, 11)]
     fields += [(P64, e) for e in range(1, 5)]
     for p, e in fields:
-        ctx = FieldCtx.trusted(p, random_irreducible(p, e, rng), e)
+        ctx = FieldCtx(p, random_irreducible(p, e, rng), e)
         for sparse in (False, True) * 4:
             b = ctx.elem([0 if sparse and rng.random() < 0.6 else rng.randrange(p)
                           for _ in range(e)])
