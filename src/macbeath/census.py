@@ -110,7 +110,7 @@ def _class_sort_key(factor: tuple[int, ...], p: int):
 def map_census(m: int, n: int, p: int, *, traces: bool = True) -> CensusRecord:
     """Full classification of the type-{m,n} Macbeath maps in characteristic p.
 
-    Split primes (d = 1) take the Lucas-ladder witness and its checker, every
+    Split primes (d = 1) take the ladder witness and its checker, every
     other prime the factorization of f1 mod p; both give the same record.
     `traces=False` skips the optional square-root representative t on each
     class (the expensive part of a record); everything else is unchanged.
@@ -147,7 +147,7 @@ def summary(m: int, n: int, p: int) -> tuple[FieldData, int, int, int, int]:
     less the classes, with its errors; k_square counts the classes whose s
     is a square in its own field F_{p^e}, which is k when d = 1.
 
-    A split prime is read off its checked Lucas-ladder witness and builds no
+    A split prime is read off its checked ladder witness and builds no
     class objects and no record; every other p goes through `map_census`.
     """
     f1 = s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
@@ -225,36 +225,45 @@ def _split_plan(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
 def _ladder(m: int, n: int, p: int) -> tuple[list[int], list[int]] | None:
     """The j-ordered s-values and traces t_j on a split prime, no factoring.
 
-    With eps = +-1 the sign of p mod N and c a parameter with Legendre(c^2 - 4)
-    = eps, z + 1/z = c has a root z in F_p or in the norm-one torus of F_{p^2},
-    so z^(p - eps) = 1 and t_1 = V_{(p-eps)/N}(c) is the trace of an element of
-    order dividing N, of order exactly N when no V_{N/q}(t_1) equals 2; then
-    t_j = V_j(t_1) and s_j = shift - t_j^2.
+    Both branches find t_1 = z + 1/z for a z of order exactly N; then t_j =
+    V_j(t_1) = z^j + z^-j and s_j = shift - t_j^2.  For p = 1 mod N, z is
+    w^((p-1)/N) for the first w = 2, 3, ... in F_p* with no z^(N/q) = 1.  For
+    p = -1 mod N, z is in the norm-one torus of F_{p^2}: t_1 = V_{(p+1)/N}(c)
+    for the first c with Legendre(c^2 - 4) = -1 and no V_{N/q}(t_1) = 2.
 
     The s-values, in the order of the trace indices j, are the d = 1 witness
     that `check_witness` checks; nothing here checks them.  None unless
     2 < p < 2^64 and p = +-1 mod N and mod the order-m modulus, the d = 1
-    primes in range.  The ladder assumes p prime but never relies on it: an
-    Euler value other than 0 and +-1 proves p composite, and also gives None.
+    primes in range.  The ladder assumes p prime but never relies on it: an Euler
+    value of w other than +-1, or of c^2 - 4 other than 0, +-1, gives None.
     """
     n_mod, exponents, indices = _split_plan(n)
     m_mod = _M_MODULUS[m]
     if not 2 < p < 1 << 64 or p % n_mod not in (1, n_mod - 1) \
             or p % m_mod not in (1, m_mod - 1):
         return None
-    eps = 1 if p % n_mod == 1 else -1
     half = (p - 1) // 2
-    for c in range(3, p):
-        euler = pow(c * c - 4, half, p)
-        if euler != eps % p:
-            if euler not in (0, 1, p - 1):
+    if p % n_mod == 1:
+        # ends by a primitive root of a prime p, or at w = the least factor of p
+        for w in count(2):
+            if pow(w, half, p) not in (1, p - 1):
                 return None
-            continue
-        t1 = lucas_v((p - eps) // n_mod, c, p)
-        if all(lucas_v(k, t1, p) != 2 for k in exponents):
-            break
+            z = pow(w, (p - 1) // n_mod, p)
+            if all(pow(z, k, p) != 1 for k in exponents):
+                t1 = (z + pow(z, n_mod - 1, p)) % p
+                break
     else:
-        raise IntegrityError(f"no trace of order {n_mod} found mod {p}")
+        for c in range(3, p):
+            euler = pow(c * c - 4, half, p)
+            if euler != p - 1:
+                if euler not in (0, 1):
+                    return None
+                continue
+            t1 = lucas_v((p + 1) // n_mod, c, p)
+            if all(lucas_v(k, t1, p) != 2 for k in exponents):
+                break
+        else:
+            raise IntegrityError(f"no trace of order {n_mod} found mod {p}")
     shift = _T_SQUARE_SHIFT[m]
     # t_j = V_j(t_1) for every index, in one pass of V_(j+1) = t_1 V_j - V_(j-1)
     v = [2, t1]

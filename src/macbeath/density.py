@@ -274,15 +274,16 @@ def _read_cache(path: str, m: int, n: int) -> tuple[dict[int, PrimeSummary], int
 
 def _append_cache(path: str, end: int, m: int, n: int,
                   records: list[PrimeSummary]) -> None:
-    """Append rows after the first end bytes, cutting a torn line there."""
+    """Append rows, as json.dumps writes their dicts, after the first end bytes,
+    cutting a torn line there."""
     with open(path, "ab") as fh:
         if fh.tell() > end:
             fh.truncate(end)
-        for rec in records:
-            fh.write(json.dumps({
-                "m": m, "n": n, "p": rec.p, "residue": rec.residue,
-                "k": rec.k, "l": rec.l, "d": rec.d,
-                "q": str(rec.q), "genus": str(rec.genus)}).encode() + b"\n")
+        fh.writelines(
+            f'{{"m": {m}, "n": {n}, "p": {rec.p}, "residue": {rec.residue}, '
+            f'"k": {rec.k}, "l": {rec.l}, "d": {rec.d}, '
+            f'"q": "{rec.q}", "genus": "{rec.genus}"}}\n'.encode()
+            for rec in records)
 
 
 # ---------------------------------------------------------------------------

@@ -425,11 +425,27 @@ def test_split_route_matches_factorization_route(m, bound):
     assert checked > 400
 
 
+@pytest.mark.parametrize("p", [18446744073709531777, 18446744073709532281,
+                               18446744073709551557])
+def test_split_route_matches_factorization_route_at_64_bits(p):
+    # the first two are = 1 mod 7 (the F_p* branch), the last = -1 mod 7 (the
+    # norm-one torus); all three are = 1 or -1 mod 3, so d = 1 for m = 3
+    assert census_module._ladder(3, 7, p) is not None
+    for traces in (False, True):
+        got = census_module._map_census(3, 7, p, traces, split_route=True)
+        ref = census_module._map_census(3, 7, p, traces, split_route=False)
+        assert record_to_json(got) == record_to_json(ref)
+    _summary_matches(3, 7, p, ref)
+
+
 def test_split_route_errors_match_on_bad_p():
-    # 43 * 71 and 2^64 + 13 (a prime) are = +-1 mod 7 and mod 3; the ladder
-    # gives None on both (an Euler value proves 43 * 71 composite, and 2^64 + 13
-    # is out of range), so the factorization route's prime check rejects them
-    for p in (-13, 0, 1, 15, 91, 43 * 71, 1 << 64, (1 << 64) + 13):
+    # 43 * 71, 5 * 17 * 29 and 2^64 + 13 (a prime) are = +-1 mod 7 and mod 3.
+    # The ladder gives None on 43 * 71 (its Euler value at w = 2 proves it
+    # composite) and on 2^64 + 13 (out of range); the Carmichael number
+    # 2465 = 5 * 17 * 29 = 1 mod 7 passes the Euler step at w = 2 and gets a
+    # witness.  Both routes' prime check rejects every p here with one message.
+    assert census_module._ladder(3, 7, 5 * 17 * 29) is not None
+    for p in (-13, 0, 1, 15, 91, 43 * 71, 5 * 17 * 29, 1 << 64, (1 << 64) + 13):
         for split_route in (True, False):
             with pytest.raises(Inadmissible, match="not a prime below 2"):
                 census_module._map_census(3, 7, p, False, split_route)

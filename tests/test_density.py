@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import signal
@@ -79,6 +80,21 @@ def test_sweep_cache_round_trip(tmp_path):
     longer = sweep(3, 7, default_stream(3, 7, first=25), cache_path=str(cache))
     assert cache.stat().st_size > size
     assert longer.records[:20] == first.records
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_sweep_cache_lines_are_json_dumps_bytes(tmp_path, m):
+    # each row is byte for byte json.dumps of its dict, in this key order; for
+    # m = 4 the primes = +-3 mod 8 have d = 2, so q is p^2
+    cache = tmp_path / "cache.jsonl"
+    res = sweep(m, 7, default_stream(m, 7, first=12), cache_path=str(cache))
+    assert {rec.residue for rec in res.records} == {1, -1}
+    assert m == 3 or {rec.d for rec in res.records} == {1, 2}
+    assert cache.read_bytes() == b"".join(
+        json.dumps({"m": m, "n": 7, "p": rec.p, "residue": rec.residue,
+                    "k": rec.k, "l": rec.l, "d": rec.d,
+                    "q": str(rec.q), "genus": str(rec.genus)}).encode() + b"\n"
+        for rec in res.records)
 
 
 def test_clamp_workers():
