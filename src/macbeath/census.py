@@ -173,8 +173,10 @@ def _s_zero(m: int, n: int, p: int) -> BadReduction:
 
 
 def _trace_class(m: int, n: int, p: int, factor: tuple[int, ...], d: int,
-                 traces: bool) -> TraceClass:
+                 traces: bool, xp: tuple[int, ...]) -> TraceClass:
     ctx = gf.FieldCtx(p, factor, d)
+    if ctx.ring is not None:  # x^p mod factor is (x^p mod f1) mod factor
+        ctx.ring.x_power_p(ctx.ring.pack(gf._rem(xp, factor, p)))
     s = ctx.gen()
     character = gf.chi(s)
     if character == 0:
@@ -200,7 +202,7 @@ def _factored_classes(m: int, n: int, p: int, f1: IntPoly,
         raise IntegrityError(f"factor degree {e} does not divide d={fd.d}")
     factors = sorted((g for g, _ in factored.factors),
                      key=lambda g: _class_sort_key(g, p))
-    return fd, [_trace_class(m, n, p, g, fd.d, traces) for g in factors]
+    return fd, [_trace_class(m, n, p, g, fd.d, traces, factored.x_power_p) for g in factors]
 
 
 @functools.lru_cache(maxsize=None)
@@ -409,23 +411,40 @@ class OracleWitness(NamedTuple):
     det_w: tuple[int, ...]
 
 
-def _proportional(A, B) -> bool:
-    # projective equality of 2x2 matrices: (A, B) has rank <= 1.  With a
-    # nonzero pivot A[i], the three cross products A[i] B[j] = A[j] B[i]
-    # make B = (B[i]/A[i]) A; A = 0 is proportional to everything.
+def _proportional(K: gf.FieldCtx, A, B) -> bool:
+    # projective equality of 2x2 matrices of values of K: (A, B) has rank
+    # <= 1.  With a nonzero pivot A[i], the three cross products A[i] B[j] =
+    # A[j] B[i] make B = (B[i]/A[i]) A; A = 0 is proportional to everything.
     for i in range(4):
-        if not A[i].is_zero():
-            return all(A[i] * B[j] == A[j] * B[i] for j in range(4) if j != i)
+        if A[i]:
+            return all(K.mul(A[i], B[j]) == K.mul(A[j], B[i]) for j in range(4) if j != i)
     return True
 
 
-def _conjugation_inverts(w, M) -> bool:
+def _conjugation_inverts(K: gf.FieldCtx, w, M) -> bool:
     # w M w^{-1} = M^{-1} projectively, i.e. w*M proportional to adj(M)*w
-    wa, wb, wc, wd = w
     a, b, c, d = M
-    left = (wa * a + wb * c, wa * b + wb * d, wc * a + wd * c, wc * b + wd * d)
-    right = (d * wa - b * wc, d * wb - b * wd, -c * wa + a * wc, -c * wb + a * wd)
-    return _proportional(left, right)
+    adjugate = (d, K.sub(0, b), K.sub(0, c), a)
+    return _proportional(K, _mat_mul(K, w, M), _mat_mul(K, adjugate, w))
+
+
+def _mat_mul(K: gf.FieldCtx, A, B):
+    a, b, c, d = A
+    e, f, g, h = B
+    dot = K.dot
+    return (dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g), dot(c, f, d, h))
+
+
+def _trace_field_modulus(factor: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """(-1)^e factor(3 - T^2) mod p, e = deg factor: the minimal polynomial of
+    t over F_p when T^2 = 3 - s has no root in F_p(s).  Horner's rule in
+    y = T^2 on g = (-1)^e factor(3 - y), whose coefficients sit at even powers."""
+    sign = -1 if len(factor) % 2 == 0 else 1
+    g = [sign * factor[-1] % p]
+    for c in factor[-2::-1]:  # g <- g * (3 - y) + sign * c
+        g = [(3 * a - b) % p for a, b in zip(g + [0], [0] + g)]
+        g[0] = (g[0] + sign * c) % p
+    return tuple(c for a in g for c in (a, 0))[:-1]
 
 
 def matrix_oracle(cls: TraceClass) -> OracleWitness:
@@ -436,7 +455,9 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
     conjugation, and reads the verdict off det w = -alpha^2 - beta^2.  The
     conjugation identities are checked literally, and the result must agree
     with the character criterion.  It works in the class's field, where s
-    is the generator, or in the quadratic extension of it that holds t.
+    is the generator, or in the quadratic extension of it that holds t, on
+    the field's values (`FieldCtx`'s arithmetic, one reduction per matrix
+    entry); elements are built only for the square roots and characters.
     """
     base_ctx = cls.s.ctx
     p, d, e = base_ctx.p, base_ctx.ambient_d, cls.e
@@ -444,75 +465,65 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
         raise Inadmissible("the witness construction needs invertible 2")
     t = gf.sqrt_in_field(base_ctx.elem(3) - cls.s)
     if t is not None:
-        K = base_ctx
+        K, t = base_ctx, t.v
     else:
-        # adjoin t via T^2 = 3 - s: the minimal polynomial of t over F_p is
-        # (-1)^e * factor(3 - T^2), irreducible of degree 2e here
+        # adjoin t via T^2 = 3 - s, irreducible of degree 2e here
         if d % (2 * e):
             raise OracleError(f"trace of class {cls.factor} does not live in F_q")
-        comp = IntPoly(cls.factor).compose(IntPoly([3, 0, -1]))
-        if e % 2:
-            comp = -comp
-        K = gf.FieldCtx(p, tuple(c % p for c in comp.coeffs), d)
-        t = K.gen()
-    one, zero = K.one(), K.zero()
-    tt, four = t * t, K.elem(4)
-    s_val = K.elem(3) - tt
-    if s_val.is_zero():
+        K = gf.FieldCtx(p, _trace_field_modulus(cls.factor, p), d)
+        t = K.gen().v
+    add, sub, mul, dot = K.add, K.sub, K.mul, K.dot
+    minus_one, half = p - 1, (p + 1) // 2
+    tt = mul(t, t)
+    s_val = sub(3 % p, tt)
+    if not s_val:
         raise OracleError("degenerate class with t^2 = 3")
-    half = K.elem((p + 1) // 2)
 
     # try r = 1/2 first so the beta = 0 branch gets exercised
-    candidates = chain([half], (c for c in map(K.element_at, count()) if c != half))
+    candidates = chain([half], (c for c in (K.element_at(i).v for i in count()) if c != half))
     for r in islice(candidates, 4000):
-        v = one - r
-        disc = tt - four * (one - r + r * r)
-        root = gf.sqrt_in_field(disc)
+        v = sub(1, r)
+        disc = sub(tt, mul(4 % p, add(v, mul(r, r))))
+        root = gf.sqrt_in_field(gf.FieldElem(K, disc))
         if root is not None:
-            sp = (root - t) * half
-            u = t + sp
-            if r * v - sp * u != one:
+            sp = mul(sub(root.v, t), half)
+            u = add(t, sp)
+            if dot(r, v, sub(0, sp), u) != 1:
                 raise IntegrityError("constructed x does not have determinant 1")
-            if u - sp != t:
+            if sub(u, sp) != t:
                 raise IntegrityError("constructed x has the wrong zx trace")
             break
     else:
         raise OracleError(f"no solvable x found for class {cls.factor} mod {p}")
 
-    x_mat, z_mat = (r, sp, u, v), (zero, one, -one, zero)
+    x_mat, z_mat = (r, sp, u, v), (0, 1, minus_one, 0)
     # x^3 = -I: order 3 in PSL(2,q)
-    if _mat_mul(_mat_mul(x_mat, x_mat), x_mat) != (-one, zero, zero, -one):
+    if _mat_mul(K, _mat_mul(K, x_mat, x_mat), x_mat) != (minus_one, 0, 0, minus_one):
         raise IntegrityError("x is not of order 3")
 
-    alpha = sp + u
-    for beta in (v - r, r - v):
-        w_mat = (alpha, beta, beta, -alpha)
-        if (not (alpha.is_zero() and beta.is_zero()) and _conjugation_inverts(w_mat, z_mat)
-                and _conjugation_inverts(w_mat, x_mat)):
+    alpha = add(sp, u)
+    for beta in (sub(v, r), sub(r, v)):
+        w_mat = (alpha, beta, beta, sub(0, alpha))
+        if ((alpha or beta) and _conjugation_inverts(K, w_mat, z_mat)
+                and _conjugation_inverts(K, w_mat, x_mat)):
             break
     else:
         raise OracleError("no sign choice of w inverts both z and x")
-    degenerate = beta.is_zero()
-    det_w = -(alpha * alpha) - beta * beta
-    if det_w.is_zero():
+    degenerate = not beta
+    det_w = sub(0, dot(alpha, alpha, beta, beta))
+    if not det_w:
         raise OracleError("w is singular")
-    verdict = INNER if gf.chi(det_w) == 1 else OUTER
+    verdict = INNER if gf.chi(gf.FieldElem(K, det_w)) == 1 else OUTER
     if degenerate:
         # in this branch 3 - t^2 is a square iff -1 is
-        if gf.chi(s_val) != gf.chi(-one):
+        if gf.chi(gf.FieldElem(K, s_val)) != gf.chi(gf.FieldElem(K, minus_one)):
             raise IntegrityError("degenerate-branch rule chi(3-t^2) = chi(-1) failed")
     if verdict != cls.regularity:
         raise IntegrityError(
             f"matrix oracle verdict {verdict} contradicts character verdict "
             f"{cls.regularity} for factor {cls.factor} mod {p}")
-    return OracleWitness(verdict, degenerate, K.modulus, tuple(m.coeffs for m in x_mat),
-                         alpha.coeffs, beta.coeffs, det_w.coeffs)
-
-
-def _mat_mul(A, B):
-    a, b, c, d = A
-    e, f, g, h = B
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    coeffs = [gf.FieldElem(K, value).coeffs for value in (*x_mat, alpha, beta, det_w)]
+    return OracleWitness(verdict, degenerate, K.modulus, tuple(coeffs[:4]), *coeffs[4:])
 
 
 # ---------------------------------------------------------------------------

@@ -409,20 +409,23 @@ def _splitting_seed(coeffs, p):
     return seed
 
 
-def _factor_monic(f, p, squarefree):
-    rng = None  # seeded on the first group that needs splitting
+def _factor_monic(f, p, squarefree, series=None):
+    # (factors, `FactorList.x_power_p`); series is f's, as for _PackedModulus
+    rng = xp = None  # rng seeded on the first group that needs splitting
     out = []
     for g, mult in [(f, 1)] if squarefree else _sqf_list(f, p):
         # one ring mod g for its distinct-degree split and, when that finds a
         # single degree class, for the equal-degree split of g itself
-        ring = _PackedModulus(g, p) if len(g) > 2 else None
+        ring = _PackedModulus(g, p, series if squarefree else None) if len(g) > 2 else None
         for h, d in _ddf(g, p, ring):
             if rng is None and len(h) - 1 > d:
                 rng = random.Random(_splitting_seed(f, p))
             for irr in _edf(h, d, p, rng, ring if len(h) == len(g) else None):
                 out.append((tuple(irr), mult))
+        if squarefree and ring is not None:
+            xp = tuple(ring.unpack(ring.x_power_p()))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return out
+    return out, xp
 
 
 class FactorList(NamedTuple):
@@ -432,6 +435,9 @@ class FactorList(NamedTuple):
     lead: int                                # unit factored out of the input
     factors: tuple[tuple[tuple[int, ...], int], ...]  # (monic irreducible, mult)
     squarefree: bool = True
+    # x^p mod the monic reduction, ascending, from the distinct-degree split;
+    # None unless the reduction is squarefree of degree >= 2
+    x_power_p: tuple[int, ...] | None = None
 
 
 def reduce_polynomial(f: IntPoly, p: int) -> list[int]:
@@ -452,14 +458,20 @@ def _discriminant(f: IntPoly) -> int:
 
 
 @functools.lru_cache(maxsize=256)
+def _integer_series(f: IntPoly) -> tuple[int, ...] | None:
+    """`_series_mu` of a nonzero f over Z, None unless f is monic over Z."""
+    return tuple(_series_mu(f.coeffs)) if f.coeffs[-1] == 1 else None
+
+
+@functools.lru_cache(maxsize=256)
 def _half_modulus(f: IntPoly) -> tuple[int, tuple[int, ...] | None, tuple[int, ...]]:
     """(disc g, MU of g over Z, g) for f = g(x^2) over Z with deg g >= 1: g is
     the half-degree kernel's modulus, MU its `_series_mu`, None unless g is
     monic over Z.  (0, None, ()) for any other f."""
     if f.degree < 2 or any(f.coeffs[1::2]):
         return 0, None, ()
-    g = f.coeffs[::2]
-    return _discriminant(IntPoly(g)), tuple(_series_mu(g)) if g[-1] == 1 else None, g
+    g = IntPoly(f.coeffs[::2])
+    return _discriminant(g), _integer_series(g), g.coeffs
 
 
 def reduce_and_factor(f: IntPoly, p: int) -> FactorList:
@@ -472,15 +484,14 @@ def reduce_and_factor(f: IntPoly, p: int) -> FactorList:
     coeffs = reduce_polynomial(f, p)
     lead = coeffs[-1]
     monic = _monic(coeffs, p)
-    factors = _factor_monic(monic, p, squarefree=_discriminant(f) % p != 0)
+    factors, xp = _factor_monic(monic, p, _discriminant(f) % p != 0, _integer_series(f))
     check = [1]
     for g, m in factors:
         for _ in range(m):
             check = _mul(check, list(g), p)
     if check != monic:
         raise IntegrityError("factor product does not reproduce the input")
-    return FactorList(p, lead, tuple(factors),
-                      squarefree=all(m == 1 for _, m in factors))
+    return FactorList(p, lead, tuple(factors), all(m == 1 for _, m in factors), xp)
 
 
 def degree_pattern(f: IntPoly, p: int) -> tuple[int, ...]:
@@ -607,6 +618,32 @@ class FieldCtx:
             raise ValueError("modulus is not irreducible mod p")
         return cls(p, modulus, ambient_d)
 
+    # Arithmetic on values (FieldElem.v), for FieldElem's operators and any
+    # caller: the residue itself in degree 1, the packed kernel otherwise.
+
+    def add(self, a: int, b: int) -> int:
+        ring = self.ring
+        return (a + b) % self.p if ring is None else ring.normalize(a + b)
+
+    def sub(self, a: int, b: int) -> int:
+        ring = self.ring
+        return (a - b) % self.p if ring is None else ring.normalize(a + ring._p_slots - b)
+
+    def mul(self, a: int, b: int) -> int:
+        ring = self.ring
+        if ring is None:
+            return a * b % self.p
+        # a constant factor scales each slot, to below p^2: one step mod p
+        return (ring.normalize if a < self.p or b < self.p else ring.reduce)(a * b)
+
+    def dot(self, a: int, b: int, c: int, d: int) -> int:
+        """a*b + c*d, reduced once: normalize(a*b) has slots below p, so the
+        sum's slots stay below p - 1 + e(p-1)^2 < e*p^2, `reduce`'s bound."""
+        ring = self.ring
+        if ring is None:
+            return (a * b + c * d) % self.p
+        return ring.reduce(ring.normalize(a * b) + c * d)
+
     def elem(self, coeffs) -> FieldElem:
         if isinstance(coeffs, int):
             return FieldElem(self, coeffs % self.p)
@@ -669,47 +706,23 @@ class FieldElem:
     def is_zero(self) -> bool:
         return not self.v
 
-    def _check(self, other: FieldElem):
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
+    def _value(self, other: FieldElem) -> int:
+        # other.v, once other is known to lie in this element's field
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise ValueError("elements from different field contexts")
-
-    # Each operation takes the residue itself in degree 1 and the packed
-    # kernel otherwise.
+        return other.v
 
     def __add__(self, other: FieldElem) -> FieldElem:
-        ctx = self.ctx
-        if other.ctx is not ctx:
-            self._check(other)
-        if ctx.degree == 1:
-            return FieldElem(ctx, (self.v + other.v) % ctx.p)
-        return FieldElem(ctx, ctx.ring.normalize(self.v + other.v))
+        return FieldElem(self.ctx, self.ctx.add(self.v, self._value(other)))
 
     def __sub__(self, other: FieldElem) -> FieldElem:
-        ctx = self.ctx
-        if other.ctx is not ctx:
-            self._check(other)
-        if ctx.degree == 1:
-            return FieldElem(ctx, (self.v - other.v) % ctx.p)
-        ring = ctx.ring
-        return FieldElem(ctx, ring.normalize(self.v + ring._p_slots - other.v))
+        return FieldElem(self.ctx, self.ctx.sub(self.v, self._value(other)))
 
     def __neg__(self) -> FieldElem:
-        ctx = self.ctx
-        if ctx.degree == 1:
-            return FieldElem(ctx, -self.v % ctx.p)
-        ring = ctx.ring
-        return FieldElem(ctx, ring.normalize(ring._p_slots - self.v))
+        return FieldElem(self.ctx, self.ctx.sub(0, self.v))
 
     def __mul__(self, other: FieldElem) -> FieldElem:
-        ctx = self.ctx
-        if other.ctx is not ctx:
-            self._check(other)
-        if ctx.degree == 1:
-            return FieldElem(ctx, self.v * other.v % ctx.p)
-        ring = ctx.ring
-        # a constant factor scales each slot, to below p^2: one step mod p
-        reduce = ring.normalize if self.v < ctx.p or other.v < ctx.p else ring.reduce
-        return FieldElem(ctx, reduce(self.v * other.v))
+        return FieldElem(self.ctx, self.ctx.mul(self.v, self._value(other)))
 
     def __pow__(self, exp: int) -> FieldElem:
         if exp < 0:

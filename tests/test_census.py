@@ -243,6 +243,80 @@ def test_matrix_oracle_works_in_the_field_of_its_class(monkeypatch):
     assert seen[True] >= 5 and seen[False] >= 2, seen
 
 
+def test_trace_field_modulus_matches_the_integer_composition():
+    # the trace field's modulus, built mod p by Horner's rule, against
+    # (-1)^e h(3 - T^2) composed over Z and then reduced
+    import random
+
+    rng = random.Random(71)
+    three_minus_square = IntPoly([3, 0, -1])
+    for p in (3, 5, 7, 499, 65521):
+        for e in range(1, 10):
+            for h in ((p - 1,) * e + (1,), *(tuple(rng.randrange(p) for _ in range(e)) + (1,)
+                                           for _ in range(4))):
+                composed = IntPoly(h).compose(three_minus_square)
+                if e % 2:
+                    composed = -composed
+                expected = tuple(c % p for c in composed.coeffs)
+                assert census_module._trace_field_modulus(h, p) == expected, (p, h)
+
+
+def test_class_fields_start_from_the_factorizations_x_power_p(monkeypatch):
+    # x^p mod a factor h of f1 is (x^p mod f1) mod h: a d > 1 classify takes
+    # x^p by a power once, in f1's ring, and an oracle once more only in each
+    # trace field it adjoins; no class field computes its own
+    import contextlib
+    import io
+
+    from macbeath.cli import main
+
+    powers = []
+    real = gf._PackedModulus.pow
+
+    def counted(ring, a, exp):
+        if (a, exp) == (1 << ring.w, ring.p):
+            powers.append(ring.d)
+        return real(ring, a, exp)
+
+    monkeypatch.setattr(gf._PackedModulus, "pow", counted)
+    seen = set()
+    for n, p in ((19, 7), (13, 5), (16, 3), (9, 7), (7, 5), (8, 7), (11, 3), (16, 7)):
+        record = map_census(3, n, p)
+        f1_degree = s_polynomial(3, n).degree
+        adjoined = [2 * c.e for c in record.classes if c.t is None]
+        for command, expected in (("classify", [f1_degree]),
+                                  ("oracle", [f1_degree] + adjoined)):
+            powers.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([command, "--n", str(n), "--p", str(p), "--format", "json"]) == 0
+            assert powers == expected, (command, n, p)
+        seen.add((record.classes[0].e > 1, len(record.classes) > 1, bool(adjoined)))
+    assert {(True, True, False), (True, False, True), (True, True, True)} <= seen, seen
+
+
+def test_seeded_class_rows_equal_fresh_ones():
+    # every class field of degree > 1 on the d > 1 primes below 500 for the
+    # n of the extension benchmark: its x^p, set from the factorization's,
+    # and the rows built on it equal those of a ring that computed its own
+    checked = 0
+    for n in (7, 8, 9, 11, 13, 16, 19):
+        N = numkit.trace_modulus(n)
+        for p in primes_upto(500)[1:]:
+            if N % p == 0 or p % N in (1, N - 1):
+                continue
+            try:
+                classes = map_census(3, n, p, traces=False).classes
+            except BadReduction:
+                continue
+            for c in classes:
+                if c.e > 1:
+                    ring, fresh = c.s.ctx.ring, gf._PackedModulus(list(c.factor), p)
+                    assert ring._frobenius == [1, fresh.x_power_p()], (n, p, c.factor)
+                    assert ring.frobenius() == fresh.frobenius(), (n, p, c.factor)
+                    checked += 1
+    assert checked > 600, checked
+
+
 def test_census_m6():
     # no tabulated records for m=6; check internal consistency instead
     from macbeath.gf import degree_pattern
@@ -708,7 +782,9 @@ def test_pivot_proportionality_matches_all_six_products():
                 # rank 2 only in the entries after the pivot
                 cases.append((A, tuple(scale * a for a in A[:3]) + (A[3] + ctx.one(),)))
             for X, Y in cases:
+                # the oracle's call, on the field's values
                 expected = six_product_proportional(X, Y)
-                assert census_module._proportional(X, Y) == expected, (p, e, X, Y)
+                values = tuple(x.v for x in X), tuple(y.v for y in Y)
+                assert census_module._proportional(ctx, *values) == expected, (p, e, X, Y)
                 seen[expected] += 1
         assert seen[True] and seen[False]

@@ -512,6 +512,52 @@ def test_constant_factor_products_match_the_generic_reduction(monkeypatch):
                     assert reduced == [], (p, e, c, a)
 
 
+def test_fused_product_matches_two_reductions_and_list_arithmetic(monkeypatch):
+    # a*b + c*d reduced once, as reduce(normalize(a*b) + c*d): the sum's slots
+    # stay below p - 1 + e(p-1)^2 < e*p^2, the kernel's input bound (checked
+    # on every call), reached with p - 1 in every slot.  Equal to two
+    # reductions and to the product on coefficient lists; in degree 1, to
+    # the residue mod p
+    reduce = gf._PackedModulus.reduce
+
+    def bounded_reduce(ring, prod):
+        assert max(slots(ring, prod)) < ring.d * ring.p ** 2, (ring.p, ring.d)
+        return reduce(ring, prod)
+
+    monkeypatch.setattr(gf._PackedModulus, "reduce", bounded_reduce)
+    rng = random.Random(61)
+    for p in (3, 499, 65521, 2**61 - 1, P64):
+        for e in range(1, 19):
+            mod = [rng.randrange(p) for _ in range(e)] + [1]
+            ctx = FieldCtx(p, tuple(mod), e)
+            top = [p - 1] * e
+            residues = [top, [p - 1], [0] * (e - 1) + [p - 1], [0]]
+            residues += [[rng.randrange(p) for _ in range(e)] for _ in range(4)]
+            values = [(gf._trim(list(a)), ctx.elem(a).v) for a in residues]
+            for (a, va), (b, vb), (c, vc), (d, vd) in [
+                    [values[0]] * 4, *(rng.sample(values, 4) for _ in range(12))]:
+                fused = ctx.dot(va, vb, vc, vd)
+                if e == 1:
+                    assert fused == (va * vb + vc * vd) % p, (p, a, b, c, d)
+                    continue
+                ring = ctx.ring
+                inner = ring.normalize(va * vb) + vc * vd
+                assert max(slots(ring, inner)) < e * p * p, (p, e)
+                two = ring.normalize(ring.reduce(va * vb) + ring.reduce(vc * vd))
+                ab, cd = gf._mul(a, b, p), gf._mul(c, d, p)
+                total = [(x + y) % p for x, y in itertools.zip_longest(ab, cd, fillvalue=0)]
+                assert fused == two == ring.pack(gf._rem(total, mod, p)), (p, e, a, b, c, d)
+            if e > 1:  # the bound is met: slot e - 1 of top * top is e(p-1)^2
+                top_v = ctx.ring.pack(top)
+                inner = ctx.ring.normalize(top_v * top_v) + top_v * top_v
+                assert max(slots(ctx.ring, inner)) >= e * (p - 1) ** 2, (p, e)
+
+
+def slots(ring, acc):
+    """The 2d slots of a packed accumulator, untrimmed."""
+    return [acc >> j * ring.w & ring.mask for j in range(2 * ring.d)]
+
+
 def test_degree_pattern_matches_sympy_factor_degrees():
     # the distinct-degree split, with its packed Frobenius map and the rows
     # carried over to each cofactor, against an independent factorization
@@ -983,6 +1029,7 @@ def test_pattern_census_pays_per_prime_only_its_arithmetic(monkeypatch, kernel_c
     monkeypatch.setattr(gf._PackedModulus, "frobenius", counted_rows)
     monkeypatch.setattr(gf, "_half_degree_pattern", kernel_rings)
     gf._half_modulus.cache_clear()
+    gf._integer_series.cache_clear()  # the series cache behind it
     try:
         census = density.pattern_census(3, 11, 3000, workers=1)
         assert series_over_z == [1]
@@ -993,6 +1040,7 @@ def test_pattern_census_pays_per_prime_only_its_arithmetic(monkeypatch, kernel_c
         assert rows_built == [0] and census.total == len(kernel_calls) > 400
     finally:
         gf._half_modulus.cache_clear()
+        gf._integer_series.cache_clear()
 
 
 def test_half_degree_route_keeps_the_reduction_errors():
@@ -1042,9 +1090,9 @@ def test_one_packed_ring_for_the_top_level_split(monkeypatch):
     moduli = []
     real = gf._PackedModulus.__init__
 
-    def counted(self, f, p):
+    def counted(self, f, p, series=None):
         moduli.append(gf._monic(list(f), p))
-        real(self, f, p)
+        real(self, f, p, series)
 
     monkeypatch.setattr(gf._PackedModulus, "__init__", counted)
     f1 = s_polynomial(3, 19)
