@@ -19,7 +19,7 @@ from . import gf
 from .errors import BadReduction, Inadmissible, IntegrityError, OracleError
 from .intpoly import _W_SQUARE, IntPoly, psi, s_polynomial
 from .numkit import (_factorize, divisors, euler_phi, genus_of_prime_power, is_prime,
-                     lucas_v, moebius, mult_order_signed, trace_modulus)
+                     lucas_v, moebius, mult_order_signed, trace_indices, trace_modulus)
 
 # modulus that controls existence of order-m rotations in PSL(2,q)
 _M_MODULUS = {m: trace_modulus(m) for m in _W_SQUARE}
@@ -131,11 +131,8 @@ def _map_census(m: int, n: int, p: int, traces: bool, split_route: bool) -> Cens
     else:
         _check_prime(p)
         fd, classes = _factored_classes(m, n, p, f1, traces)
-        k = sum(1 for c in classes if c.regularity == INNER)
-        l = len(classes) - k
-        _check_class_count(m, n, p, k + l, classes[0].e)
-        genus = genus_of_prime_power(m, n, fd.q)
-        parity = _parity(m, n, p, fd.d, l)
+        k, l, genus, parity = _verdicts(m, n, p, fd, [c.chi for c in classes],
+                                        classes[0].e)
     half_phi = _half_phi(n)
     closed_form = half_phi // fd.d if half_phi % fd.d == 0 else -1
     return CensusRecord(m, n, p, fd, genus, tuple(classes), k, l,
@@ -162,9 +159,16 @@ def summary(m: int, n: int, p: int) -> tuple[FieldData, int, int, int, int]:
     return record.field, record.k, record.l, record.genus, k_square
 
 
-def _check_class_count(m: int, n: int, p: int, count: int, e: int) -> None:
-    if count != _half_phi(n) // e:
-        raise IntegrityError(f"class count {count} != phi(n)/2e for ({m},{n},{p})")
+def _verdicts(m: int, n: int, p: int, fd: FieldData, characters: list[int],
+              e: int) -> tuple[int, int, int, ParityVerdict]:
+    """(k, l, genus, parity) from the classes' nonzero characters, every class
+    of degree e: both census routes end here.  Checks that there are
+    phi(n)/2e classes, an integral genus and the parity verdict."""
+    k = characters.count(1)
+    l = len(characters) - k
+    if k + l != _half_phi(n) // e:
+        raise IntegrityError(f"class count {k + l} != phi(n)/2e for ({m},{n},{p})")
+    return k, l, genus_of_prime_power(m, n, fd.q), _parity(m, n, p, fd.d, l)
 
 
 def _s_zero(m: int, n: int, p: int) -> BadReduction:
@@ -212,16 +216,9 @@ def _half_phi(n: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _split_plan(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """N, the exponents N/q for the primes q | N, and the trace indices j.
-
-    With z of order N, the traces t_j = z^j + z^-j for 1 <= j < n/2 and
-    gcd(j, N) = 1 give each of the phi(n)/2 roots of f1 once (for even n,
-    t_{n-j} = -t_j would give the same root again).
-    """
+    """N, the exponents N/q for the primes q | N, and the trace indices."""
     n_mod = trace_modulus(n)
-    exponents = tuple(n_mod // q for q in _factorize(n_mod))
-    indices = tuple(j for j in range(1, (n + 1) // 2) if gcd(j, n_mod) == 1)
-    return n_mod, exponents, indices
+    return n_mod, tuple(n_mod // q for q in _factorize(n_mod)), trace_indices(n)
 
 
 def _ladder(m: int, n: int, p: int) -> tuple[list[int], list[int]] | None:
@@ -286,8 +283,8 @@ def check_witness(m: int, n: int, p: int, s_values: list[int]
     below 2^64 with d = 1; prod (x - s_j) is f1 mod p, which one carry-free
     packed product checks (`_product_mod_p`); the s_j are distinct and
     nonzero (else a bad reduction); k counts the s_j that are squares mod p
-    (Euler's criterion on the residue), and k + l = phi(n)/2; the genus is
-    integral; the parity verdict holds.
+    (Euler's criterion on the residue); then `_verdicts` checks k + l =
+    phi(n)/2, an integral genus and the parity verdict.
     """
     return _check_witness(m, n, p, s_values, s_polynomial(m, n))
 
@@ -305,11 +302,8 @@ def _check_witness(m: int, n: int, p: int, s_values: list[int], f1: IntPoly):
     characters = _characters(s_values, p)
     if 0 in characters:
         raise _s_zero(m, n, p)
-    k = characters.count(1)
-    l = len(characters) - k
-    _check_class_count(m, n, p, k + l, 1)
-    genus = genus_of_prime_power(m, n, fd.q)
-    return fd, k, l, genus, characters, _parity(m, n, p, 1, l)
+    k, l, genus, parity = _verdicts(m, n, p, fd, characters, 1)
+    return fd, k, l, genus, characters, parity
 
 
 def _split_class(p: int, s: int, character: int, t: int, traces: bool) -> TraceClass:
@@ -450,9 +444,10 @@ def _trace_field_modulus(factor: tuple[int, ...], p: int) -> tuple[int, ...]:
 def matrix_oracle(cls: TraceClass) -> OracleWitness:
     """Re-derive the inner/outer verdict of a type-{3,n} class from matrices.
 
-    Constructs z of order 2 and x of order 3 in SL(2) with tr(zx) = t, then
-    the involution w = [[alpha, beta], [beta, -alpha]] that inverts both by
-    conjugation, and reads the verdict off det w = -alpha^2 - beta^2.  The
+    Constructs z of order 2 and x = [[r, s'], [u, v]] of order 3 in SL(2)
+    with tr(zx) = t, then the involution w = [[alpha, beta], [beta, -alpha]]
+    with alpha = s' + u and beta = v - r, which inverts both by conjugation,
+    and reads the verdict off det w = -alpha^2 - beta^2.  The
     conjugation identities are checked literally, and the result must agree
     with the character criterion.  It works in the class's field, where s
     is the generator, or in the quadratic extension of it that holds t, on
@@ -501,14 +496,11 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
     if _mat_mul(K, _mat_mul(K, x_mat, x_mat), x_mat) != (minus_one, 0, 0, minus_one):
         raise IntegrityError("x is not of order 3")
 
-    alpha = add(sp, u)
-    for beta in (sub(v, r), sub(r, v)):
-        w_mat = (alpha, beta, beta, sub(0, alpha))
-        if ((alpha or beta) and _conjugation_inverts(K, w_mat, z_mat)
-                and _conjugation_inverts(K, w_mat, x_mat)):
-            break
-    else:
-        raise OracleError("no sign choice of w inverts both z and x")
+    alpha, beta = add(sp, u), sub(v, r)
+    w_mat = (alpha, beta, beta, sub(0, alpha))
+    if not ((alpha or beta) and _conjugation_inverts(K, w_mat, z_mat)
+            and _conjugation_inverts(K, w_mat, x_mat)):
+        raise IntegrityError("w = [[s'+u, v-r], [v-r, -s'-u]] fails to invert z and x")
     degenerate = not beta
     det_w = sub(0, dot(alpha, alpha, beta, beta))
     if not det_w:

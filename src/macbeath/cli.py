@@ -281,15 +281,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared: parsing
-    leaves it unchanged, so callers must not modify it either."""
-    return _parsers()[0]
-
-
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and its subcommand parsers by name."""
+    """The top-level parser and its subcommand parsers by name, built once per
+    process and shared: parsing leaves them unchanged, and so must callers."""
     parser = argparse.ArgumentParser(
         prog="macbeath",
         description="Inner/outer regularity census for Macbeath maps over PSL(2,q)")
@@ -370,8 +365,7 @@ def main(argv=None) -> int:
     else:
         args.command = argv[0]
     try:
-        args.workers = (density.default_workers() if args.workers is None
-                        else density.clamp_workers(args.workers))
+        args.workers = density.clamp_workers(args.workers)
         return args.func(args)
     except Error as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from . import census, gf
 from .errors import BadReduction, Inadmissible, WorkerError
 from .intpoly import discriminant, doubled, s_polynomial
 from .numkit import (PrimeStream, euler_phi, mult_order_signed, primes_in_classes,
-                     trace_modulus)
+                     trace_indices, trace_modulus)
 
 FULL_WREATH = "full_wreath"
 EVEN_SUBGROUP = "even_subgroup"
@@ -40,16 +40,12 @@ _STRUCTURE_TABLE_M3 = {
 }
 
 
-def clamp_workers(workers: int) -> int:
-    """A requested worker count, raised to 1 and capped at the CPU count."""
-    return max(1, min(workers, os.cpu_count() or 1))
-
-
-def default_workers() -> int:
-    env = os.environ.get("MACBEATH_WORKERS")
-    if env:
-        return clamp_workers(int(env))
-    return 1
+def clamp_workers(workers: int | None) -> int:
+    """The worker count: the requested one, or MACBEATH_WORKERS (else 1) when
+    None, raised to 1 and capped at the CPU count (read only above 1)."""
+    if workers is None:
+        workers = int(os.environ.get("MACBEATH_WORKERS") or 1)
+    return 1 if workers <= 1 else min(workers, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +101,9 @@ def _summarize(m: int, n: int, p: int) -> PrimeSummary | tuple[int, str]:
 
 
 def _fan_out(func, items: list, workers: int | None) -> list:
-    """[func(x) for x in items], shared out over w = min(workers, len(items))
-    forked children when w > 1 and the platform can fork; workers None is
-    `default_workers()`.
+    """[func(x) for x in items], shared out over w forked children when
+    w > 1 and the platform can fork, w being `clamp_workers(workers)` cut to
+    len(items).
 
     Child i computes items[i::w] and writes its results, or the exception
     that stopped it, pickled down its own pipe, then leaves by os._exit
@@ -118,7 +114,7 @@ def _fan_out(func, items: list, workers: int | None) -> list:
     sending anything raises WorkerError.  The caller must hold no threads:
     a fork copies only the calling one.
     """
-    w = min(default_workers() if workers is None else workers, len(items))
+    w = min(clamp_workers(workers), len(items))
     if w < 2 or not hasattr(os, "fork"):
         return [func(x) for x in items]
     import pickle  # loaded only when children start
@@ -296,7 +292,8 @@ _NEGATIVE_ROOT_CUTOFFS = {3: (12, 5, 6), 4: (8, 3, 4), 6: (6, 2, 3)}
 
 
 def negative_root_count(n: int, m: int = 3) -> int:
-    """Number of negative roots of the s-polynomial, by exact integer inequalities.
+    """Number of negative roots of the s-polynomial of a hyperbolic type {m, n},
+    by exact integer inequalities on its trace indices j (`trace_indices`).
 
     A root s_j = (4 - w^2) - 2cos(theta_j) - ... is negative exactly when the
     corresponding trace satisfies t^2 > 4 - w^2, which for m = 3 means
@@ -304,19 +301,10 @@ def negative_root_count(n: int, m: int = 3) -> int:
     irrationals.
     """
     s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
-    if n < 7:
-        raise ValueError("n must be >= 7")
     odd_low, odd_high, even_low = _NEGATIVE_ROOT_CUTOFFS[m]
-    count = 0
     if n % 2:
-        for j in range(1, (n + 1) // 2):
-            if math.gcd(j, n) == 1 and (odd_low * j < n or odd_low * j > odd_high * n):
-                count += 1
-    else:
-        for j in range(1, n // 2):
-            if math.gcd(j, 2 * n) == 1 and even_low * j < n:
-                count += 1
-    return count
+        return sum(odd_low * j < n or odd_low * j > odd_high * n for j in trace_indices(n))
+    return sum(even_low * j < n for j in trace_indices(n))
 
 
 class GaloisModel(NamedTuple):
@@ -345,8 +333,7 @@ def galois_model(m: int, n: int, override: str | None = None) -> GaloisModel:
         structure = FULL_WREATH
     else:
         structure = UNKNOWN
-    negative = negative_root_count(n, m) if n >= 7 else 1
-    return GaloisModel(m, n, r, structure, negative)
+    return GaloisModel(m, n, r, structure, negative_root_count(n, m))
 
 
 def _odd_orbit_weights(t: int, structure: str) -> list[Fraction]:
@@ -391,7 +378,7 @@ def wreath_cycle_distribution(n: int, structure: str = FULL_WREATH
     one with even flips two L-cycles, so i odd orbits give the pattern
     [2L]^i + [L]^(2(t - i)), with i distributed as _odd_orbit_weights(t).
     """
-    reps = [j for j in range(1, n // 2 + 1) if math.gcd(j, n) == 1 and 2 * j != n]
+    reps = trace_indices(n)
     orders = collections.Counter(mult_order_signed(a, n) for a in reps)
     out: dict[tuple[int, ...], Fraction] = {}
     for length, count in orders.items():

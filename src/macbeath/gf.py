@@ -52,27 +52,28 @@ def _mul(a, b, p):
     return _trim([c % p for c in out])
 
 
-def _rem(a, b, p):
-    # remainder only; avoids building the quotient on the modexp hot path
+def _rem_in_place(a, b, p):
+    """a mod b for a nonzero trimmed b, taken in the list a (consumed) and
+    returned trimmed: the one remainder loop, shared by `_rem`, `_gcd` and
+    `_gcd_degree`.  It skips the zero low coefficients of b."""
     lb = len(b)
-    if lb == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    if lb == 1:
-        return []
-    if len(a) < lb:
-        return _trim(list(a))
     inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
-    rem = list(a)
-    for i in range(len(rem) - lb, -1, -1):
-        c = rem[i + lb - 1]
+    while len(a) >= lb:
+        c = a.pop()
         if c:
             if inv != 1:
                 c = c * inv % p
+            base = len(a) - lb + 1
             for j in range(lb - 1):
                 if b[j]:
-                    rem[i + j] = (rem[i + j] - c * b[j]) % p
-            rem[i + lb - 1] = 0
-    return _trim(rem)
+                    a[base + j] = (a[base + j] - c * b[j]) % p
+    return _trim(a)
+
+
+def _rem(a, b, p):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    return _rem_in_place(list(a), b, p)
 
 
 def _quo(a, b, p):
@@ -100,7 +101,7 @@ def _monic(a, p):
 def _gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        a, b = b, _rem(a, b, p)
+        a, b = b, _rem_in_place(a, b, p)
     return _monic(a, p)
 
 
@@ -108,15 +109,7 @@ def _gcd_degree(a, b, p):
     """deg gcd(a, b) for nonzero b: Euclid on remainders left unnormalized,
     each taken in place (a and b are consumed)."""
     while b:
-        lb = len(b)
-        inv = pow(b[-1], -1, p)
-        while len(a) >= lb:
-            c = a.pop() * inv % p
-            if c:
-                base = len(a) - lb + 1
-                for j in range(lb - 1):
-                    a[base + j] = (a[base + j] - c * b[j]) % p
-        a, b = b, _trim(a)
+        a, b = b, _rem_in_place(a, b, p)
     return len(a) - 1
 
 

@@ -191,6 +191,15 @@ def trace_modulus(n: int) -> int:
     return n if n % 2 else 2 * n
 
 
+@functools.lru_cache(maxsize=None)
+def trace_indices(n: int) -> tuple[int, ...]:
+    """The j with 1 <= j < n/2 and gcd(j, N) = 1, N = trace_modulus(n), one per
+    class of (Z/n)*/{+-1}: with z of order N, t_j = z^j + z^-j gives each root
+    shift - t_j^2 of the s-polynomial once (t_{n-j} = -t_j gives it again)."""
+    n_mod = trace_modulus(n)
+    return tuple(j for j in range(1, (n + 1) // 2) if math.gcd(j, n_mod) == 1)
+
+
 def mult_order_signed(p: int, modulus: int) -> int:
     """Least e >= 1 with p**e = +-1 (mod modulus)."""
     if math.gcd(p, modulus) != 1:

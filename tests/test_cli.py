@@ -13,7 +13,7 @@ from timelimit import time_limit
 import macbeath
 from macbeath import census, cli, density, gf, refdata
 from macbeath.census import map_census, matrix_oracle, record_from_json
-from macbeath.cli import build_parser, main
+from macbeath.cli import _parsers, main
 from macbeath.errors import Inadmissible
 from macbeath.gf import reduce_and_factor
 from macbeath.intpoly import s_polynomial
@@ -476,7 +476,7 @@ def _fresh_stdout(argv):
 
 def test_parser_is_shared_without_leaking_state(capsys, monkeypatch):
     monkeypatch.delenv("MACBEATH_WORKERS", raising=False)
-    assert build_parser() is build_parser()
+    assert _parsers() is _parsers()
     first = ["sweep", "--n", "9", "--first", "6", "--format", "csv", "--workers", "1"]
     second = ["classify", "--n", "7", "--p", "13", "--no-traces"]
     code1, out1, _ = run(capsys, *first)
@@ -509,7 +509,7 @@ def test_argparse_paths_print_what_the_full_parser_prints(capsys, monkeypatch,
         main(argv)
     out, err = capsys.readouterr()
     with pytest.raises(SystemExit) as full:
-        build_parser().parse_args(argv)
+        _parsers()[0].parse_args(argv)
     assert (got.value.code, out, err) == (full.value.code, *capsys.readouterr())
     assert got.value.code == code
     text, other = (out, err) if code == 0 else (err, out)

@@ -97,12 +97,23 @@ def test_sweep_cache_lines_are_json_dumps_bytes(tmp_path, m):
         for rec in res.records)
 
 
-def test_clamp_workers():
+def test_clamp_workers(monkeypatch):
     cpus = os.cpu_count() or 1
     assert clamp_workers(10**9) == cpus
     assert clamp_workers(cpus) == cpus
     assert clamp_workers(1) == 1
     assert clamp_workers(0) == 1 and clamp_workers(-4) == 1
+    # None is MACBEATH_WORKERS, else 1, under the same cap
+    monkeypatch.delenv("MACBEATH_WORKERS", raising=False)
+    assert clamp_workers(None) == 1
+    monkeypatch.setenv("MACBEATH_WORKERS", str(10**9))
+    assert clamp_workers(None) == cpus
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """os.cpu_count() reads 4, so that up to four workers fork on any host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
 
 def _no_child_left():
@@ -112,7 +123,7 @@ def _no_child_left():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_fan_out_returns_the_serial_list(workers):
+def test_fan_out_returns_the_serial_list(workers, four_cpus):
     for length in range(10):
         items = [(i, str(i)) for i in range(length)]
         assert _fan_out(lambda x: (x[1], x[0] ** 2), items, workers) == \
@@ -122,7 +133,7 @@ def test_fan_out_returns_the_serial_list(workers):
 
 @pytest.mark.parametrize("exc_type", [Error, ValueError, KeyboardInterrupt])
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_fan_out_raises_a_worker_exception_in_the_parent(workers, exc_type):
+def test_fan_out_raises_a_worker_exception_in_the_parent(workers, exc_type, four_cpus):
     def func(x):
         if x == 5:
             raise exc_type(f"item {x}")
@@ -133,7 +144,7 @@ def test_fan_out_raises_a_worker_exception_in_the_parent(workers, exc_type):
     assert _no_child_left()
 
 
-def test_fan_out_reports_a_worker_that_dies_without_results():
+def test_fan_out_reports_a_worker_that_dies_without_results(four_cpus):
     parent = os.getpid()
 
     def func(x):
@@ -146,7 +157,7 @@ def test_fan_out_reports_a_worker_that_dies_without_results():
     assert _no_child_left()
 
 
-def test_fan_out_stops_its_children_when_interrupted():
+def test_fan_out_stops_its_children_when_interrupted(four_cpus):
     def interrupt(signum, frame):
         raise KeyboardInterrupt
 
@@ -160,6 +171,25 @@ def test_fan_out_stops_its_children_when_interrupted():
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 30
+    assert _no_child_left()
+
+
+def test_fan_out_caps_a_library_call_at_the_cpu_count(monkeypatch):
+    # the cap holds for a library call as for the CLI: eight items with
+    # workers=8 on two CPUs fork two children, not eight
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert _fan_out(abs, [-i for i in range(8)], 8) == list(range(8))
+    assert len(forks) == 2
     assert _no_child_left()
 
 
@@ -183,17 +213,19 @@ def test_negative_root_count_examples():
 
 
 def test_negative_root_count_matches_real_roots():
-    # independent check: count sign changes of the actual real roots
+    # independent check: count the negative real roots themselves, for every
+    # hyperbolic n from the smallest up to 25
     import mpmath
     from macbeath.intpoly import s_polynomial
     mpmath.mp.dps = 40
-    for n in range(7, 26):
-        f1 = s_polynomial(3, n)
-        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(f1.coeffs)],
-                                 maxsteps=200, extraprec=200)
-        negatives = sum(1 for r in roots
-                        if abs(mpmath.im(r)) < mpmath.mpf("1e-20") and mpmath.re(r) < 0)
-        assert negative_root_count(n) == negatives, n
+    for m, smallest in ((3, 7), (4, 5), (6, 4)):
+        for n in range(smallest, 26):
+            f1 = s_polynomial(m, n)
+            roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(f1.coeffs)],
+                                     maxsteps=200, extraprec=200)
+            negatives = sum(1 for r in roots
+                            if abs(mpmath.im(r)) < mpmath.mpf("1e-20") and mpmath.re(r) < 0)
+            assert negative_root_count(n, m) == negatives, (m, n)
 
 
 def test_galois_model_table():

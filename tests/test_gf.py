@@ -725,6 +725,45 @@ def test_ddf_and_half_degree_kernel_leave_their_input_unchanged():
         assert h == before, (h, p)
 
 
+def _long_division_rem(a, b, p):
+    """a mod b by schoolbook long division: the leading term of a cancelled
+    by a multiple of b, one degree at a time."""
+    a = gf._trim([c % p for c in a])
+    inv = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        c, shift = a[-1] * inv % p, len(a) - len(b)
+        for j, bj in enumerate(b):
+            a[shift + j] = (a[shift + j] - c * bj) % p
+        gf._trim(a)
+    return a
+
+
+def _long_division_gcd(a, b, p):
+    a, b = gf._trim([c % p for c in a]), list(b)
+    while b:
+        a, b = b, _long_division_rem(a, b, p)
+    return [c * pow(a[-1], -1, p) % p for c in a]
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 10007])
+def test_remainder_loop_matches_long_division(p):
+    # _rem, _gcd and _gcd_degree share one remainder loop: each against long
+    # division, by a constant divisor and by a sparse one shaped like
+    # census._trace_field_modulus (every odd coefficient zero)
+    rng = random.Random(p)
+    for _ in range(300):
+        a = gf._trim([rng.randrange(p) for _ in range(rng.randrange(14))])
+        half = [rng.randrange(p) for _ in range(rng.randrange(1, 6))] + [rng.randrange(1, p)]
+        sparse = [c for h in half for c in (h, 0)][:-1]
+        for b in ([rng.randrange(1, p)], sparse):
+            before = list(a)
+            assert gf._rem(a, b, p) == _long_division_rem(a, b, p), (a, b, p)
+            gcd = _long_division_gcd(a, b, p)
+            assert gf._gcd(a, b, p) == gcd, (a, b, p)
+            assert gf._gcd_degree(list(a), list(b), p) == len(gcd) - 1, (a, b, p)
+            assert a == before
+
+
 @pytest.fixture
 def euclid_calls(monkeypatch):
     """Names of the Euclid routines called, in order."""

@@ -16,6 +16,7 @@ from macbeath.numkit import (
     mult_order_signed,
     primes_in_classes,
     primes_upto,
+    trace_indices,
     trace_modulus,
 )
 from timelimit import time_limit
@@ -351,3 +352,20 @@ def test_segments_grow_the_base_primes_only_to_the_block_root(monkeypatch):
     p = next(iter_primes(start))
     assert is_prime(p)
     assert not any(is_prime(v) for v in range(start, p))
+
+
+def test_trace_indices_is_each_index_set_it_replaces():
+    # one set, three readings: the split ladder's trace indices, the j of the
+    # negative-root cutoffs, and the wreath product's representatives of
+    # (Z/n)*/{+-1}, each spelled out by its own formula
+    for n in range(1, 201):
+        n_mod = trace_modulus(n)
+        ladder = tuple(j for j in range(1, (n + 1) // 2) if math.gcd(j, n_mod) == 1)
+        if n % 2:
+            negative = tuple(j for j in range(1, (n + 1) // 2) if math.gcd(j, n) == 1)
+        else:
+            negative = tuple(j for j in range(1, n // 2) if math.gcd(j, 2 * n) == 1)
+        wreath = tuple(j for j in range(1, n // 2 + 1) if math.gcd(j, n) == 1 and 2 * j != n)
+        assert trace_indices(n) == ladder == negative == wreath, n
+        if n >= 3:
+            assert len(trace_indices(n)) == euler_phi(n) // 2, n
