@@ -177,10 +177,13 @@ def _s_zero(m: int, n: int, p: int) -> BadReduction:
 
 
 def _trace_class(m: int, n: int, p: int, factor: tuple[int, ...], d: int,
-                 traces: bool, xp: tuple[int, ...]) -> TraceClass:
-    ctx = gf.FieldCtx(p, factor, d)
-    if ctx.ring is not None:  # x^p mod factor is (x^p mod f1) mod factor
-        ctx.ring.x_power_p(ctx.ring.pack(gf._rem(xp, factor, p)))
+                 traces: bool, f1_ring: gf._PackedModulus | None) -> TraceClass:
+    # f1_ring (the factorization's) is the field's ring if factor is all of f1
+    # mod p; else it gives x^p mod factor = (x^p mod f1) mod factor
+    whole = f1_ring is not None and f1_ring.d == len(factor) - 1
+    ctx = gf.FieldCtx(p, factor, d, f1_ring if whole else None)
+    if ctx.ring is not None and not whole:
+        ctx.ring.x_power_p(ctx.ring.pack(gf._rem(f1_ring.unpack(f1_ring.x_power_p()), factor, p)))
     s = ctx.gen()
     character = gf.chi(s)
     if character == 0:
@@ -206,7 +209,7 @@ def _factored_classes(m: int, n: int, p: int, f1: IntPoly,
         raise IntegrityError(f"factor degree {e} does not divide d={fd.d}")
     factors = sorted((g for g, _ in factored.factors),
                      key=lambda g: _class_sort_key(g, p))
-    return fd, [_trace_class(m, n, p, g, fd.d, traces, factored.x_power_p) for g in factors]
+    return fd, [_trace_class(m, n, p, g, fd.d, traces, factored.ring) for g in factors]
 
 
 @functools.lru_cache(maxsize=None)
@@ -476,8 +479,12 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
 
     # try r = 1/2 first so the beta = 0 branch gets exercised
     candidates = chain([half], (c for c in (K.element_at(i).v for i in count()) if c != half))
+    tried = set()
     for r in islice(candidates, 4000):
         v = sub(1, r)
+        if v in tried:  # r^2 - r = v^2 - v: the disc of v, which had no root
+            continue
+        tried.add(r)
         disc = sub(tt, mul(4 % p, add(v, mul(r, r))))
         root = gf.sqrt_in_field(gf.FieldElem(K, disc))
         if root is not None:
@@ -505,7 +512,8 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
     det_w = sub(0, dot(alpha, alpha, beta, beta))
     if not det_w:
         raise OracleError("w is singular")
-    verdict = INNER if gf.chi(gf.FieldElem(K, det_w)) == 1 else OUTER
+    # the Euclidean norm: chi(s) of a class takes the closed form of a linear s
+    verdict = INNER if gf.chi(gf.FieldElem(K, det_w), resultant=True) == 1 else OUTER
     if degenerate:
         # in this branch 3 - t^2 is a square iff -1 is
         if gf.chi(gf.FieldElem(K, s_val)) != gf.chi(gf.FieldElem(K, minus_one)):

@@ -186,6 +186,13 @@ class _PackedModulus:
         self._negf = self.pack([-c % p for c in f[:-1]])
         self._frobenius = None
 
+    def __eq__(self, other):  # the ring mod f, whatever rows it has built
+        return isinstance(other, _PackedModulus) and (self.p, self.d, self._negf) == (
+            other.p, other.d, other._negf)
+
+    def __hash__(self):
+        return hash((self.p, self.d, self._negf))
+
     def pack(self, coeffs) -> int:
         """A residue of degree < d, coefficients in 0..p-1, as one int."""
         v, w = 0, self.w
@@ -403,8 +410,8 @@ def _splitting_seed(coeffs, p):
 
 
 def _factor_monic(f, p, squarefree, series=None):
-    # (factors, `FactorList.x_power_p`); series is f's, as for _PackedModulus
-    rng = xp = None  # rng seeded on the first group that needs splitting
+    # (factors, `FactorList.ring`); series is f's, as for _PackedModulus
+    rng = None  # seeded on the first group that needs splitting
     out = []
     for g, mult in [(f, 1)] if squarefree else _sqf_list(f, p):
         # one ring mod g for its distinct-degree split and, when that finds a
@@ -415,10 +422,8 @@ def _factor_monic(f, p, squarefree, series=None):
                 rng = random.Random(_splitting_seed(f, p))
             for irr in _edf(h, d, p, rng, ring if len(h) == len(g) else None):
                 out.append((tuple(irr), mult))
-        if squarefree and ring is not None:
-            xp = tuple(ring.unpack(ring.x_power_p()))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return out, xp
+    return out, ring if squarefree else None
 
 
 class FactorList(NamedTuple):
@@ -428,9 +433,9 @@ class FactorList(NamedTuple):
     lead: int                                # unit factored out of the input
     factors: tuple[tuple[tuple[int, ...], int], ...]  # (monic irreducible, mult)
     squarefree: bool = True
-    # x^p mod the monic reduction, ascending, from the distinct-degree split;
-    # None unless the reduction is squarefree of degree >= 2
-    x_power_p: tuple[int, ...] | None = None
+    # the packed ring mod the monic reduction that its distinct-degree split
+    # ran in, x^p set; None unless the reduction is squarefree of degree >= 2
+    ring: _PackedModulus | None = None
 
 
 def reduce_polynomial(f: IntPoly, p: int) -> list[int]:
@@ -477,14 +482,14 @@ def reduce_and_factor(f: IntPoly, p: int) -> FactorList:
     coeffs = reduce_polynomial(f, p)
     lead = coeffs[-1]
     monic = _monic(coeffs, p)
-    factors, xp = _factor_monic(monic, p, _discriminant(f) % p != 0, _integer_series(f))
+    factors, ring = _factor_monic(monic, p, _discriminant(f) % p != 0, _integer_series(f))
     check = [1]
     for g, m in factors:
         for _ in range(m):
             check = _mul(check, list(g), p)
     if check != monic:
         raise IntegrityError("factor product does not reproduce the input")
-    return FactorList(p, lead, tuple(factors), all(m == 1 for _, m in factors), xp)
+    return FactorList(p, lead, tuple(factors), all(m == 1 for _, m in factors), ring)
 
 
 def degree_pattern(f: IntPoly, p: int) -> tuple[int, ...]:
@@ -580,16 +585,17 @@ class FieldCtx:
 
     __slots__ = ("p", "modulus", "degree", "ambient_d", "ring")
 
-    def __init__(self, p: int, modulus: tuple[int, ...], ambient_d: int):
+    def __init__(self, p: int, modulus: tuple[int, ...], ambient_d: int,
+                 ring: _PackedModulus | None = None):
         """A context for a modulus the program built: a tuple, monic, reduced
-        mod p, trimmed and irreducible, with nothing checked (library input goes
-        through `checked`).  `ring` is the packed arithmetic mod the modulus in
-        degree > 1, and None in degree 1, which works on the residue itself."""
+        mod p, trimmed and irreducible, nothing checked (library input goes
+        through `checked`).  `ring`: the packed arithmetic mod it in degree > 1,
+        the given one (a factorization's) or a new one; None in degree 1."""
         self.p = p
         self.modulus = modulus
         self.degree = len(modulus) - 1
         self.ambient_d = ambient_d
-        self.ring = _PackedModulus(modulus, p) if self.degree > 1 else None
+        self.ring = _PackedModulus(modulus, p) if ring is None and self.degree > 1 else ring
 
     @classmethod
     def checked(cls, p: int, modulus, ambient_d: int | None = None) -> FieldCtx:
@@ -630,11 +636,14 @@ class FieldCtx:
         return (ring.normalize if a < self.p or b < self.p else ring.reduce)(a * b)
 
     def dot(self, a: int, b: int, c: int, d: int) -> int:
-        """a*b + c*d, reduced once: normalize(a*b) has slots below p, so the
-        sum's slots stay below p - 1 + e(p-1)^2 < e*p^2, `reduce`'s bound."""
-        ring = self.ring
+        """a*b + c*d, reduced once: one `normalize` if each product has a
+        constant factor (degree < e, slots below 2p^2 <= e*p^2), else `reduce`,
+        whose input normalize(a*b) + c*d has slots below p - 1 + e(p-1)^2 < e*p^2."""
+        ring, p = self.ring, self.p
         if ring is None:
-            return (a * b + c * d) % self.p
+            return (a * b + c * d) % p
+        if (a < p or b < p) and (c < p or d < p):
+            return ring.normalize(a * b + c * d)
         return ring.reduce(ring.normalize(a * b) + c * d)
 
     def elem(self, coeffs) -> FieldElem:
@@ -763,42 +772,50 @@ class FieldElem:
         return f"FieldElem({list(self.coeffs)} over {self.ctx!r})"
 
 
-def _norm(a: FieldElem) -> int:
-    """Norm of a nonzero a down to F_p: the resultant of the (monic) modulus
-    with a representative of a, by a Euclidean remainder sequence (a itself
-    in degree 1, where the loop never runs)."""
-    p = a.ctx.p
-    f, g, res = list(a.ctx.modulus), list(a.coeffs), 1
-    while len(g) > 1:
-        r = _rem(f, g, p)
-        if ((len(f) - 1) * (len(g) - 1)) % 2:
-            res = -res
-        if g[-1] != 1:
-            res = res * pow(g[-1], (len(f) - 1) - max(len(r) - 1, 0), p)
-        res %= p
-        f, g = g, r
-    norm = res * pow(g[0], len(f) - 1, p) % p if g else 0
+def _norm(a: FieldElem, resultant: bool = False) -> int:
+    """Norm of a nonzero a down to F_p, f the monic modulus of degree e: for a
+    linear a = c0 + c1 x, c1 != 0, (-c1)^e f(-c0/c1) by one Horner pass mod p;
+    else, or if `resultant` is set, the resultant of f with a representative
+    of a by a Euclidean remainder sequence (a itself in degree 1)."""
+    ctx, p, ring = a.ctx, a.ctx.p, a.ctx.ring
+    c1 = 0 if ring is None or resultant else a.v >> ring.w
+    if 0 < c1 < p:  # no slot above the first
+        r = -(a.v & ring.mask) * pow(c1, -1, p) % p
+        h = functools.reduce(lambda h, c: (h * r + c) % p, reversed(ctx.modulus))
+        norm = pow(-c1, ctx.degree, p) * h % p
+    else:
+        f, g, res = list(ctx.modulus), list(a.coeffs), 1
+        while len(g) > 1:
+            r = _rem(f, g, p)
+            if ((len(f) - 1) * (len(g) - 1)) % 2:
+                res = -res
+            if g[-1] != 1:
+                res = res * pow(g[-1], (len(f) - 1) - max(len(r) - 1, 0), p)
+            res %= p
+            f, g = g, r
+        norm = res * pow(g[0], len(f) - 1, p) % p if g else 0
     if norm == 0:
         raise IntegrityError("norm of a nonzero field element vanished")
     return norm
 
 
-def _euler_sign(a: FieldElem) -> int:
+def _euler_sign(a: FieldElem, resultant: bool = False) -> int:
     """Character of a in its own field F_{p^e}, via the norm to F_p.
 
     chi_{p^e}(a) = chi_p(Norm(a)) since a^((q-1)/2) = Norm(a)^((p-1)/2).
     """
     p = a.ctx.p
-    return 1 if pow(_norm(a), (p - 1) // 2, p) == 1 else -1
+    return 1 if pow(_norm(a, resultant), (p - 1) // 2, p) == 1 else -1
 
 
-def chi(a: FieldElem) -> int:
+def chi(a: FieldElem, resultant: bool = False) -> int:
     """Quadratic residue character of the AMBIENT field F_{p^ambient_d}.
 
     For a in the subfield F_{p^e}: decided by the Euler criterion inside
     F_{p^e} when ambient_d/e is odd; every nonzero subfield element is an
     ambient square when ambient_d/e is even.  In characteristic 2 every
-    element is a square.
+    element is a square.  `resultant` takes the norm by the Euclidean
+    resultant whatever a is (`_norm`), sharing no code with its closed form.
     """
     if a.is_zero():
         return 0
@@ -807,7 +824,7 @@ def chi(a: FieldElem) -> int:
         return 1
     if (ctx.ambient_d // ctx.degree) % 2 == 0:
         return 1
-    return _euler_sign(a)
+    return _euler_sign(a, resultant)
 
 
 def sqrt_in_field(a: FieldElem) -> FieldElem | None:

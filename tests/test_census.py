@@ -226,8 +226,8 @@ def test_matrix_oracle_works_in_the_field_of_its_class(monkeypatch):
     # any other builds one, the quadratic extension of its field that holds t
     built = []
     init = gf.FieldCtx.__init__
-    monkeypatch.setattr(gf.FieldCtx, "__init__", lambda ctx, p, modulus, d:
-                        built.append(modulus) or init(ctx, p, modulus, d))
+    monkeypatch.setattr(gf.FieldCtx, "__init__", lambda ctx, p, modulus, d, ring=None:
+                        built.append(modulus) or init(ctx, p, modulus, d, ring))
     seen = {True: 0, False: 0}
     for n, p in ((7, 13), (7, 43), (7, 5), (9, 19), (13, 5), (8, 7)):
         for c in map_census(3, n, p).classes:
@@ -241,6 +241,40 @@ def test_matrix_oracle_works_in_the_field_of_its_class(monkeypatch):
                 assert len(witness.field_modulus) - 1 == 2 * c.e
             seen[c.t is not None] += 1
     assert seen[True] >= 5 and seen[False] >= 2, seen
+
+
+def test_oracle_roots_each_discriminant_once_and_takes_the_euclidean_verdict(monkeypatch):
+    # r and 1 - r give the same discriminant t^2 - 4(r^2 - r + 1), and no
+    # other pair does, so the search, which skips a candidate whose partner
+    # it has tried, roots each discriminant at most once.  chi(det w) takes
+    # the Euclidean resultant, never the closed form that the norm of a
+    # linear element (chi(s) among them) takes, even where det w is linear,
+    # as every element of a quadratic field is
+    roots, norms = [], []
+    sqrt, norm = gf.sqrt_in_field, gf._norm
+    monkeypatch.setattr(gf, "sqrt_in_field", lambda a: roots.append(a.v) or sqrt(a))
+    monkeypatch.setattr(gf, "_norm", lambda a, resultant=False:
+                        norms.append((a.v, resultant)) or norm(a, resultant))
+    searched = linear = 0
+    for n in (7, 8, 9, 11, 13):
+        for p in primes_upto(200)[2:]:
+            try:
+                classes = map_census(3, n, p, traces=False).classes
+            except (BadReduction, Inadmissible):
+                continue
+            for c in classes:
+                roots.clear()
+                norms.clear()
+                witness = matrix_oracle(c)
+                tried = roots[1:]  # after t = sqrt(3 - s)
+                assert len(set(tried)) == len(tried), (n, p, c.factor)
+                searched += len(tried) > 2
+                K = gf.FieldCtx(p, witness.field_modulus, c.s.ctx.ambient_d)
+                if K.ambient_d // K.degree % 2:  # else chi is 1, with no norm
+                    det_w = K.elem(list(witness.det_w)).v
+                    assert [v for v, resultant in norms if resultant] == [det_w], (n, p)
+                    linear += K.degree > 1 and len(witness.det_w) == 2
+    assert searched > 40 and linear > 20, (searched, linear)
 
 
 def test_trace_field_modulus_matches_the_integer_composition():
@@ -296,9 +330,10 @@ def test_class_fields_start_from_the_factorizations_x_power_p(monkeypatch):
 
 def test_seeded_class_rows_equal_fresh_ones():
     # every class field of degree > 1 on the d > 1 primes below 500 for the
-    # n of the extension benchmark: its x^p, set from the factorization's,
-    # and the rows built on it equal those of a ring that computed its own
-    checked = 0
+    # n of the extension benchmark: its x^p and every Frobenius row, whether
+    # the field is the factorization's own ring (one class) or a ring seeded
+    # from its x^p, equal those of a ring that computed its own
+    checked = {True: 0, False: 0}
     for n in (7, 8, 9, 11, 13, 16, 19):
         N = numkit.trace_modulus(n)
         for p in primes_upto(500)[1:]:
@@ -311,10 +346,59 @@ def test_seeded_class_rows_equal_fresh_ones():
             for c in classes:
                 if c.e > 1:
                     ring, fresh = c.s.ctx.ring, gf._PackedModulus(list(c.factor), p)
-                    assert ring._frobenius == [1, fresh.x_power_p()], (n, p, c.factor)
+                    assert ring == fresh and ring._frobenius[1] == fresh.x_power_p(), \
+                        (n, p, c.factor)
                     assert ring.frobenius() == fresh.frobenius(), (n, p, c.factor)
-                    checked += 1
-    assert checked > 600, checked
+                    checked[len(classes) == 1] += 1
+    assert checked[True] > 350 and checked[False] > 200, checked
+
+
+def test_a_one_class_field_is_the_factorizations_ring(monkeypatch):
+    # a d > 1 prime where f1 mod p is irreducible builds one ring, the
+    # factorization's, which takes x^p by a power and is the class field:
+    # nothing is seeded.  k classes of degree e > 1 build 1 + k rings, each
+    # class field seeded from f1's x^p and none powered
+    events = []
+    init, power, x_power_p = (gf._PackedModulus.__init__, gf._PackedModulus.pow,
+                              gf._PackedModulus.x_power_p)
+
+    def counted_init(ring, f, p, series=None):
+        events.append(("ring", len(f) - 1))
+        init(ring, f, p, series)
+
+    def counted_pow(ring, a, exp):
+        if (a, exp) == (1 << ring.w, ring.p):
+            events.append(("power", ring.d))
+        return power(ring, a, exp)
+
+    def counted_x_power_p(ring, xp=None):
+        if xp is not None:
+            events.append(("seed", ring.d))
+        return x_power_p(ring, xp)
+
+    monkeypatch.setattr(gf._PackedModulus, "__init__", counted_init)
+    monkeypatch.setattr(gf._PackedModulus, "pow", counted_pow)
+    monkeypatch.setattr(gf._PackedModulus, "x_power_p", counted_x_power_p)
+    seen = {}
+    for n in range(7, 20):
+        N = numkit.trace_modulus(n)
+        degree = s_polynomial(3, n).degree
+        for p in primes_upto(500)[1:]:
+            if N % p == 0 or p % N in (1, N - 1):
+                continue
+            for traces in (True, False):
+                events.clear()
+                try:
+                    classes = map_census(3, n, p, traces=traces).classes
+                except BadReduction:
+                    continue
+                k, e = len(classes), classes[0].e
+                expected = [("ring", degree), ("power", degree)]
+                if k > 1 and e > 1:
+                    expected += [("ring", e), ("seed", e)] * k
+                assert events == expected, (n, p, traces)
+                seen[k == 1, e > 1] = seen.get((k == 1, e > 1), 0) + 1
+    assert seen[True, True] > 1000 and seen[False, True] > 250 and seen[False, False] > 200, seen
 
 
 def test_census_m6():

@@ -6,6 +6,7 @@ import pytest
 
 from irreducibles import find_irreducible, random_irreducible
 from macbeath import gf
+from macbeath.errors import IntegrityError
 from macbeath.gf import (
     FieldCtx,
     chi,
@@ -515,16 +516,25 @@ def test_constant_factor_products_match_the_generic_reduction(monkeypatch):
 def test_fused_product_matches_two_reductions_and_list_arithmetic(monkeypatch):
     # a*b + c*d reduced once, as reduce(normalize(a*b) + c*d): the sum's slots
     # stay below p - 1 + e(p-1)^2 < e*p^2, the kernel's input bound (checked
-    # on every call), reached with p - 1 in every slot.  Equal to two
-    # reductions and to the product on coefficient lists; in degree 1, to
-    # the residue mod p
-    reduce = gf._PackedModulus.reduce
+    # on every call), reached with p - 1 in every slot.  When each product
+    # has a constant factor, one normalize(a*b + c*d), its input below 2p^2
+    # <= e*p^2 (checked on every call too).  Equal to two reductions and to
+    # the product on coefficient lists; in degree 1, to the residue mod p
+    reduce, normalize = gf._PackedModulus.reduce, gf._PackedModulus.normalize
+    inputs = []
 
     def bounded_reduce(ring, prod):
         assert max(slots(ring, prod)) < ring.d * ring.p ** 2, (ring.p, ring.d)
+        inputs.append(("reduce", prod))
         return reduce(ring, prod)
 
+    def bounded_normalize(ring, acc):
+        assert max(slots(ring, acc)) < ring.d * ring.p ** 2, (ring.p, ring.d)
+        inputs.append(("normalize", acc))
+        return normalize(ring, acc)
+
     monkeypatch.setattr(gf._PackedModulus, "reduce", bounded_reduce)
+    monkeypatch.setattr(gf._PackedModulus, "normalize", bounded_normalize)
     rng = random.Random(61)
     for p in (3, 499, 65521, 2**61 - 1, P64):
         for e in range(1, 19):
@@ -551,6 +561,54 @@ def test_fused_product_matches_two_reductions_and_list_arithmetic(monkeypatch):
                 top_v = ctx.ring.pack(top)
                 inner = ctx.ring.normalize(top_v * top_v) + top_v * top_v
                 assert max(slots(ctx.ring, inner)) >= e * (p - 1) ** 2, (p, e)
+                # constants p - 1 against p - 1 in every slot: the one normalize
+                # takes 2(p-1)^2 in every slot, and no reduce runs
+                c = ctx.elem(p - 1).v
+                expected = ctx.ring.pack(gf._rem(gf._mul([2 * (p - 1) % p], top, p), mod, p))
+                for args in ((c, top_v, c, top_v), (top_v, c, c, top_v), (top_v, c, top_v, c)):
+                    inputs.clear()
+                    assert ctx.dot(*args) == expected, (p, e, args)
+                    assert [(kind, max(slots(ctx.ring, v))) for kind, v in inputs] == [
+                        ("normalize", 2 * (p - 1) ** 2)], (p, e, args)
+
+
+def test_linear_norm_closed_form_matches_the_euclidean_resultant(monkeypatch):
+    # N(c0 + c1 x) = (-c1)^e f(-c0/c1), one Horner pass over the monic f with
+    # no remainder taken, equals the Euclidean resultant every other element
+    # takes (f need not be irreducible for that); a root of f at -c0/c1
+    # makes both vanish, which an unchecked context on a reducible f raises
+    rems = []
+    rem = gf._rem
+    monkeypatch.setattr(gf, "_rem", lambda a, b, p: rems.append(1) or rem(a, b, p))
+    rng = random.Random(29)
+    vanished = 0
+    for p in (3, 5, 499, 65521, 2**61 - 1, P64):
+        for e in range(2, 19):
+            mod = tuple(rng.randrange(p) for _ in range(e)) + (1,)
+            ctx = FieldCtx(p, mod, e)
+            for c0 in (0, 1, p - 1, rng.randrange(p)):
+                for c1 in (1, p - 1, rng.randrange(1, p)):
+                    a = ctx.elem([c0, c1])
+                    rems.clear()
+                    try:
+                        expected = gf._norm(a, resultant=True)
+                    except IntegrityError:
+                        with pytest.raises(IntegrityError, match="vanished"):
+                            gf._norm(a)
+                        continue
+                    assert rems, (p, e)
+                    rems.clear()
+                    assert gf._norm(a) == expected and rems == [], (p, e, c0, c1)
+            # (x - r) g for a monic g of degree e - 1, r = -c0/c1
+            c0, c1 = rng.randrange(p), rng.randrange(1, p)
+            r = -c0 * pow(c1, -1, p) % p
+            g = [rng.randrange(p) for _ in range(e - 1)] + [1]
+            reducible = FieldCtx(p, tuple(gf._mul([-r % p, 1], g, p)), e)
+            for resultant in (False, True):
+                with pytest.raises(IntegrityError, match="norm of a nonzero field element vanished"):
+                    gf._norm(reducible.elem([c0, c1]), resultant)
+                vanished += 1
+    assert vanished == 2 * 6 * 17
 
 
 def slots(ring, acc):

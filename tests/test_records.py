@@ -24,7 +24,7 @@ FIELDS = {
     density.PatternCensus: ("m", "n", "bound", "total", "counts", "frequencies",
                             "predicted", "max_abs_deviation", "skipped",
                             "bridge_checked", "bridge_violations"),
-    gf.FactorList: ("p", "lead", "factors", "squarefree", "x_power_p"),
+    gf.FactorList: ("p", "lead", "factors", "squarefree", "ring"),
     intpoly.PsiOne: ("n", "direct", "mobius", "degenerate"),
     numkit.PrimeStream: ("modulus", "residues", "first", "bound"),
     verify.Check: ("name", "ok", "expected", "actual"),

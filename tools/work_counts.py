@@ -1,0 +1,64 @@
+"""Print the field-arithmetic work of `classify` + `oracle` over the golden
+extension pairs (`EXTENSION_PAIRS` in tests/test_golden.py, read without
+importing the test module): `_PackedModulus` builds, `_PackedModulus.reduce`
+calls and `_norm` calls.
+
+The counts depend only on the code and the pairs, not on the host, so they
+show a change in work that wall time on a noisy host may hide.  Stdlib
+only; from the root of a checkout:
+
+    python tools/work_counts.py
+"""
+
+import ast
+import contextlib
+import io
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from macbeath import gf  # noqa: E402
+from macbeath.cli import main  # noqa: E402
+
+
+def golden_pairs() -> tuple[tuple[int, int], ...]:
+    tree = ast.parse((ROOT / "tests" / "test_golden.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "EXTENSION_PAIRS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise SystemExit("EXTENSION_PAIRS not found in tests/test_golden.py")
+
+
+def counted(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def work_counts(pairs) -> dict[str, int]:
+    counts = {"_PackedModulus builds": 0, "reduce calls": 0, "_norm calls": 0}
+    ring = gf._PackedModulus
+    saved = ring.__init__, ring.reduce, gf._norm
+    ring.__init__ = counted(counts, "_PackedModulus builds", ring.__init__)
+    ring.reduce = counted(counts, "reduce calls", ring.reduce)
+    gf._norm = counted(counts, "_norm calls", gf._norm)
+    try:
+        for n, p in pairs:
+            for command in ("classify", "oracle"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    if main([command, "--n", str(n), "--p", str(p), "--format", "json"]):
+                        raise SystemExit(f"{command} --n {n} --p {p} failed")
+    finally:
+        ring.__init__, ring.reduce, gf._norm = saved
+    return counts
+
+
+if __name__ == "__main__":
+    pairs = golden_pairs()
+    counts = work_counts(pairs)
+    print(f"classify + oracle over {len(pairs)} golden extension pairs: "
+          + ", ".join(f"{name} {value}" for name, value in counts.items()))
