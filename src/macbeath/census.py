@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from . import gf
-from .errors import BadReduction, Inadmissible, IntegrityError, OracleError
+from .errors import BadReduction, Inadmissible, IntegrityError
 from .intpoly import _W_SQUARE, IntPoly, psi, s_polynomial
 from .numkit import (_factorize, divisors, euler_phi, genus_of_prime_power, is_prime,
                      lucas_v, moebius, mult_order_signed, trace_indices, trace_modulus)
@@ -125,7 +125,7 @@ def _map_census(m: int, n: int, p: int, traces: bool, split_route: bool) -> Cens
     ladder = _ladder(m, n, p) if split_route else None
     if ladder is not None:
         s_values, t_values = ladder
-        fd, k, l, genus, characters, parity = _check_witness(m, n, p, s_values, f1)
+        fd, k, l, genus, characters, parity = check_witness(m, n, p, s_values)
         classes = [_split_class(p, s, character, t, traces)
                    for s, character, t in sorted(zip(s_values, characters, t_values))]
     else:
@@ -147,10 +147,10 @@ def summary(m: int, n: int, p: int) -> tuple[FieldData, int, int, int, int]:
     A split prime is read off its checked ladder witness and builds no
     class objects and no record; every other p goes through `map_census`.
     """
-    f1 = s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
+    s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
     ladder = _ladder(m, n, p)
     if ladder is not None:
-        fd, k, l, genus, _, _ = _check_witness(m, n, p, ladder[0], f1)
+        fd, k, l, genus, _, _ = check_witness(m, n, p, ladder[0])
         return fd, k, l, genus, k
     record = map_census(m, n, p, traces=False)
     # chi is the character in F_{p^d}, the one in F_{p^e} when d/e is odd
@@ -176,20 +176,14 @@ def _s_zero(m: int, n: int, p: int) -> BadReduction:
                         f"has t^2 = {_T_SQUARE_SHIFT[m]}")
 
 
-def _trace_class(m: int, n: int, p: int, factor: tuple[int, ...], d: int,
-                 traces: bool, f1_ring: gf._PackedModulus | None) -> TraceClass:
-    # f1_ring (the factorization's) is the field's ring if factor is all of f1
-    # mod p; else it gives x^p mod factor = (x^p mod f1) mod factor
-    whole = f1_ring is not None and f1_ring.d == len(factor) - 1
-    ctx = gf.FieldCtx(p, factor, d, f1_ring if whole else None)
-    if ctx.ring is not None and not whole:
-        ctx.ring.x_power_p(ctx.ring.pack(gf._rem(f1_ring.unpack(f1_ring.x_power_p()), factor, p)))
+def _trace_class(m: int, n: int, p: int, ctx: gf.FieldCtx, traces: bool) -> TraceClass:
+    # the class of the factor ctx.modulus (`FactorList.field`), s its generator
     s = ctx.gen()
     character = gf.chi(s)
     if character == 0:
         raise _s_zero(m, n, p)
     t = gf.sqrt_in_field(ctx.elem(_T_SQUARE_SHIFT[m]) - s) if traces else None
-    return TraceClass(factor, len(factor) - 1, s, character,
+    return TraceClass(ctx.modulus, ctx.degree, s, character,
                       INNER if character == 1 else OUTER, t)
 
 
@@ -209,7 +203,7 @@ def _factored_classes(m: int, n: int, p: int, f1: IntPoly,
         raise IntegrityError(f"factor degree {e} does not divide d={fd.d}")
     factors = sorted((g for g, _ in factored.factors),
                      key=lambda g: _class_sort_key(g, p))
-    return fd, [_trace_class(m, n, p, g, fd.d, traces, factored.ring) for g in factors]
+    return fd, [_trace_class(m, n, p, factored.field(g, fd.d), traces) for g in factors]
 
 
 @functools.lru_cache(maxsize=None)
@@ -289,11 +283,7 @@ def check_witness(m: int, n: int, p: int, s_values: list[int]
     (Euler's criterion on the residue); then `_verdicts` checks k + l =
     phi(n)/2, an integral genus and the parity verdict.
     """
-    return _check_witness(m, n, p, s_values, s_polynomial(m, n))
-
-
-def _check_witness(m: int, n: int, p: int, s_values: list[int], f1: IntPoly):
-    # check_witness with f1 = s_polynomial(m, n) in hand
+    f1 = s_polynomial(m, n)
     _check_prime(p)
     fd = _field_data(m, n, p)
     if fd.d != 1:
@@ -467,7 +457,7 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
     else:
         # adjoin t via T^2 = 3 - s, irreducible of degree 2e here
         if d % (2 * e):
-            raise OracleError(f"trace of class {cls.factor} does not live in F_q")
+            raise IntegrityError(f"trace of class {cls.factor} does not live in F_q")
         K = gf.FieldCtx(p, _trace_field_modulus(cls.factor, p), d)
         t = K.gen().v
     add, sub, mul, dot = K.add, K.sub, K.mul, K.dot
@@ -475,7 +465,7 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
     tt = mul(t, t)
     s_val = sub(3 % p, tt)
     if not s_val:
-        raise OracleError("degenerate class with t^2 = 3")
+        raise IntegrityError("degenerate class with t^2 = 3")
 
     # try r = 1/2 first so the beta = 0 branch gets exercised
     candidates = chain([half], (c for c in (K.element_at(i).v for i in count()) if c != half))
@@ -496,7 +486,7 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
                 raise IntegrityError("constructed x has the wrong zx trace")
             break
     else:
-        raise OracleError(f"no solvable x found for class {cls.factor} mod {p}")
+        raise IntegrityError(f"no solvable x found for class {cls.factor} mod {p}")
 
     x_mat, z_mat = (r, sp, u, v), (0, 1, minus_one, 0)
     # x^3 = -I: order 3 in PSL(2,q)
@@ -511,7 +501,7 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
     degenerate = not beta
     det_w = sub(0, dot(alpha, alpha, beta, beta))
     if not det_w:
-        raise OracleError("w is singular")
+        raise IntegrityError("w is singular")
     # the Euclidean norm: chi(s) of a class takes the closed form of a linear s
     verdict = INNER if gf.chi(gf.FieldElem(K, det_w), resultant=True) == 1 else OUTER
     if degenerate:
@@ -534,25 +524,31 @@ def route_product(m: int, n: int, p: int) -> tuple[tuple[int, ...], tuple[int, .
     """Two routes to the s-value multiset, as polynomial products mod p.
 
     Left: product over irreducible factors G of Psi_N mod p (N = n or 2n) of
-    the minimal polynomial of shift - t^2, with multiplicity deg G / deg M.
-    Right: f1 mod p, squared for even n where traces come in +- pairs.
-    Both are returned as ascending coefficient tuples for comparison.
+    the characteristic polynomial prod_{i < deg G} (X - phi^i(shift - t^2))
+    of shift - t^2 in F_p[t]/(G), phi the Frobenius map on the field's rows:
+    the minimal polynomial M to the power deg G / deg M.  Right: f1 mod p,
+    squared for even n where traces come in +- pairs.  Both are returned as
+    ascending coefficient tuples for comparison.
     """
     fd = field_data(m, n, p)
-    trace_poly = psi(fd.n_modulus)
-    factored = gf.reduce_and_factor(trace_poly, p)
+    factored = gf.reduce_and_factor(psi(fd.n_modulus), p)
     if not factored.squarefree:
         raise BadReduction(f"Psi_{fd.n_modulus} is not squarefree mod {p}")
     shift = _T_SQUARE_SHIFT[m]
     left = [1]
     for factor, _ in factored.factors:
-        ctx = gf.FieldCtx(p, factor, len(factor) - 1)
-        troot = ctx.gen()
-        s_elem = ctx.elem(shift) - troot * troot
-        minpoly = s_elem.min_poly()
-        mult = (len(factor) - 1) // (len(minpoly) - 1)
-        for _ in range(mult):
-            left = gf._mul(left, minpoly, p)
+        ctx = factored.field(factor, len(factor) - 1)
+        ring, t = ctx.ring, ctx.gen().v
+        conjugate = ctx.sub(shift % p, ctx.mul(t, t))
+        charpoly = [1]  # times X - conjugate, for each conjugate in turn
+        for _ in range(ctx.degree):
+            charpoly = [ctx.sub(a, ctx.mul(conjugate, b))
+                        for a, b in zip([0] + charpoly, charpoly + [0])]
+            if ring is not None:
+                conjugate = ring.frobenius_map(conjugate, ring.frobenius())
+        if any(c >= p for c in charpoly):  # a slot above the first is set
+            raise IntegrityError("characteristic polynomial coefficients left the prime field")
+        left = gf._mul(left, charpoly, p)
     right = gf.reduce_polynomial(s_polynomial(m, n), p)
     if n % 2 == 0:
         right = gf._mul(right, right, p)

@@ -362,8 +362,6 @@ def main(argv=None) -> int:
     args, extra = command.parse_known_args(argv[1:]) if command else (None, True)
     if extra:
         args = parser.parse_args(argv)
-    else:
-        args.command = argv[0]
     try:
         args.workers = density.clamp_workers(args.workers)
         return args.func(args)

@@ -25,12 +25,6 @@ class IntegrityError(Error):
     code = "integrity"
 
 
-class OracleError(Error):
-    """The matrix witness construction could not be completed."""
-
-    code = "oracle"
-
-
 class WorkerError(Error):
     """A worker process ended without sending back its results."""
 

@@ -437,6 +437,19 @@ class FactorList(NamedTuple):
     # ran in, x^p set; None unless the reduction is squarefree of degree >= 2
     ring: _PackedModulus | None = None
 
+    def field(self, factor: tuple[int, ...], ambient_d: int) -> FieldCtx:
+        """The field F_p[x]/(factor) inside F_{p^ambient_d}, for one of the
+        factors: on the list's ring if the factor is the whole reduction, else
+        on a new ring, seeded with x^p mod factor = (x^p mod f) mod factor
+        when the list holds the ring mod f."""
+        ring, p = self.ring, self.p
+        if ring is not None and ring.d == len(factor) - 1:
+            return FieldCtx(p, factor, ambient_d, ring)
+        ctx = FieldCtx(p, factor, ambient_d)
+        if ring is not None and ctx.ring is not None:
+            ctx.ring.x_power_p(ctx.ring.pack(_rem(ring.unpack(ring.x_power_p()), factor, p)))
+        return ctx
+
 
 def reduce_polynomial(f: IntPoly, p: int) -> list[int]:
     """Coefficientwise reduction of f mod p; errors if the leading term dies."""
@@ -654,12 +667,6 @@ class FieldCtx:
             return FieldElem(self, reduced[0] if reduced else 0)
         return FieldElem(self, self.ring.pack(reduced))
 
-    def zero(self) -> FieldElem:
-        return FieldElem(self, 0)
-
-    def one(self) -> FieldElem:
-        return FieldElem(self, 1)
-
     def gen(self) -> FieldElem:
         """The residue class of x."""
         return self.elem([0, 1])
@@ -733,33 +740,6 @@ class FieldElem:
         if ctx.degree == 1:
             return FieldElem(ctx, pow(self.v, exp, ctx.p))
         return FieldElem(ctx, ctx.ring.pow(self.v, exp))
-
-    def frobenius(self) -> FieldElem:
-        return self**self.ctx.p
-
-    def is_constant(self) -> bool:
-        return self.v < self.ctx.p  # any higher slot would make v >= 2^w > p
-
-    def min_poly(self) -> tuple[int, ...]:
-        """Minimal polynomial over F_p, ascending coefficients, monic."""
-        conjugates = [self]
-        cur = self.frobenius()
-        while cur != self:
-            conjugates.append(cur)
-            cur = cur.frobenius()
-        poly = [self.ctx.one()]
-        for c in conjugates:
-            nxt = [self.ctx.zero()] * (len(poly) + 1)
-            for i, coeff in enumerate(poly):
-                nxt[i + 1] = nxt[i + 1] + coeff
-                nxt[i] = nxt[i] - c * coeff
-            poly = nxt
-        out = []
-        for coeff in poly:
-            if not coeff.is_constant():
-                raise IntegrityError("minimal polynomial coefficients left the prime field")
-            out.append(coeff.v)
-        return tuple(out)
 
     def __eq__(self, other):
         return (isinstance(other, FieldElem) and self.v == other.v

@@ -65,7 +65,7 @@ def examples() -> SuiteReport:
         name = f"({m},{n},{p})"
         try:
             record = census.map_census(m, n, p)
-        except (BadReduction, Inadmissible) as exc:
+        except (BadReduction, Inadmissible, IntegrityError) as exc:
             checks.append(Check(name, False, "census record", f"error: {exc}"))
             continue
         problems = []
@@ -116,16 +116,22 @@ def appendix(workers: int | None = None) -> SuiteReport:
     checks.append(Check("aggregate counts", aggregate == refdata.AGGREGATE_COUNTS,
                         str(refdata.AGGREGATE_COUNTS), str(aggregate)))
     # reconcile with the printed tabulation: moving 8693 back to the + column
-    # must reproduce its split sizes, so the only deltas are the known typos
+    # must reproduce its split sizes, so the only deltas are the known typos;
+    # each typo's fix is in its computed list, and no printed value was swept
     src_key, dst_key, moved = refdata.PRINTED_MISFILED
     printed = list(split)
     printed[2 * 1 + 0] += 1  # k=1, '+' column
     printed[2 * 1 + 1] -= 1
-    ok = (tuple(printed) == refdata.PRINTED_SPLIT_COUNTS
+    swept = {rec.p for rec in result.records}
+    typos = [f"{typo}->{fixed}" for key, typo, fixed in refdata.PRINTED_TYPO_CORRECTIONS
+             if fixed not in got[key] or typo in swept]
+    ok = (tuple(printed) == refdata.PRINTED_SPLIT_COUNTS and not typos
           and moved in got[dst_key] and moved not in got[src_key])
     checks.append(Check("printed-tabulation reconciliation", ok,
-                        f"{refdata.PRINTED_SPLIT_COUNTS} after refiling {moved}",
-                        str(tuple(printed))))
+                        f"{refdata.PRINTED_SPLIT_COUNTS} after refiling {moved}, "
+                        f"{len(refdata.PRINTED_TYPO_CORRECTIONS)} typo fixes computed",
+                        str(tuple(printed)) + (f", typo fixes not computed: {typos}"
+                                               if typos else "")))
     checks.append(Check("no skipped primes", not result.tally.skipped,
                         "()", str(result.tally.skipped)))
     return _finish("appendix", checks, start)

@@ -15,7 +15,7 @@ from macbeath.census import (
     route_product,
 )
 from macbeath.errors import BadReduction, Error, Inadmissible, IntegrityError
-from macbeath.intpoly import IntPoly, s_polynomial
+from macbeath.intpoly import IntPoly, psi, s_polynomial
 from macbeath.numkit import primes_upto
 
 
@@ -158,13 +158,13 @@ def cps_discriminant(a, b, c):
 def test_cps_discriminant():
     ctx = gf.FieldCtx.checked(13, [0, 1])
     t = ctx.elem(5)
-    assert cps_discriminant(t, ctx.zero(), ctx.one()) == ctx.elem(3) - t * t
-    assert cps_discriminant(ctx.zero(), ctx.zero(), ctx.zero()) == ctx.elem(4)
+    assert cps_discriminant(t, ctx.elem(0), ctx.elem(1)) == ctx.elem(3) - t * t
+    assert cps_discriminant(ctx.elem(0), ctx.elem(0), ctx.elem(0)) == ctx.elem(4)
     # with w^2 = 2 adjoined: (t, 0, w) evaluates to 2 - t^2
     ext = gf.FieldCtx.checked(5, [-2, 0, 1])
     w = ext.gen()
     t5 = ext.elem(3)
-    assert cps_discriminant(t5, ext.zero(), w) == ext.elem(2) - t5 * t5
+    assert cps_discriminant(t5, ext.elem(0), w) == ext.elem(2) - t5 * t5
     # the census reads -D off s: for the traces (1, t, 0) of the order-3
     # rotation, a class's t and an involution, -D = 3 - t^2 = s, and the
     # class is inner regular iff -D is an ambient square
@@ -176,7 +176,7 @@ def test_cps_discriminant():
         for c in record.classes:
             if c.t is not None:
                 ctx = c.s.ctx
-                minus_d = cps_discriminant(ctx.one(), c.t, ctx.zero())
+                minus_d = cps_discriminant(ctx.elem(1), c.t, ctx.elem(0))
                 assert minus_d == c.s and gf.chi(minus_d) == c.chi, (p, c.factor)
                 checked.add((record.field.d, c.regularity))
     assert checked == {(d, r) for d in (1, 3) for r in ("inner", "outer")}
@@ -456,6 +456,56 @@ def test_route_product_small():
             assert left == right, (n, p)
 
 
+def test_route_product_takes_its_fields_from_the_trace_factorization(monkeypatch):
+    # the oracle suite's route items: each Psi_N factor's field comes from
+    # FactorList.field, so a lone factor is the factorization's ring and the
+    # only x^p by a power is that of the distinct-degree split; f1 is never
+    # factored, and its conjugates come from the Frobenius rows
+    rings, powers, factored = [], [], []
+    init, power, factor = gf._PackedModulus.__init__, gf._PackedModulus.pow, gf.reduce_and_factor
+
+    def counted_init(ring, f, p, series=None):
+        rings.append(len(f) - 1)
+        init(ring, f, p, series)
+
+    def counted_pow(ring, a, exp):
+        if exp >= ring.p:
+            powers.append(exp)
+        return power(ring, a, exp)
+
+    def counted_factor(f, p):
+        factored.append(f)
+        return factor(f, p)
+
+    monkeypatch.setattr(gf._PackedModulus, "__init__", counted_init)
+    monkeypatch.setattr(gf._PackedModulus, "pow", counted_pow)
+    monkeypatch.setattr(gf, "reduce_and_factor", counted_factor)
+    cases, per_case = 0, {}
+    for n in range(7, 17):
+        for p in primes_upto(500):
+            start, start_factored = len(rings), len(factored)
+            try:
+                left, right = route_product(3, n, p)
+            except (BadReduction, Inadmissible):
+                continue
+            assert left == right, (n, p)
+            assert factored[start_factored:] == [psi(numkit.trace_modulus(n))], (n, p)
+            per_case[n, p] = len(rings) - start
+            cases += 1
+    assert cases == 936
+    assert len(rings) <= 1524 and len(powers) <= cases, (len(rings), len(powers))
+    assert [per_case[pair] for pair in ((7, 5), (9, 7), (11, 3))] == [1, 1, 1]
+
+
+def test_route_product_checks_its_characteristic_polynomials_stay_in_f_p(monkeypatch):
+    # a Frobenius map that returns its input makes every conjugate s itself:
+    # (X - s)^3 for the cubic Psi_7 mod 5 has coefficients outside F_5
+    monkeypatch.setattr(gf._PackedModulus, "frobenius_map", lambda ring, h, rows: h)
+    with pytest.raises(IntegrityError, match="characteristic polynomial coefficients "
+                                             "left the prime field"):
+        route_product(3, 7, 5)
+
+
 def test_json_round_trip():
     for args in [(3, 7, 13), (3, 13, 5), (4, 5, 7), (3, 8, 7)]:
         r = map_census(*args)
@@ -597,18 +647,21 @@ def test_split_route_matches_factorization_route_at_64_bits(p):
 
 
 def test_split_route_errors_match_on_bad_p():
-    # 43 * 71, 5 * 17 * 29 and 2^64 + 13 (a prime) are = +-1 mod 7 and mod 3.
-    # The ladder gives None on 43 * 71 (its Euler value at w = 2 proves it
-    # composite) and on 2^64 + 13 (out of range); the Carmichael number
-    # 2465 = 5 * 17 * 29 = 1 mod 7 passes the Euler step at w = 2 and gets a
-    # witness.  Both routes' prime check rejects every p here with one message.
+    # 43 * 71, 55 = 5 * 11, 5 * 17 * 29 and 2^64 + 13 (a prime) are = +-1 mod 7
+    # and mod 3.  The ladder gives None on 43 * 71 (its Euler value at w = 2
+    # proves it composite), on 55 = -1 mod 7 (the Euler value of c^2 - 4 at
+    # c = 3 is 25, neither 0 nor +-1) and on 2^64 + 13 (out of range); the
+    # Carmichael number 2465 = 5 * 17 * 29 = 1 mod 7 passes the Euler step at
+    # w = 2 and gets a witness.  Both routes' prime check, and summary's,
+    # reject every p here with one message.
     assert census_module._ladder(3, 7, 5 * 17 * 29) is not None
-    for p in (-13, 0, 1, 15, 91, 43 * 71, 5 * 17 * 29, 1 << 64, (1 << 64) + 13):
+    for p in (-13, 0, 1, 15, 55, 91, 43 * 71, 5 * 17 * 29, 1 << 64, (1 << 64) + 13):
         for split_route in (True, False):
             with pytest.raises(Inadmissible, match="not a prime below 2"):
                 census_module._map_census(3, 7, p, False, split_route)
         _summary_matches(3, 7, p, ("Inadmissible", f"p={p} is not a prime below 2^64"))
     assert census_module._ladder(3, 7, 43 * 71) is None
+    assert pow(3 * 3 - 4, 27, 55) == 25 and census_module._ladder(3, 7, 55) is None
     assert census_module._ladder(3, 7, (1 << 64) + 13) is None
     for m, n, p in ((3, 7, 7), (4, 7, 2), (6, 7, 3), (6, 7, 2), (4, 9, 17)):
         _summary_matches(m, n, p, _outcome(m, n, p, False, False))
@@ -850,11 +903,11 @@ def test_pivot_proportionality_matches_all_six_products():
         ctx = gf.FieldCtx(p, random_irreducible(p, e, rng), e)
 
         def draw(zero_share=0.0):
-            return tuple(ctx.zero() if rng.random() < zero_share
+            return tuple(ctx.elem(0) if rng.random() < zero_share
                          else ctx.elem([rng.randrange(p) for _ in range(e)])
                          for _ in range(4))
 
-        zero = (ctx.zero(),) * 4
+        zero = (ctx.elem(0),) * 4
         seen = {True: 0, False: 0}
         for _ in range(60):
             A, B = draw(rng.choice((0.0, 0.5))), draw(rng.choice((0.0, 0.5)))
@@ -864,7 +917,7 @@ def test_pivot_proportionality_matches_all_six_products():
                      (tuple(scale * b for b in B), B)]
             if not A[0].is_zero():
                 # rank 2 only in the entries after the pivot
-                cases.append((A, tuple(scale * a for a in A[:3]) + (A[3] + ctx.one(),)))
+                cases.append((A, tuple(scale * a for a in A[:3]) + (A[3] + ctx.elem(1),)))
             for X, Y in cases:
                 # the oracle's call, on the field's values
                 expected = six_product_proportional(X, Y)

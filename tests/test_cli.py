@@ -11,13 +11,13 @@ import pytest
 from timelimit import time_limit
 
 import macbeath
-from macbeath import census, cli, density, gf, refdata
+from macbeath import census, cli, density, gf, refdata, verify
 from macbeath.census import map_census, matrix_oracle, record_from_json
 from macbeath.cli import _parsers, main
-from macbeath.errors import Inadmissible
+from macbeath.errors import Inadmissible, IntegrityError
 from macbeath.gf import reduce_and_factor
 from macbeath.intpoly import s_polynomial
-from macbeath.numkit import primes_upto
+from macbeath.numkit import is_prime, primes_upto
 
 
 def run(capsys, *argv):
@@ -387,6 +387,52 @@ def test_verify_patterns_without_a_model_is_an_integrity_error(capsys, monkeypat
     code, out, err = run(capsys, "verify", "patterns", "--bound", "200", "--workers", "1")
     assert (code, out) == (1, "")
     assert err.startswith("error: integrity:") and "Traceback" not in err
+
+
+def test_verify_reports_an_integrity_failure_as_a_failed_item(capsys, monkeypatch):
+    # a witness that cannot be built fails the oracle check of its n, naming
+    # the class; a census that fails its own checks fails that one example.
+    # Both are reports with exit 2, not an error line
+    monkeypatch.setattr(gf, "sqrt_in_field", lambda a: None)
+    code, out, err = run(capsys, "verify", "oracle", "--bound", "30", "--workers", "1")
+    assert (code, err) == (2, "")
+    row = next(row for row in out.splitlines() if row.startswith("FAIL matrix oracle n=7:"))
+    assert "'p=3 factor=(1, 0, 2, 1): trace of class (1, 0, 2, 1) does not live in F_q'" in row
+    monkeypatch.undo()
+    real = census.map_census
+
+    def failing(m, n, p, **kwargs):
+        if (m, n, p) == (3, 9, 17):
+            raise IntegrityError("class count 2 != phi(n)/2e for (3,9,17)")
+        return real(m, n, p, **kwargs)
+
+    monkeypatch.setattr(census, "map_census", failing)
+    code, out, err = run(capsys, "verify", "examples")
+    assert (code, err) == (2, "")
+    failed = [row for row in out.splitlines() if row.startswith("FAIL")]
+    assert failed == ["FAIL (3,9,17): expected census record; "
+                      "got error: class count 2 != phi(n)/2e for (3,9,17)"]
+    assert out.splitlines()[-1].startswith("suite examples: FAIL")
+
+
+def test_appendix_reconciles_each_printed_typo(monkeypatch):
+    # each typo's fix is a computed member of its sigma list and the printed
+    # value is not a swept prime (138 and 2709 are composite, 7481 = 5 mod 7);
+    # a correction to a prime of another list, or from a swept prime, fails
+    def reconciliation():
+        check, = (c for c in verify.appendix(workers=1).checks
+                  if c.name == "printed-tabulation reconciliation")
+        return check
+
+    assert reconciliation().ok
+    assert not is_prime(138) and not is_prime(2709) and 7481 % 7 == 5
+    corrections = refdata.PRINTED_TYPO_CORRECTIONS
+    for wrong, named in ((((2, "-"), 138, 167), "138->167"),     # 167 is in sigma_3^+
+                         (((3, "-"), 139, 3709), "139->3709")):  # 139 was swept
+        monkeypatch.setattr(refdata, "PRINTED_TYPO_CORRECTIONS",
+                            corrections[1:] + (wrong,))
+        check = reconciliation()
+        assert not check.ok and check.actual.endswith(f"typo fixes not computed: ['{named}']")
 
 
 def test_verify_rejects_a_bound_for_a_suite_without_one(capsys):

@@ -107,31 +107,24 @@ def test_field_ops_examples():
     x = ctx.gen()
     assert (x * x) == ctx.elem(2)
     f41 = FieldCtx.checked(41, [0, 1])
-    assert f41.elem(2) * f41.elem(21) == f41.one()
+    assert f41.elem(2) * f41.elem(21) == f41.elem(1)
     with pytest.raises(ValueError, match="negative exponent"):
         x ** -1
 
 
 def test_frobenius_fixes_exactly_the_prime_field():
     ctx = FieldCtx.checked(3, find_irreducible(3, 3))
-    fixed = [i for i in range(27) if (e := ctx.element_at(i)).frobenius() == e]
+    fixed = [i for i in range(27) if (e := ctx.element_at(i)) ** 3 == e]
     assert len(fixed) == 3
     # and a^(p^e) = a for everything
     assert all(ctx.element_at(i) ** 27 == ctx.element_at(i) for i in range(27))
-
-
-def test_element_min_poly():
-    ctx = FieldCtx.checked(2, [1, 1, 0, 1])  # F_8 = F_2[x]/(x^3+x+1)
-    x = ctx.gen()
-    assert x.min_poly() == (1, 1, 0, 1)
-    assert ctx.one().min_poly() == (1, 1)  # y - 1 = y + 1 over F_2
 
 
 def test_chi_prime_field_examples():
     f13 = FieldCtx.checked(13, [0, 1])
     assert chi(f13.elem(4)) == 1
     assert chi(f13.elem(6)) == -1
-    assert chi(f13.zero()) == 0
+    assert chi(f13.elem(0)) == 0
 
 
 def test_chi_characteristic_two():
@@ -275,6 +268,53 @@ def test_field_ctx_builds_its_ring_exactly_above_degree_one():
     assert {1, 2, 3} <= seen
     with pytest.raises(TypeError):
         FieldCtx(13, (0, 1))  # the modulus alone is FieldCtx.checked's call
+
+
+def test_factor_list_field_reuses_seeds_or_builds_a_ring(monkeypatch):
+    # the whole reduction's field is the list's own ring; any other factor
+    # of degree > 1 gets a new ring seeded with (x^p mod f) mod factor, and
+    # no x^p of its own; a list without a ring gives a new ring, unseeded
+    powers = []
+    power = gf._PackedModulus.pow
+
+    def counted(ring, a, exp):
+        if exp >= ring.p:
+            powers.append(exp)
+        return power(ring, a, exp)
+
+    rng = random.Random(30)
+    seen = set()
+    for p in (2, 3, 13, 499, 65521):
+        for degrees in ((3,), (2, 2), (1, 3, 4), (5, 1)):
+            factors = [random_irreducible(p, e, rng) for e in degrees]
+            product = [1]
+            for g in factors:
+                product = gf._mul(product, list(g), p)
+            factored = reduce_and_factor(IntPoly(product), p)
+            if not factored.squarefree:
+                continue  # two equal draws
+            with monkeypatch.context() as patch:
+                patch.setattr(gf._PackedModulus, "pow", counted)
+                powers.clear()
+                fields = [(g, factored.field(g, 12)) for g, _ in factored.factors]
+            assert powers == [], (p, degrees)
+            for g, ctx in fields:
+                e = len(g) - 1
+                assert (ctx.p, ctx.modulus, ctx.degree, ctx.ambient_d) == (p, g, e, 12)
+                if e == 1:
+                    assert ctx.ring is None and len(degrees) > 1
+                    continue
+                fresh = gf._PackedModulus(list(g), p)
+                assert ctx.ring == fresh and ctx.ring._frobenius[:2] == [1, fresh.x_power_p()]
+                assert (ctx.ring is factored.ring) == (len(degrees) == 1), (p, degrees)
+                seen.add(len(degrees) == 1)
+    assert seen == {True, False}
+    # a non-squarefree reduction holds no ring: (x^2 + 1)^2 mod 3
+    factored = reduce_and_factor(IntPoly([1, 0, 2, 0, 1]), 3)
+    assert factored.ring is None and factored.factors == (((1, 0, 1), 2),)
+    ctx = factored.field((1, 0, 1), 2)
+    assert ctx.ring == gf._PackedModulus([1, 0, 1], 3) and ctx.ring._frobenius is None
+    assert (ctx.gen() * ctx.gen()).coeffs == (2,)
 
 
 def test_mixed_context_arithmetic_rejected():
@@ -503,9 +543,9 @@ def test_constant_factor_products_match_the_generic_reduction(monkeypatch):
     for p in (2, 3, 499, 65521, P64):
         for e in range(1, 19):
             ctx = FieldCtx(p, tuple(rng.randrange(p) for _ in range(e)) + (1,), e)
-            elems = [ctx.zero(), ctx.one(), ctx.elem(p - 1)]
+            elems = [ctx.elem(0), ctx.elem(1), ctx.elem(p - 1)]
             elems += [ctx.elem([rng.randrange(p) for _ in range(e)]) for _ in range(4)]
-            for c in (ctx.zero(), ctx.one(), ctx.elem(p - 1), ctx.elem(rng.randrange(p))):
+            for c in (ctx.elem(0), ctx.elem(1), ctx.elem(p - 1), ctx.elem(rng.randrange(p))):
                 for a in elems:
                     expected = c.v * a.v % p if e == 1 else reduce(ctx.ring, c.v * a.v)
                     reduced.clear()
@@ -1342,12 +1382,12 @@ def test_packed_elements_match_schoolbook_coefficient_lists():
                 assert list((a * b).coeffs) == list_mulmod(la, lb, mod, p)
                 exp = rng.randrange(p**e)
                 assert list((a**exp).coeffs) == list_powmod(la, exp, mod, p)
-                assert (a - a).is_zero() and a + (-a) == ctx.zero()
+                assert (a - a).is_zero() and a + (-a) == ctx.elem(0)
                 # equality and hashing follow the coefficients, not the object
                 twin = FieldCtx(p, ctx.modulus, e).elem(la)
                 assert twin == a and hash(twin) == hash(a)
                 assert (a == b) == (la == lb)
-            assert ctx.elem(p + 3) == ctx.elem([3]) and ctx.elem(3).is_constant()
+            assert ctx.elem(p + 3) == ctx.elem([3]) and len(ctx.elem(3).coeffs) <= 1
 
 
 def tonelli_shanks(a):
@@ -1372,7 +1412,7 @@ def tonelli_shanks(a):
     r = a * w       # a^((Q+1)/2)
     t = r * w       # a^Q
     m = s
-    one = ctx.one()
+    one = ctx.elem(1)
     while t != one:
         i, temp = 0, t
         while temp != one:
@@ -1393,7 +1433,7 @@ def reference_sqrt(a):
     q = ctx.p**ctx.degree
     if a.is_zero():
         return a
-    if a ** ((q - 1) // 2) != ctx.one():
+    if a ** ((q - 1) // 2) != ctx.elem(1):
         return None
     r = a ** ((q + 1) // 4) if q % 4 == 3 else tonelli_shanks(a)
     assert r * r == a
@@ -1409,7 +1449,7 @@ def test_odd_degree_norm_root_matches_exponent_route():
             for trial in range(12):
                 a = ctx.elem([rng.randrange(p) for _ in range(e)])
                 if trial == 0:
-                    a = ctx.zero()
+                    a = ctx.elem(0)
                 elif trial == 1:
                     a = a * a  # a square, whatever the draw
                 root = sqrt_in_field(a)
@@ -1461,7 +1501,7 @@ def test_descent_sqrt_matches_tonelli_shanks():
             if kind.startswith("subfield"):
                 k = int(kind.split()[1])
                 half = a ** ((p**k - 1) // 2)  # the character of a in F_{p^k}
-                kind += " square" if half == ctx.one() else " non-square"
+                kind += " square" if half == ctx.elem(1) else " non-square"
             seen.add((kind, root is None))
     assert {("subfield 1 square", False), ("subfield 1 non-square", False),
             ("subfield 2 square", False), ("subfield 2 non-square", False),

@@ -1,7 +1,8 @@
 """Print the field-arithmetic work of `classify` + `oracle` over the golden
 extension pairs (`EXTENSION_PAIRS` in tests/test_golden.py, read without
 importing the test module): `_PackedModulus` builds, `_PackedModulus.reduce`
-calls and `_norm` calls.
+calls and `_norm` calls; then that of the trace route, `route_product(3, n, p)`
+on the same pairs: `_PackedModulus` builds and `pow` calls with exponent >= p.
 
 The counts depend only on the code and the pairs, not on the host, so they
 show a change in work that wall time on a noisy host may hide.  Stdlib
@@ -19,7 +20,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from macbeath import gf  # noqa: E402
+from macbeath import census, gf  # noqa: E402
 from macbeath.cli import main  # noqa: E402
 
 
@@ -57,8 +58,31 @@ def work_counts(pairs) -> dict[str, int]:
     return counts
 
 
+def route_counts(pairs) -> dict[str, int]:
+    """`_PackedModulus` builds and powers of exponent >= p of the trace route,
+    `census.route_product(3, n, p)`, over the pairs."""
+    counts = {"_PackedModulus builds": 0, "pow calls with exponent >= p": 0}
+    ring = gf._PackedModulus
+    saved = ring.__init__, ring.pow
+
+    def power(self, a, exp):
+        counts["pow calls with exponent >= p"] += exp >= self.p
+        return saved[1](self, a, exp)
+
+    ring.__init__, ring.pow = counted(counts, "_PackedModulus builds", ring.__init__), power
+    try:
+        for n, p in pairs:
+            left, right = census.route_product(3, n, p)
+            if left != right:
+                raise SystemExit(f"route_product(3, {n}, {p}): the two routes differ")
+    finally:
+        ring.__init__, ring.pow = saved
+    return counts
+
+
 if __name__ == "__main__":
     pairs = golden_pairs()
-    counts = work_counts(pairs)
-    print(f"classify + oracle over {len(pairs)} golden extension pairs: "
-          + ", ".join(f"{name} {value}" for name, value in counts.items()))
+    for label, counts in (("classify + oracle", work_counts(pairs)),
+                          ("route_product", route_counts(pairs))):
+        print(f"{label} over {len(pairs)} golden extension pairs: "
+              + ", ".join(f"{name} {value}" for name, value in counts.items()))
