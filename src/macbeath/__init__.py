@@ -29,7 +29,7 @@ from .density import (
     wreath_cycle_distribution,
 )
 from .errors import BadReduction, Error, Inadmissible, IntegrityError
-from .gf import FactorList, FieldCtx, FieldElem, chi, degree_pattern, reduce_and_factor, sqrt_in_field
+from .gf import FactorList, FieldCtx, chi, degree_pattern, reduce_and_factor, sqrt_in_field
 from .intpoly import IntPoly, discriminant, doubled, psi, psi_at_one, s_polynomial, vieta_lucas
 from .numkit import PrimeStream, is_prime, mult_order_signed, primes_in_classes
 

@@ -74,10 +74,11 @@ class TraceClass(NamedTuple):
 
     factor: tuple[int, ...]  # monic irreducible over F_p, ascending coefficients
     e: int                   # its degree
-    s: gf.FieldElem          # the class parameter, a root of f1
+    s: int                   # the class parameter, a root of f1: a value of `field`
     chi: int                 # quadratic character of s in the AMBIENT field
     regularity: str          # "inner" iff chi == +1
-    t: gf.FieldElem | None   # a trace with t^2 = shift - s, when representable
+    t: int | None            # a trace with t^2 = shift - s, when representable
+    field: gf.FieldCtx       # F_p[x]/(factor) inside F_{p^d}, the field of s and t
 
 
 class ParityVerdict(NamedTuple):
@@ -155,7 +156,7 @@ def summary(m: int, n: int, p: int) -> tuple[FieldData, int, int, int, int]:
     record = map_census(m, n, p, traces=False)
     # chi is the character in F_{p^d}, the one in F_{p^e} when d/e is odd
     k_square = sum(1 for c in record.classes
-                   if (c.chi if record.field.d // c.e % 2 else gf._euler_sign(c.s)) == 1)
+                   if (c.chi if record.field.d // c.e % 2 else gf._euler_sign(c.field, c.s)) == 1)
     return record.field, record.k, record.l, record.genus, k_square
 
 
@@ -179,12 +180,12 @@ def _s_zero(m: int, n: int, p: int) -> BadReduction:
 def _trace_class(m: int, n: int, p: int, ctx: gf.FieldCtx, traces: bool) -> TraceClass:
     # the class of the factor ctx.modulus (`FactorList.field`), s its generator
     s = ctx.gen()
-    character = gf.chi(s)
+    character = gf.chi(ctx, s)
     if character == 0:
         raise _s_zero(m, n, p)
-    t = gf.sqrt_in_field(ctx.elem(_T_SQUARE_SHIFT[m]) - s) if traces else None
+    t = gf.sqrt_in_field(ctx, ctx.sub(_T_SQUARE_SHIFT[m] % p, s)) if traces else None
     return TraceClass(ctx.modulus, ctx.degree, s, character,
-                      INNER if character == 1 else OUTER, t)
+                      INNER if character == 1 else OUTER, t, ctx)
 
 
 def _factored_classes(m: int, n: int, p: int, f1: IntPoly,
@@ -302,10 +303,8 @@ def check_witness(m: int, n: int, p: int, s_values: list[int]
 def _split_class(p: int, s: int, character: int, t: int, traces: bool) -> TraceClass:
     # x mod (x - s) is s, so the class values are built from the residues
     factor = ((-s) % p, 1)
-    ctx = gf.FieldCtx(p, factor, 1)
-    return TraceClass(factor, 1, gf.FieldElem(ctx, s), character,
-                      INNER if character == 1 else OUTER,
-                      gf.FieldElem(ctx, min(t, p - t)) if traces else None)
+    return TraceClass(factor, 1, s, character, INNER if character == 1 else OUTER,
+                      min(t, p - t) if traces else None, gf.FieldCtx(p, factor, 1))
 
 
 def _product_mod_p(roots: list[int], p: int) -> list[int]:
@@ -444,22 +443,20 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
     conjugation identities are checked literally, and the result must agree
     with the character criterion.  It works in the class's field, where s
     is the generator, or in the quadratic extension of it that holds t, on
-    the field's values (`FieldCtx`'s arithmetic, one reduction per matrix
-    entry); elements are built only for the square roots and characters.
+    the field's values, plain ints (`FieldCtx`'s arithmetic, one reduction per
+    matrix entry), which `gf.sqrt_in_field` and `gf.chi` take with the field.
     """
-    base_ctx = cls.s.ctx
-    p, d, e = base_ctx.p, base_ctx.ambient_d, cls.e
+    K = cls.field
+    p, d, e = K.p, K.ambient_d, cls.e
     if p == 2:
         raise Inadmissible("the witness construction needs invertible 2")
-    t = gf.sqrt_in_field(base_ctx.elem(3) - cls.s)
-    if t is not None:
-        K, t = base_ctx, t.v
-    else:
+    t = gf.sqrt_in_field(K, K.sub(3 % p, cls.s))
+    if t is None:
         # adjoin t via T^2 = 3 - s, irreducible of degree 2e here
         if d % (2 * e):
             raise IntegrityError(f"trace of class {cls.factor} does not live in F_q")
         K = gf.FieldCtx(p, _trace_field_modulus(cls.factor, p), d)
-        t = K.gen().v
+        t = K.gen()
     add, sub, mul, dot = K.add, K.sub, K.mul, K.dot
     minus_one, half = p - 1, (p + 1) // 2
     tt = mul(t, t)
@@ -468,7 +465,7 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
         raise IntegrityError("degenerate class with t^2 = 3")
 
     # try r = 1/2 first so the beta = 0 branch gets exercised
-    candidates = chain([half], (c for c in (K.element_at(i).v for i in count()) if c != half))
+    candidates = chain([half], (c for c in map(K.element_at, count()) if c != half))
     tried = set()
     for r in islice(candidates, 4000):
         v = sub(1, r)
@@ -476,9 +473,9 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
             continue
         tried.add(r)
         disc = sub(tt, mul(4 % p, add(v, mul(r, r))))
-        root = gf.sqrt_in_field(gf.FieldElem(K, disc))
+        root = gf.sqrt_in_field(K, disc)
         if root is not None:
-            sp = mul(sub(root.v, t), half)
+            sp = mul(sub(root, t), half)
             u = add(t, sp)
             if dot(r, v, sub(0, sp), u) != 1:
                 raise IntegrityError("constructed x does not have determinant 1")
@@ -503,16 +500,16 @@ def matrix_oracle(cls: TraceClass) -> OracleWitness:
     if not det_w:
         raise IntegrityError("w is singular")
     # the Euclidean norm: chi(s) of a class takes the closed form of a linear s
-    verdict = INNER if gf.chi(gf.FieldElem(K, det_w), resultant=True) == 1 else OUTER
+    verdict = INNER if gf.chi(K, det_w, resultant=True) == 1 else OUTER
     if degenerate:
         # in this branch 3 - t^2 is a square iff -1 is
-        if gf.chi(gf.FieldElem(K, s_val)) != gf.chi(gf.FieldElem(K, minus_one)):
+        if gf.chi(K, s_val) != gf.chi(K, minus_one):
             raise IntegrityError("degenerate-branch rule chi(3-t^2) = chi(-1) failed")
     if verdict != cls.regularity:
         raise IntegrityError(
             f"matrix oracle verdict {verdict} contradicts character verdict "
             f"{cls.regularity} for factor {cls.factor} mod {p}")
-    coeffs = [gf.FieldElem(K, value).coeffs for value in (*x_mat, alpha, beta, det_w)]
+    coeffs = [K.coeffs(value) for value in (*x_mat, alpha, beta, det_w)]
     return OracleWitness(verdict, degenerate, K.modulus, tuple(coeffs[:4]), *coeffs[4:])
 
 
@@ -538,7 +535,7 @@ def route_product(m: int, n: int, p: int) -> tuple[tuple[int, ...], tuple[int, .
     left = [1]
     for factor, _ in factored.factors:
         ctx = factored.field(factor, len(factor) - 1)
-        ring, t = ctx.ring, ctx.gen().v
+        ring, t = ctx.ring, ctx.gen()
         conjugate = ctx.sub(shift % p, ctx.mul(t, t))
         charpoly = [1]  # times X - conjugate, for each conjugate in turn
         for _ in range(ctx.degree):
@@ -571,10 +568,10 @@ def record_to_dict(record: CensusRecord) -> dict:
             {
                 "factor": list(c.factor),
                 "e": c.e,
-                "s": list(c.s.coeffs),
+                "s": list(c.field.coeffs(c.s)),
                 "chi": c.chi,
                 "regularity": c.regularity,
-                "t": list(c.t.coeffs) if c.t is not None else None,
+                "t": list(c.field.coeffs(c.t)) if c.t is not None else None,
             }
             for c in record.classes
         ],
@@ -615,6 +612,6 @@ def record_to_csv_rows(record: CensusRecord) -> list[tuple]:
     for i, c in enumerate(record.classes):
         rows.append((record.m, record.n, record.p, record.field.d, str(record.field.q),
                      str(record.genus), record.k, record.l, parity_ok, i,
-                     " ".join(map(str, c.factor)), " ".join(map(str, c.s.coeffs)),
+                     " ".join(map(str, c.factor)), " ".join(map(str, c.field.coeffs(c.s))),
                      c.chi, c.regularity))
     return rows

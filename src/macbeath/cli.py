@@ -128,8 +128,8 @@ def _cmd_classify(args) -> int:
             lines.append(f"note: factor count differs from phi(n)/2d = {closed} "
                          f"(Galois-folded case)")
         for i, c in enumerate(record.classes):
-            t_part = f" t={list(c.t.coeffs)}" if c.t is not None else ""
-            lines.append(f"  class {i}: factor={list(c.factor)} s={list(c.s.coeffs)} "
+            t_part = f" t={list(c.field.coeffs(c.t))}" if c.t is not None else ""
+            lines.append(f"  class {i}: factor={list(c.factor)} s={list(c.field.coeffs(c.s))} "
                          f"chi={c.chi:+d} {c.regularity}{t_part}")
         par = record.parity
         if par.applicable:
@@ -153,7 +153,7 @@ def _cmd_oracle(args) -> int:
     witnesses = [census.matrix_oracle(cls) for cls in targets]
     payload = lines = None  # only the chosen format is built: csv dumps the payload
     if args.format == "table":
-        lines = [f"class s={list(cls.s.coeffs)}: {w.verdict}"
+        lines = [f"class s={list(cls.field.coeffs(cls.s))}: {w.verdict}"
                  f"{' (degenerate beta=0 branch)' if w.degenerate else ''}; "
                  f"det w = {list(w.det_w)} in F_p[x]/({list(w.field_modulus)})"
                  for cls, w in zip(targets, witnesses)]

@@ -585,7 +585,7 @@ def is_irreducible(g: list[int], p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# field contexts and elements
+# field contexts and their values
 
 
 class FieldCtx:
@@ -630,8 +630,10 @@ class FieldCtx:
             raise ValueError("modulus is not irreducible mod p")
         return cls(p, modulus, ambient_d)
 
-    # Arithmetic on values (FieldElem.v), for FieldElem's operators and any
-    # caller: the residue itself in degree 1, the packed kernel otherwise.
+    # Arithmetic on values.  A value is one int: the packed residue of
+    # `_PackedModulus` (slot j holds the coefficient of x^j, in 0..p-1), which
+    # in degree 1 is the residue itself; a constant c is the int c in every
+    # degree.  Each method holds the one choice between the two.
 
     def add(self, a: int, b: int) -> int:
         ring = self.ring
@@ -659,25 +661,37 @@ class FieldCtx:
             return ring.normalize(a * b + c * d)
         return ring.reduce(ring.normalize(a * b) + c * d)
 
-    def elem(self, coeffs) -> FieldElem:
+    def pow(self, v: int, exp: int) -> int:
+        if exp < 0:
+            raise ValueError("negative exponent")
+        return pow(v, exp, self.p) if self.ring is None else self.ring.pow(v, exp)
+
+    def value(self, coeffs) -> int:
+        """The value of an int or a coefficient list, reduced mod p and g."""
         if isinstance(coeffs, int):
-            return FieldElem(self, coeffs % self.p)
+            return coeffs % self.p
         reduced = _rem([c % self.p for c in coeffs], list(self.modulus), self.p)
-        if self.degree == 1:
-            return FieldElem(self, reduced[0] if reduced else 0)
-        return FieldElem(self, self.ring.pack(reduced))
+        if self.ring is None:
+            return reduced[0] if reduced else 0
+        return self.ring.pack(reduced)
 
-    def gen(self) -> FieldElem:
+    def coeffs(self, v: int) -> tuple[int, ...]:
+        """Coefficients of the value v, constant term first, trimmed."""
+        if self.ring is None:
+            return (v,) if v else ()
+        return tuple(self.ring.unpack(v))
+
+    def gen(self) -> int:
         """The residue class of x."""
-        return self.elem([0, 1])
+        return self.value([0, 1])
 
-    def element_at(self, index: int) -> FieldElem:
+    def element_at(self, index: int) -> int:
         """Deterministic enumeration of field elements by base-p digits."""
         digits = []
         while index:
             index, d = divmod(index, self.p)
             digits.append(d)
-        return self.elem(digits)
+        return self.value(digits)
 
     def __eq__(self, other):
         return (isinstance(other, FieldCtx) and self.p == other.p
@@ -691,80 +705,30 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, modulus={list(self.modulus)}, ambient_d={self.ambient_d})"
 
 
-class FieldElem:
-    """A residue class in a FieldCtx; immutable value semantics.
-
-    The value v is one int: the packed residue of `_PackedModulus` (slot j
-    holds the coefficient of x^j, in 0..p-1), which in degree 1 is the
-    residue itself.  A constant c is the int c in every degree.
-    """
-
-    __slots__ = ("ctx", "v")
-
-    def __init__(self, ctx: FieldCtx, v: int):
-        self.ctx = ctx
-        self.v = v
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Coefficients of the reduced residue, constant term first, trimmed."""
-        if self.ctx.degree == 1:
-            return (self.v,) if self.v else ()
-        return tuple(self.ctx.ring.unpack(self.v))
-
-    def is_zero(self) -> bool:
-        return not self.v
-
-    def _value(self, other: FieldElem) -> int:
-        # other.v, once other is known to lie in this element's field
-        if other.ctx is not self.ctx and other.ctx != self.ctx:
-            raise ValueError("elements from different field contexts")
-        return other.v
-
-    def __add__(self, other: FieldElem) -> FieldElem:
-        return FieldElem(self.ctx, self.ctx.add(self.v, self._value(other)))
-
-    def __sub__(self, other: FieldElem) -> FieldElem:
-        return FieldElem(self.ctx, self.ctx.sub(self.v, self._value(other)))
-
-    def __neg__(self) -> FieldElem:
-        return FieldElem(self.ctx, self.ctx.sub(0, self.v))
-
-    def __mul__(self, other: FieldElem) -> FieldElem:
-        return FieldElem(self.ctx, self.ctx.mul(self.v, self._value(other)))
-
-    def __pow__(self, exp: int) -> FieldElem:
-        if exp < 0:
-            raise ValueError("negative exponent")
-        ctx = self.ctx
-        if ctx.degree == 1:
-            return FieldElem(ctx, pow(self.v, exp, ctx.p))
-        return FieldElem(ctx, ctx.ring.pow(self.v, exp))
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElem) and self.v == other.v
-                and (self.ctx is other.ctx or self.ctx == other.ctx))
-
-    def __hash__(self):
-        return hash((self.ctx, self.v))
-
-    def __repr__(self):
-        return f"FieldElem({list(self.coeffs)} over {self.ctx!r})"
+def _checked_value(ctx: FieldCtx, v: int) -> int:
+    """v, if it is a value of ctx: not negative, no bits above its e slots,
+    every slot below p.  ValueError otherwise.  A bare int does not always
+    show its field: a constant is the same value in every field of p."""
+    ring, p = ctx.ring, ctx.p
+    if not (0 <= v < p if ring is None
+            else 0 <= v <= ring.low and all(c < p for c in ring.unpack(v))):
+        raise ValueError(f"{v} is not a reduced value of {ctx!r}")
+    return v
 
 
-def _norm(a: FieldElem, resultant: bool = False) -> int:
-    """Norm of a nonzero a down to F_p, f the monic modulus of degree e: for a
-    linear a = c0 + c1 x, c1 != 0, (-c1)^e f(-c0/c1) by one Horner pass mod p;
-    else, or if `resultant` is set, the resultant of f with a representative
-    of a by a Euclidean remainder sequence (a itself in degree 1)."""
-    ctx, p, ring = a.ctx, a.ctx.p, a.ctx.ring
-    c1 = 0 if ring is None or resultant else a.v >> ring.w
+def _norm(ctx: FieldCtx, v: int, resultant: bool = False) -> int:
+    """Norm of a nonzero value v down to F_p, f the monic modulus of degree e:
+    for a linear v = c0 + c1 x, c1 != 0, (-c1)^e f(-c0/c1) by one Horner pass
+    mod p; else, or if `resultant` is set, the resultant of f with a
+    representative of v by a Euclidean remainder sequence (v itself in degree 1)."""
+    p, ring = ctx.p, ctx.ring
+    c1 = 0 if ring is None or resultant else v >> ring.w
     if 0 < c1 < p:  # no slot above the first
-        r = -(a.v & ring.mask) * pow(c1, -1, p) % p
+        r = -(v & ring.mask) * pow(c1, -1, p) % p
         h = functools.reduce(lambda h, c: (h * r + c) % p, reversed(ctx.modulus))
         norm = pow(-c1, ctx.degree, p) * h % p
     else:
-        f, g, res = list(ctx.modulus), list(a.coeffs), 1
+        f, g, res = list(ctx.modulus), list(ctx.coeffs(v)), 1
         while len(g) > 1:
             r = _rem(f, g, p)
             if ((len(f) - 1) * (len(g) - 1)) % 2:
@@ -779,60 +743,59 @@ def _norm(a: FieldElem, resultant: bool = False) -> int:
     return norm
 
 
-def _euler_sign(a: FieldElem, resultant: bool = False) -> int:
-    """Character of a in its own field F_{p^e}, via the norm to F_p.
+def _euler_sign(ctx: FieldCtx, v: int, resultant: bool = False) -> int:
+    """Character of v in its own field F_{p^e}, via the norm to F_p.
 
-    chi_{p^e}(a) = chi_p(Norm(a)) since a^((q-1)/2) = Norm(a)^((p-1)/2).
+    chi_{p^e}(v) = chi_p(Norm(v)) since v^((q-1)/2) = Norm(v)^((p-1)/2).
     """
-    p = a.ctx.p
-    return 1 if pow(_norm(a, resultant), (p - 1) // 2, p) == 1 else -1
+    p = ctx.p
+    return 1 if pow(_norm(ctx, v, resultant), (p - 1) // 2, p) == 1 else -1
 
 
-def chi(a: FieldElem, resultant: bool = False) -> int:
+def chi(ctx: FieldCtx, v: int, resultant: bool = False) -> int:
     """Quadratic residue character of the AMBIENT field F_{p^ambient_d}.
 
-    For a in the subfield F_{p^e}: decided by the Euler criterion inside
-    F_{p^e} when ambient_d/e is odd; every nonzero subfield element is an
-    ambient square when ambient_d/e is even.  In characteristic 2 every
-    element is a square.  `resultant` takes the norm by the Euclidean
-    resultant whatever a is (`_norm`), sharing no code with its closed form.
+    For a value v of the subfield F_{p^e} = ctx: decided by the Euler
+    criterion inside F_{p^e} when ambient_d/e is odd; every nonzero subfield
+    element is an ambient square when ambient_d/e is even.  In characteristic
+    2 every element is a square.  `resultant` takes the norm by the Euclidean
+    resultant whatever v is (`_norm`), sharing no code with its closed form.
+    ValueError unless v is a reduced value of ctx.
     """
-    if a.is_zero():
+    if not _checked_value(ctx, v):
         return 0
-    ctx = a.ctx
     if ctx.p == 2:
         return 1
     if (ctx.ambient_d // ctx.degree) % 2 == 0:
         return 1
-    return _euler_sign(a, resultant)
+    return _euler_sign(ctx, v, resultant)
 
 
-def sqrt_in_field(a: FieldElem) -> FieldElem | None:
-    """A square root of a inside its own field F_{p^e}, or None.
+def sqrt_in_field(ctx: FieldCtx, v: int) -> int | None:
+    """A square root of the value v inside its own field F_{p^e} = ctx, or None.
 
     Note chi may still be +1 when this returns None: the root then lives only
     in the larger ambient field and is not represented here.  A non-square is
     rejected by its norm before any Frobenius row is built; a square gets the
     lexicographically smaller root +-r of `_descent_sqrt` (in F_p, `_sqrt_mod_prime`).
+    ValueError unless v is a reduced value of ctx.
     """
-    ctx = a.ctx
-    if a.is_zero():
-        return a
+    if not _checked_value(ctx, v):
+        return 0
     p, e = ctx.p, ctx.degree
     if p == 2:
-        return a ** (2 ** (e - 1))
-    norm = _norm(a)
+        return ctx.pow(v, 2 ** (e - 1))
+    norm = _norm(ctx, v)
     if pow(norm, (p - 1) // 2, p) != 1:
         return None
     ring = ctx.ring
-    v = _sqrt_mod_prime(norm, p) if e == 1 else _descent_sqrt(ring, a.v, norm)
-    r = FieldElem(ctx, v)
-    if v is None or r * r != a:
+    r = _sqrt_mod_prime(norm, p) if e == 1 else _descent_sqrt(ring, v, norm)
+    if r is None or ctx.mul(r, r) != v:
         raise IntegrityError("square root verification failed")
     # -r holds p - r_j in each nonzero slot j, so the coefficient tuples of
     # +-r first differ at the lowest one, and r is the smaller iff 2 r_j < p
-    low = v >> ((v & -v).bit_length() - 1) // ring.w * ring.w & ring.mask if e > 1 else v
-    return r if 2 * low < p else -r
+    low = r >> ((r & -r).bit_length() - 1) // ring.w * ring.w & ring.mask if e > 1 else r
+    return r if 2 * low < p else ctx.sub(0, r)
 
 
 def _descent_sqrt(ring: _PackedModulus, a: int, norm: int) -> int | None:

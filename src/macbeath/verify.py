@@ -78,12 +78,11 @@ def examples() -> SuiteReport:
         if "k" in expect and record.k != expect["k"]:
             problems.append(f"k={record.k}!={expect['k']}")
         if "s_values" in expect:
-            got = sorted(c.s.coeffs[0] if c.s.coeffs else 0 for c in record.classes)
+            got = sorted(c.s for c in record.classes)
             if got != sorted(expect["s_values"]):
                 problems.append(f"s={got}!={sorted(expect['s_values'])}")
         if "outer_s" in expect:
-            got = sorted(c.s.coeffs[0] if c.s.coeffs else 0
-                         for c in record.classes if c.regularity == census.OUTER)
+            got = sorted(c.s for c in record.classes if c.regularity == census.OUTER)
             if got != sorted(expect["outer_s"]):
                 problems.append(f"outer s={got}!={sorted(expect['outer_s'])}")
         expected = ", ".join(f"{key}={val}" for key, val in expect.items()
@@ -109,19 +108,20 @@ def appendix(workers: int | None = None) -> SuiteReport:
             f"sigma_{k}^{sign} membership", actual == expected,
             f"{len(expected)} primes", f"{len(actual)} primes, "
             + ("element-for-element match" if actual == expected else "MISMATCH")))
-    split = tuple(len(got[(k, s)]) for k in range(4) for s in "+-")
+    columns = [(k, s) for k in range(4) for s in "+-"]
+    split = tuple(len(got[key]) for key in columns)
     checks.append(Check("split counts", split == refdata.SPLIT_COUNTS,
                         str(refdata.SPLIT_COUNTS), str(split)))
     aggregate = tuple(result.tally.counts[k] for k in range(4))
     checks.append(Check("aggregate counts", aggregate == refdata.AGGREGATE_COUNTS,
                         str(refdata.AGGREGATE_COUNTS), str(aggregate)))
-    # reconcile with the printed tabulation: moving 8693 back to the + column
-    # must reproduce its split sizes, so the only deltas are the known typos;
-    # each typo's fix is in its computed list, and no printed value was swept
+    # reconcile with the printed tabulation: moving the misfiled prime back to its
+    # printed column must reproduce its split sizes, so the only deltas are the
+    # known typos; each typo's fix is in its computed list, no printed value swept
     src_key, dst_key, moved = refdata.PRINTED_MISFILED
     printed = list(split)
-    printed[2 * 1 + 0] += 1  # k=1, '+' column
-    printed[2 * 1 + 1] -= 1
+    printed[columns.index(src_key)] += 1
+    printed[columns.index(dst_key)] -= 1
     swept = {rec.p for rec in result.records}
     typos = [f"{typo}->{fixed}" for key, typo, fixed in refdata.PRINTED_TYPO_CORRECTIONS
              if fixed not in got[key] or typo in swept]

@@ -86,7 +86,7 @@ def test_classify_json_round_trips(capsys):
     record = record_from_json(out)
     assert record == map_census(3, 7, 43)
     assert record.k == 2
-    assert sorted(c.s.coeffs[0] for c in record.classes) == [25, 29, 36]
+    assert sorted(c.field.coeffs(c.s)[0] for c in record.classes) == [25, 29, 36]
     # bit-stable across runs
     _, out2, _ = run(capsys, "classify", "--m", "3", "--n", "7", "--p", "43",
                      "--format", "json")
@@ -393,7 +393,7 @@ def test_verify_reports_an_integrity_failure_as_a_failed_item(capsys, monkeypatc
     # a witness that cannot be built fails the oracle check of its n, naming
     # the class; a census that fails its own checks fails that one example.
     # Both are reports with exit 2, not an error line
-    monkeypatch.setattr(gf, "sqrt_in_field", lambda a: None)
+    monkeypatch.setattr(gf, "sqrt_in_field", lambda ctx, v: None)
     code, out, err = run(capsys, "verify", "oracle", "--bound", "30", "--workers", "1")
     assert (code, err) == (2, "")
     row = next(row for row in out.splitlines() if row.startswith("FAIL matrix oracle n=7:"))
@@ -415,15 +415,17 @@ def test_verify_reports_an_integrity_failure_as_a_failed_item(capsys, monkeypatc
     assert out.splitlines()[-1].startswith("suite examples: FAIL")
 
 
+def reconciliation():
+    """The appendix suite's printed-tabulation reconciliation check."""
+    check, = (c for c in verify.appendix(workers=1).checks
+              if c.name == "printed-tabulation reconciliation")
+    return check
+
+
 def test_appendix_reconciles_each_printed_typo(monkeypatch):
     # each typo's fix is a computed member of its sigma list and the printed
     # value is not a swept prime (138 and 2709 are composite, 7481 = 5 mod 7);
     # a correction to a prime of another list, or from a swept prime, fails
-    def reconciliation():
-        check, = (c for c in verify.appendix(workers=1).checks
-                  if c.name == "printed-tabulation reconciliation")
-        return check
-
     assert reconciliation().ok
     assert not is_prime(138) and not is_prime(2709) and 7481 % 7 == 5
     corrections = refdata.PRINTED_TYPO_CORRECTIONS
@@ -433,6 +435,21 @@ def test_appendix_reconciles_each_printed_typo(monkeypatch):
                             corrections[1:] + (wrong,))
         check = reconciliation()
         assert not check.ok and check.actual.endswith(f"typo fixes not computed: ['{named}']")
+
+
+def test_appendix_refiles_the_misfiled_prime_in_its_own_columns(monkeypatch):
+    # the split counts are adjusted in the two columns PRINTED_MISFILED names:
+    # a computed sigma_2^- prime printed under sigma_2^+ reconciles with the
+    # printed counts that move one prime between the k = 2 columns, and not
+    # with those that move it between the k = 1 columns
+    assert 83 in refdata.SIGMA2_MINUS
+    monkeypatch.setattr(refdata, "PRINTED_MISFILED", ((2, "+"), (2, "-"), 83))
+    assert not reconciliation().ok
+    monkeypatch.setattr(refdata, "PRINTED_SPLIT_COUNTS", (22, 26, 78, 76, 79, 72, 24, 23))
+    check = reconciliation()
+    assert check.ok and check.actual == "(22, 26, 78, 76, 79, 72, 24, 23)", check
+    monkeypatch.setattr(refdata, "PRINTED_MISFILED", ((2, "+"), (2, "-"), 43))
+    assert not reconciliation().ok  # 43 is computed in sigma_2^+, not sigma_2^-
 
 
 def test_verify_rejects_a_bound_for_a_suite_without_one(capsys):

@@ -406,7 +406,7 @@ def test_pattern_bridge_counts_squares_in_each_class_field(monkeypatch):
     # the bridge still fires when the census character is wrong
     from macbeath import gf
     real = gf._euler_sign
-    monkeypatch.setattr(gf, "_euler_sign", lambda a: -real(a))
+    monkeypatch.setattr(gf, "_euler_sign", lambda ctx, v: -real(ctx, v))
     assert pattern_census(4, 19, 3000, workers=1).bridge_violations > 0
 
 

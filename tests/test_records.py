@@ -10,7 +10,7 @@ from macbeath.intpoly import s_polynomial
 # field order of every record, as the records have always declared it
 FIELDS = {
     census.FieldData: ("m", "n", "p", "n_modulus", "m_modulus", "d", "q"),
-    census.TraceClass: ("factor", "e", "s", "chi", "regularity", "t"),
+    census.TraceClass: ("factor", "e", "s", "chi", "regularity", "t", "field"),
     census.ParityVerdict: ("applicable", "predicted", "observed", "consistent"),
     census.CensusRecord: ("m", "n", "p", "field", "genus", "classes", "k", "l",
                           "parity", "closed_form_count", "count_flag"),

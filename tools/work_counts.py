@@ -2,7 +2,9 @@
 extension pairs (`EXTENSION_PAIRS` in tests/test_golden.py, read without
 importing the test module): `_PackedModulus` builds, `_PackedModulus.reduce`
 calls and `_norm` calls; then that of the trace route, `route_product(3, n, p)`
-on the same pairs: `_PackedModulus` builds and `pow` calls with exponent >= p.
+on the same pairs: `_PackedModulus` builds and `pow` calls with exponent >= p;
+then the calls of classify + oracle to `gf.sqrt_in_field` and `gf.chi`, the
+two entry points that check their value is a reduced residue of its field.
 
 The counts depend only on the code and the pairs, not on the host, so they
 show a change in work that wall time on a noisy host may hide.  Stdlib
@@ -40,13 +42,18 @@ def counted(counts, name, fn):
     return wrapper
 
 
-def work_counts(pairs) -> dict[str, int]:
+def work_counts(pairs) -> tuple[dict[str, int], dict[str, int]]:
+    """The field arithmetic of classify + oracle over the pairs, and its
+    calls to the entry points that check their values."""
     counts = {"_PackedModulus builds": 0, "reduce calls": 0, "_norm calls": 0}
+    checks = {"sqrt_in_field calls": 0, "chi calls": 0}
     ring = gf._PackedModulus
-    saved = ring.__init__, ring.reduce, gf._norm
+    saved = ring.__init__, ring.reduce, gf._norm, gf.sqrt_in_field, gf.chi
     ring.__init__ = counted(counts, "_PackedModulus builds", ring.__init__)
     ring.reduce = counted(counts, "reduce calls", ring.reduce)
     gf._norm = counted(counts, "_norm calls", gf._norm)
+    gf.sqrt_in_field = counted(checks, "sqrt_in_field calls", gf.sqrt_in_field)
+    gf.chi = counted(checks, "chi calls", gf.chi)
     try:
         for n, p in pairs:
             for command in ("classify", "oracle"):
@@ -54,8 +61,8 @@ def work_counts(pairs) -> dict[str, int]:
                     if main([command, "--n", str(n), "--p", str(p), "--format", "json"]):
                         raise SystemExit(f"{command} --n {n} --p {p} failed")
     finally:
-        ring.__init__, ring.reduce, gf._norm = saved
-    return counts
+        ring.__init__, ring.reduce, gf._norm, gf.sqrt_in_field, gf.chi = saved
+    return counts, checks
 
 
 def route_counts(pairs) -> dict[str, int]:
@@ -82,7 +89,9 @@ def route_counts(pairs) -> dict[str, int]:
 
 if __name__ == "__main__":
     pairs = golden_pairs()
-    for label, counts in (("classify + oracle", work_counts(pairs)),
-                          ("route_product", route_counts(pairs))):
+    arithmetic, checks = work_counts(pairs)
+    for label, counts in (("classify + oracle", arithmetic),
+                          ("route_product", route_counts(pairs)),
+                          ("classify + oracle value checks", checks)):
         print(f"{label} over {len(pairs)} golden extension pairs: "
               + ", ".join(f"{name} {value}" for name, value in counts.items()))
