@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterable, Iterator
 from itertools import chain, count, islice
 from math import gcd, lcm
 from typing import NamedTuple
@@ -109,55 +110,38 @@ def _class_sort_key(factor: tuple[int, ...], p: int):
 
 
 def map_census(m: int, n: int, p: int, *, traces: bool = True) -> CensusRecord:
-    """Full classification of the type-{m,n} Macbeath maps in characteristic p.
+    """Full classification of the type-{m,n} Macbeath maps in characteristic p:
+    `summary`'s classes as a tuple, with the closed-form class count.
 
-    Split primes (d = 1) take the ladder witness and its checker, every
-    other prime the factorization of f1 mod p; both give the same record.
     `traces=False` skips the optional square-root representative t on each
     class (the expensive part of a record); everything else is unchanged.
     """
-    return _map_census(m, n, p, traces, split_route=True)
-
-
-def _map_census(m: int, n: int, p: int, traces: bool, split_route: bool) -> CensusRecord:
-    # split_route=False factors f1 on every prime: the reference the split
-    # route is tested against
-    f1 = s_polynomial(m, n)
-    ladder = _ladder(m, n, p) if split_route else None
-    if ladder is not None:
-        s_values, t_values = ladder
-        fd, k, l, genus, characters, parity = check_witness(m, n, p, s_values)
-        classes = [_split_class(p, s, character, t, traces)
-                   for s, character, t in sorted(zip(s_values, characters, t_values))]
-    else:
-        _check_prime(p)
-        fd, classes = _factored_classes(m, n, p, f1, traces)
-        k, l, genus, parity = _verdicts(m, n, p, fd, [c.chi for c in classes],
-                                        classes[0].e)
+    fd, k, l, genus, parity, classes = summary(m, n, p, traces=traces)
     half_phi = _half_phi(n)
     closed_form = half_phi // fd.d if half_phi % fd.d == 0 else -1
     return CensusRecord(m, n, p, fd, genus, tuple(classes), k, l,
                         parity, closed_form, closed_form != k + l)
 
 
-def summary(m: int, n: int, p: int) -> tuple[FieldData, int, int, int, int]:
-    """(field, k, l, genus, k_square): what `map_census(m, n, p)` reports,
-    less the classes, with its errors; k_square counts the classes whose s
-    is a square in its own field F_{p^e}, which is k when d = 1.
-
-    A split prime is read off its checked ladder witness and builds no
-    class objects and no record; every other p goes through `map_census`.
+def summary(m: int, n: int, p: int, *, traces: bool = False
+            ) -> tuple[FieldData, int, int, int, ParityVerdict, Iterable[TraceClass]]:
+    """(field, k, l, genus, parity, classes): the census of (m, n, p) by the
+    one choice of route.  A split prime takes the ladder witness and its
+    checker, and `classes` is a generator that builds the class objects only
+    when read, so a sweep builds none; any other p (or one the ladder gives
+    no witness for) takes the factorization of f1 mod p, and `classes` is a list.
     """
-    s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
+    f1 = s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
     ladder = _ladder(m, n, p)
     if ladder is not None:
-        fd, k, l, genus, _, _ = check_witness(m, n, p, ladder[0])
-        return fd, k, l, genus, k
-    record = map_census(m, n, p, traces=False)
-    # chi is the character in F_{p^d}, the one in F_{p^e} when d/e is odd
-    k_square = sum(1 for c in record.classes
-                   if (c.chi if record.field.d // c.e % 2 else gf._euler_sign(c.field, c.s)) == 1)
-    return record.field, record.k, record.l, record.genus, k_square
+        s_values, t_values = ladder
+        fd, k, l, genus, characters, parity = check_witness(m, n, p, s_values)
+        return fd, k, l, genus, parity, _split_classes(p, s_values, characters,
+                                                       t_values, traces)
+    _check_prime(p)
+    fd, classes = _factored_classes(m, n, p, f1, traces)
+    k, l, genus, parity = _verdicts(m, n, p, fd, [c.chi for c in classes], classes[0].e)
+    return fd, k, l, genus, parity, classes
 
 
 def _verdicts(m: int, n: int, p: int, fd: FieldData, characters: list[int],
@@ -284,12 +268,10 @@ def check_witness(m: int, n: int, p: int, s_values: list[int]
     (Euler's criterion on the residue); then `_verdicts` checks k + l =
     phi(n)/2, an integral genus and the parity verdict.
     """
-    f1 = s_polynomial(m, n)
-    _check_prime(p)
-    fd = _field_data(m, n, p)
+    fd = field_data(m, n, p)
     if fd.d != 1:
         raise Inadmissible(f"p={p} is not a split prime for type {{{m},{n}}} (d={fd.d})")
-    if _product_mod_p(s_values, p) != [c % p for c in f1.coeffs]:
+    if _product_mod_p(s_values, p) != [c % p for c in s_polynomial(m, n).coeffs]:
         raise IntegrityError(f"split-route s-values do not multiply out to f1 mod {p}")
     if len(set(s_values)) != len(s_values):
         raise BadReduction(f"f1 for type {{{m},{n}}} is not squarefree mod {p}")
@@ -300,11 +282,14 @@ def check_witness(m: int, n: int, p: int, s_values: list[int]
     return fd, k, l, genus, characters, parity
 
 
-def _split_class(p: int, s: int, character: int, t: int, traces: bool) -> TraceClass:
-    # x mod (x - s) is s, so the class values are built from the residues
-    factor = ((-s) % p, 1)
-    return TraceClass(factor, 1, s, character, INNER if character == 1 else OUTER,
-                      min(t, p - t) if traces else None, gf.FieldCtx(p, factor, 1))
+def _split_classes(p: int, s_values: list[int], characters: list[int],
+                   t_values: list[int], traces: bool) -> Iterator[TraceClass]:
+    # sorted by s, the root order of the factorization route; x mod (x - s)
+    # is s, so the class values are built from the residues
+    for s, character, t in sorted(zip(s_values, characters, t_values)):
+        factor = ((-s) % p, 1)
+        yield TraceClass(factor, 1, s, character, INNER if character == 1 else OUTER,
+                         min(t, p - t) if traces else None, gf.FieldCtx(p, factor, 1))
 
 
 def _product_mod_p(roots: list[int], p: int) -> list[int]:

@@ -91,7 +91,7 @@ def default_stream(m: int, n: int, first: int | None = None,
 
 def _summarize(m: int, n: int, p: int) -> PrimeSummary | tuple[int, str]:
     try:
-        fd, k, l, genus, _ = census.summary(m, n, p)
+        fd, k, l, genus, _, _ = census.summary(m, n, p)
     except BadReduction as exc:
         return (p, f"bad-reduction: {exc}")
     except Inadmissible as exc:
@@ -416,11 +416,16 @@ def _pattern_row(m: int, n: int, f2, p: int) -> tuple | None:
     if p % modulus not in (1, modulus - 1):
         return pattern, None
     try:
-        # f2 has two linear factors per class whose s is a square in its own
-        # field F_{p^e}
-        return pattern, census.summary(m, n, p)[4]  # k_square
+        fd, k, _, _, _, classes = census.summary(m, n, p)
     except (BadReduction, Inadmissible):
         return None
+    # f2 has two linear factors per class whose s is a square in its own
+    # field F_{p^e}; chi is the character in F_{p^d}, the one in F_{p^e}
+    # when d/e is odd
+    if fd.d == 1:
+        return pattern, k
+    return pattern, sum(1 for c in classes if (
+        c.chi if fd.d // c.e % 2 else gf._euler_sign(c.field, c.s)) == 1)
 
 
 def pattern_census(m: int, n: int, bound: int, *,

@@ -143,7 +143,7 @@ def _parity_row(item: tuple[int, int]) -> tuple | None:
     violation (`census._parity` raises IntegrityError)."""
     n, p = item
     try:
-        field, k, _, _, _ = census.summary(3, n, p)
+        field, k, _, _, _, _ = census.summary(3, n, p)
     except (BadReduction, Inadmissible):
         return None
     except IntegrityError as exc:

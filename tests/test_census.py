@@ -1,3 +1,4 @@
+import contextlib
 import json
 from fractions import Fraction
 
@@ -567,11 +568,24 @@ def test_csv_rows():
 # split-prime (Lucas ladder) route against the factorization route
 
 
-def _outcome(m, n, p, traces, split_route):
-    try:
-        return census_module._map_census(m, n, p, traces, split_route)
-    except Error as exc:
-        return (type(exc).__name__, str(exc))
+@contextlib.contextmanager
+def _factorization_route():
+    """The census with the ladder giving no witness, as it gives none off the
+    split primes: the factorization route on every p, the reference."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census_module, "_ladder", lambda m, n, p: None)
+        yield
+
+
+_ROUTES = (contextlib.nullcontext, _factorization_route)  # the census's own, the reference
+
+
+def _outcome(m, n, p, traces, route=contextlib.nullcontext):
+    with route():
+        try:
+            return map_census(m, n, p, traces=traces)
+        except Error as exc:
+            return (type(exc).__name__, str(exc))
 
 
 _ERROR_PREFIX = {"BadReduction": "bad-reduction", "Inadmissible": "inadmissible"}
@@ -614,9 +628,9 @@ def test_split_route_matches_factorization_route(m, bound):
                     continue  # d > 1 takes the factorization route itself
             except Inadmissible:
                 pass  # p | N, or no order-m rotations: both routes must fail alike
-            ref = _outcome(m, n, p, False, False)
-            got = _outcome(m, n, p, False, True)
-            got_traced = _outcome(m, n, p, True, True)
+            ref = _outcome(m, n, p, False, _factorization_route)
+            got = _outcome(m, n, p, False)
+            got_traced = _outcome(m, n, p, True)
             _summary_matches(m, n, p, ref)
             if not isinstance(ref, census_module.CensusRecord):
                 assert got == got_traced == ref, (m, n, p)
@@ -629,7 +643,7 @@ def test_split_route_matches_factorization_route(m, bound):
                 (t,) = c.field.coeffs(c.t) or (0,)
                 assert (t * t + c.field.coeffs(c.s)[0] - shift) % p == 0 and 2 * t <= p
             if checked % 10 == 0:
-                ref_traced = _outcome(m, n, p, True, False)
+                ref_traced = _outcome(m, n, p, True, _factorization_route)
                 assert record_to_json(got_traced) == record_to_json(ref_traced), (m, n, p)
             checked += 1
     assert checked > 400
@@ -642,8 +656,9 @@ def test_split_route_matches_factorization_route_at_64_bits(p):
     # norm-one torus); all three are = 1 or -1 mod 3, so d = 1 for m = 3
     assert census_module._ladder(3, 7, p) is not None
     for traces in (False, True):
-        got = census_module._map_census(3, 7, p, traces, split_route=True)
-        ref = census_module._map_census(3, 7, p, traces, split_route=False)
+        got = map_census(3, 7, p, traces=traces)
+        with _factorization_route():
+            ref = map_census(3, 7, p, traces=traces)
         assert record_to_json(got) == record_to_json(ref)
     _summary_matches(3, 7, p, ref)
 
@@ -658,21 +673,21 @@ def test_split_route_errors_match_on_bad_p():
     # reject every p here with one message.
     assert census_module._ladder(3, 7, 5 * 17 * 29) is not None
     for p in (-13, 0, 1, 15, 55, 91, 43 * 71, 5 * 17 * 29, 1 << 64, (1 << 64) + 13):
-        for split_route in (True, False):
-            with pytest.raises(Inadmissible, match="not a prime below 2"):
-                census_module._map_census(3, 7, p, False, split_route)
+        for route in _ROUTES:
+            with route(), pytest.raises(Inadmissible, match="not a prime below 2"):
+                map_census(3, 7, p, traces=False)
         _summary_matches(3, 7, p, ("Inadmissible", f"p={p} is not a prime below 2^64"))
     assert census_module._ladder(3, 7, 43 * 71) is None
     assert pow(3 * 3 - 4, 27, 55) == 25 and census_module._ladder(3, 7, 55) is None
     assert census_module._ladder(3, 7, (1 << 64) + 13) is None
     for m, n, p in ((3, 7, 7), (4, 7, 2), (6, 7, 3), (6, 7, 2), (4, 9, 17)):
-        _summary_matches(m, n, p, _outcome(m, n, p, False, False))
+        _summary_matches(m, n, p, _outcome(m, n, p, False, _factorization_route))
     # bad (m, n) is reported before p is looked at, as by the factorization route
-    for split_route in (True, False):
-        with pytest.raises(Inadmissible, match="m=5 is unsupported"):
-            census_module._map_census(5, 7, 15, False, split_route)
-        with pytest.raises(Inadmissible, match="not hyperbolic"):
-            census_module._map_census(3, 6, 15, False, split_route)
+    for route in _ROUTES:
+        with route(), pytest.raises(Inadmissible, match="m=5 is unsupported"):
+            map_census(5, 7, 15, traces=False)
+        with route(), pytest.raises(Inadmissible, match="not hyperbolic"):
+            map_census(3, 6, 15, traces=False)
 
 
 def test_split_route_never_factors(monkeypatch):
@@ -743,10 +758,10 @@ def test_s_zero_is_reported_alike_by_both_routes(monkeypatch):
     # the residue
     monkeypatch.setattr(gf, "chi", lambda ctx, s: 0)
     monkeypatch.setattr(census_module, "_characters", lambda values, p: [0] * len(values))
-    for split_route in (True, False):
-        with pytest.raises(BadReduction, match=r"^s = 0 occurs for \(3,7,13\); "
-                                               r"no generating triple has t\^2 = 3$"):
-            census_module._map_census(3, 7, 13, True, split_route)
+    for route in _ROUTES:
+        with route(), pytest.raises(BadReduction, match=r"^s = 0 occurs for \(3,7,13\); "
+                                                        r"no generating triple has t\^2 = 3$"):
+            map_census(3, 7, 13)
 
 
 def _list_product_mod_p(roots, p):
@@ -831,8 +846,9 @@ def test_check_witness_rejects_a_bad_witness():
     record = map_census(m, n, p)
     assert checked == (record.field, record.k, record.l, record.genus,
                        [-1, 1, -1], record.parity)  # chi of 6, 4, 7 mod 13
-    assert census_module.summary(m, n, p) == \
-        (record.field, record.k, record.l, record.genus, record.k)
+    assert census_module.summary(m, n, p)[:5] == \
+        (record.field, record.k, record.l, record.genus, record.parity)
+    assert tuple(census_module.summary(m, n, p, traces=True)[5]) == record.classes
     product = r"^split-route s-values do not multiply out to f1 mod 13$"
     for bad in ([6, 4, 8], [6, 6, 7], [0, 4, 7], [6, 4], [6, 4, 7, 1]):
         with pytest.raises(IntegrityError, match=product):
@@ -847,6 +863,31 @@ def test_check_witness_rejects_a_bad_witness():
         census_module.check_witness(4, 7, 13, [s - 1 for s in good])
     with pytest.raises(Inadmissible, match="not a split prime"):
         census_module.check_witness(3, 7, 5, [])  # d = 3
+
+
+def test_checker_accepts_the_factorization_routes_witness():
+    # the census hands the checker only the ladder's witness, but it checks
+    # any d = 1 witness: the s-values of the factorization route's classes
+    # pass it, and altering one of them fails its product check
+    checked = 0
+    for m in (3, 4, 6):
+        for n in range(7, 20):
+            for p in primes_upto(500):
+                if not _is_split(m, n, p):
+                    continue
+                ref = _outcome(m, n, p, False, _factorization_route)
+                if not isinstance(ref, census_module.CensusRecord):
+                    continue  # a bad reduction: no witness to check
+                witness = [c.s for c in ref.classes]
+                assert census_module.check_witness(m, n, p, witness) == \
+                    (ref.field, ref.k, ref.l, ref.genus, [c.chi for c in ref.classes],
+                     ref.parity), (m, n, p)
+                i = p % len(witness)
+                witness[i] = (witness[i] + 1) % p
+                with pytest.raises(IntegrityError, match="do not multiply out"):
+                    census_module.check_witness(m, n, p, witness)
+                checked += 1
+    assert checked > 450
 
 
 def test_check_witness_reports_repeated_and_zero_values(monkeypatch):
@@ -882,7 +923,7 @@ def test_census_genus_matches_the_hurwitz_formula(m, bound):
         for p in primes:
             if p % n_mod not in (1, n_mod - 1) and n_mod % p:
                 continue
-            record = _outcome(m, n, p, False, True)
+            record = _outcome(m, n, p, False)
             if not isinstance(record, census_module.CensusRecord):
                 continue
             assert record.genus == hurwitz_genus(m, n, record.field.q), (m, n, p)

@@ -427,25 +427,30 @@ def test_pattern_bridge_catches_a_flipped_witness_character(monkeypatch):
 def _count_calls(monkeypatch, name):
     counter, original = Counter(), getattr(census, name)
 
-    def counting(m, n, p, **kwargs):
+    def counting(m, n, p, *args, **kwargs):
         counter[(m, n, p)] += 1
-        return original(m, n, p, **kwargs)
+        return original(m, n, p, *args, **kwargs)
 
     monkeypatch.setattr(census, name, counting)
     return counter
 
 
 def test_parity_suite_classifies_each_prime_once(monkeypatch):
-    # every (n, p) goes through census.summary once, which builds a full
-    # record (map_census) at most once, and none on a split prime
+    # every (n, p) goes through census.summary once, which asks the ladder
+    # once and factors f1 only where the ladder gives no witness; no full
+    # record (map_census) is built
     summaries = _count_calls(monkeypatch, "summary")
     records = _count_calls(monkeypatch, "map_census")
+    ladders = _count_calls(monkeypatch, "_ladder")
+    factored = _count_calls(monkeypatch, "_factored_classes")
     report = verify.parity(bound=2000, workers=1)
     assert report.passed
     primes = primes_upto(2000)
-    assert summaries == Counter({(3, n, p): 1 for n in range(7, 20) for p in primes})
-    assert set(records.values()) == {1}
-    assert not any(census._ladder(3, n, p) for _, n, p in records)
+    once = Counter({(3, n, p): 1 for n in range(7, 20) for p in primes})
+    assert summaries == ladders == once
+    assert not records
+    monkeypatch.undo()
+    assert factored == Counter({key: 1 for key in once if census._ladder(*key) is None})
 
 
 def _tally_by_hand(m, n, records):

@@ -4,7 +4,10 @@ importing the test module): `_PackedModulus` builds, `_PackedModulus.reduce`
 calls and `_norm` calls; then that of the trace route, `route_product(3, n, p)`
 on the same pairs: `_PackedModulus` builds and `pow` calls with exponent >= p;
 then the calls of classify + oracle to `gf.sqrt_in_field` and `gf.chi`, the
-two entry points that check their value is a reduced residue of its field.
+two entry points that check their value is a reduced residue of its field;
+then the census calls of `verify.parity(bound=2000, workers=1)`: `summary`,
+which picks each prime's route, the ladder and the factorization it runs,
+and `map_census`, which the suite never needs.
 
 The counts depend only on the code and the pairs, not on the host, so they
 show a change in work that wall time on a noisy host may hide.  Stdlib
@@ -22,7 +25,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from macbeath import census, gf  # noqa: E402
+from macbeath import census, gf, verify  # noqa: E402
 from macbeath.cli import main  # noqa: E402
 
 
@@ -87,6 +90,22 @@ def route_counts(pairs) -> dict[str, int]:
     return counts
 
 
+def dispatch_counts() -> dict[str, int]:
+    """The census calls of the parity suite to 2000, in one process."""
+    names = ("summary", "_ladder", "_factored_classes", "map_census")
+    counts = {f"{name} calls": 0 for name in names}
+    saved = [getattr(census, name) for name in names]
+    for name, fn in zip(names, saved):
+        setattr(census, name, counted(counts, f"{name} calls", fn))
+    try:
+        if not verify.parity(bound=2000, workers=1).passed:
+            raise SystemExit("verify.parity(bound=2000) failed")
+    finally:
+        for name, fn in zip(names, saved):
+            setattr(census, name, fn)
+    return counts
+
+
 if __name__ == "__main__":
     pairs = golden_pairs()
     arithmetic, checks = work_counts(pairs)
@@ -95,3 +114,5 @@ if __name__ == "__main__":
                           ("classify + oracle value checks", checks)):
         print(f"{label} over {len(pairs)} golden extension pairs: "
               + ", ".join(f"{name} {value}" for name, value in counts.items()))
+    print("verify parity --bound 2000 census dispatch: "
+          + ", ".join(f"{name} {value}" for name, value in dispatch_counts().items()))
