@@ -5,6 +5,9 @@ Polynomials over F_p are coefficient lists, constant term first, entries in
 decomposition, distinct degree factorization on Frobenius rows, then
 Cantor-Zassenhaus equal degree splitting in the same ring (a trace map in
 characteristic 2); its PRNG, seeded from the input, runs only if a class splits.
+The distinct degree split proves a polynomial of prime-power degree r
+irreducible by x^(p^r) = x, with no gcd.  Degree patterns of g(x^2) are read
+mod g, a class's square count off a trace, with no Euclid of their own.
 Square roots in F_{p^e} descend through its subfields on the Frobenius rows
 of the field's one ring, with no power of full size.
 """
@@ -129,9 +132,9 @@ def _series_mu(f, p=0):
     return inv[::-1]
 
 
-# (mask, low, quotient mask, repunit) of a ring, by (d, w, K): they depend on
-# p only through its size
-_LAYOUTS: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
+# (mask, low, quotient mask, repunit, top bits) of a ring, by (d, w, K): they
+# depend on p only through its size
+_LAYOUTS: dict[tuple[int, int, int], tuple[int, int, int, int, int]] = {}
 
 
 class _PackedModulus:
@@ -157,8 +160,8 @@ class _PackedModulus:
       one slot (times x), since its degree stays below 2d.
     """
 
-    __slots__ = ("p", "d", "w", "mask", "low", "_k", "_m", "_qm", "_p_slots", "_mu",
-                 "_negf", "_frobenius")
+    __slots__ = ("p", "d", "w", "mask", "low", "_k", "_m", "_qm", "_top", "_p_slots",
+                 "_mu", "_negf", "_frobenius")
 
     def __init__(self, f, p, series=None):
         """The ring mod f.  `series`, if given, is `_series_mu` over Z of a monic
@@ -175,11 +178,12 @@ class _PackedModulus:
         layout = _LAYOUTS.get((d, w, k))
         if layout is None:
             mask, low = (1 << w) - 1, (1 << d * w) - 1
-            # w - K low bits in each of 2d slots: where the quotients land, and
-            # the repunit with 1 in each of d slots
+            # w - K low bits in each of 2d slots: where the quotients land; the
+            # repunit with 1 in each of d slots; the top bit of each of them
+            ones = low // mask
             layout = _LAYOUTS[d, w, k] = (mask, low, ((1 << 2 * d * w) - 1) // mask
-                                          * ((1 << w - k) - 1), low // mask)
-        self.mask, self.low, self._qm, ones = layout
+                                          * ((1 << w - k) - 1), ones, ones << w - 1)
+        self.mask, self.low, self._qm, ones, self._top = layout
         self._p_slots = ones * p  # p in each of d slots
         self._mu = self.pack([c % p for c in series] if series is not None
                           else _series_mu(f, p))
@@ -319,8 +323,17 @@ def _sqf_list(f, p):
 
 
 def _ddf(f, p, ring=None):
-    """Distinct-degree split of monic squarefree f: list of (product, degree),
-    degrees ascending.  `ring` is the packed modulus of f, if the caller has it."""
+    """Distinct-degree split of monic squarefree f of degree r: list of
+    (product, degree), degrees ascending.  `ring` is the packed modulus of f,
+    if the caller has it.
+
+    x^(p^i) mod f is stepped by Frobenius maps up to the first i <= r/2 with
+    x^(p^i) = x, whose proper divisors alone can find a factor.  With none,
+    f is irreducible iff it has no factor of degree <= r/2: for r a prime
+    power, iff x^(p^r) = x (each factor's degree divides r, and a proper
+    divisor of r divides r/q <= r/2, q its prime), else iff the product of
+    the x^(p^i) - x, i <= r/2, is prime to f (Rabin).  A reducible f then
+    takes one gcd per degree up to half that of its shrinking cofactor."""
     r = len(f) - 1
     if r <= 1:
         return [(list(f), 1)] if r == 1 else []
@@ -338,12 +351,17 @@ def _ddf(f, p, ring=None):
         # divisors of e can find one, and what is left is one group of degree e
         e, steps = len(powers), divisors(len(powers))[:-1]
     else:
-        # f is irreducible iff it has no factor of degree <= r/2, one gcd with
-        # the product of the x^(p^i) - x (Rabin)
-        prod = ring.normalize(powers[0] + ring._p_slots - x)
-        for h in powers[1:]:
-            prod = ring.reduce(prod * ring.normalize(h + ring._p_slots - x))
-        if _gcd_degree(ring.unpack(prod), list(f), p) == 0:
+        if len(_factorize(r)) == 1:  # r a prime power: x^(p^r) = x decides
+            h, rows = powers[-1], ring.frobenius()
+            for _ in range(r - len(powers)):
+                h = ring.frobenius_map(h, rows)
+            irreducible = h == x
+        else:  # one gcd with the product of the x^(p^i) - x decides
+            prod = ring.normalize(powers[0] + ring._p_slots - x)
+            for h in powers[1:]:
+                prod = ring.reduce(prod * ring.normalize(h + ring._p_slots - x))
+            irreducible = _gcd_degree(ring.unpack(prod), list(f), p) == 0
+        if irreducible:
             return [(list(f), r)]
         e, steps = 0, range(1, len(powers) + 1)
     out = []
@@ -357,7 +375,7 @@ def _ddf(f, p, ring=None):
             out.append((g, i))
             f = _quo(f, g, p)
     if len(f) > 1:
-        out.append((list(f), e or len(f) - 1))  # a copy: callers consume groups
+        out.append((list(f), e or len(f) - 1))  # a copy: a caller may consume it
     return out
 
 
@@ -510,11 +528,12 @@ def degree_pattern(f: IntPoly, p: int) -> tuple[int, ...]:
 
     Uses only squarefree decomposition plus distinct-degree factorization,
     so it is cheap enough for million-prime sweeps.  An f = g(x^2) over Z
-    with p odd, g(0) != 0 mod p and p not dividing disc g (g squarefree mod
-    p) is done mod g instead, in half the degree (`_half_degree_pattern`).
+    with p > 2 deg g, g(0) != 0 mod p and p not dividing disc g (g squarefree
+    mod p) is done mod g instead, in half the degree (`_half_degree_pattern`);
+    smaller primes take the generic route, the kernel's test reference.
     """
     disc, series, g = _half_modulus(f)
-    if p > 2 and disc % p and g[0] % p and g[-1] % p:
+    if p > 2 * (len(g) - 1) and disc % p and g[0] % p and g[-1] % p:
         # only g is reduced; an f that reduce_polynomial rejects is not taken
         return _half_degree_pattern(_monic([c % p for c in g], p), p, series)
     monic = _monic(reduce_polynomial(f, p), p)
@@ -526,15 +545,15 @@ def degree_pattern(f: IntPoly, p: int) -> tuple[int, ...]:
 
 
 def _half_degree_pattern(g, p, series=None):
-    """Degree pattern of f = g(x^2) for p odd, g(0) != 0 and g squarefree.
+    """Degree pattern of f = g(x^2) for p > 2 deg g, g(0) != 0 and g squarefree.
 
     A root b of g of degree e gives f two roots of degree e when b is a
     square in F_{p^e} and two conjugate roots of degree 2e otherwise; all
     roots of one factor of g agree.  So if s_e of the k_e factors of g of
     degree e have square roots, f has 2 s_e factors of degree e and k_e - s_e
     of degree 2e.  A lone factor h of degree e >= 2 has them iff its roots'
-    norm (-1)^e h(0) is a square mod p; any other class, G_e the product of
-    its factors, has s_e = deg gcd(G_e, a_e - 1)/e with a_e = y^((p^e-1)/2).
+    norm (-1)^e h(0) is a square mod p; any other class reads s_e off the
+    trace of a_e = y^((p^e-1)/2) (`_class_squares`), which needs p > 2 deg g.
     All arithmetic is mod g, in half the degree of f: y^p = y a_1^2 gives the
     Frobenius rows for the distinct-degree split of g, and a_(i+1) = a_1 a_i^p
     runs only up to the degree of the last class that needs a_e.  `series`,
@@ -554,11 +573,42 @@ def _half_degree_pattern(g, p, series=None):
             while i < e:
                 a = ring.reduce(a1 * ring.frobenius_map(a, ring.frobenius()))
                 i += 1
-            s, left = divmod(_gcd_degree(_sub(ring.unpack(a), [1], p), group, p), e)
-            if left or s > k:
-                raise IntegrityError("square roots of g do not fit its factor degrees")
+            s = _class_squares(ring, a, group, e)
         pattern += [e] * (2 * s) + [2 * e] * (k - s)
     return tuple(sorted(pattern))
+
+
+def _class_squares(ring, a, group, e):
+    """How many of the k factors of degree e whose product is `group` (monic,
+    dividing the modulus g of `ring`) have roots that are squares in F_{p^e},
+    from a = a_e = y^((p^e-1)/2) mod g, for p > 2 deg g.
+
+    F_p[y]/(group) is (F_{p^e})^k, and a is +-1 in each factor, +1 in s of
+    them, so Tr(a mod group) = e(2s - k), which p > 2ek reads centred mod p
+    (Lidl and Niederreiter, Finite Fields, ch. 2).  The trace is sum_j a_j P_j,
+    P_j the power sums of the roots of group (Newton's identities), j < deg g:
+    slot deg g - 1 of one product of a with the P_j packed in reverse.
+    """
+    p, d, n = ring.p, ring.d, len(group) - 1
+    # P_0 = n; P_j = -(j c_(n-j) + sum c_(n-i) P_(j-i), 0 < i < j, i <= n),
+    # c_i the coefficients of group and c_i = 0 for i < 0
+    sums = [n]
+    for j in range(1, d):
+        t = j * group[n - j] if j <= n else 0
+        for i in range(1, min(j - 1, n) + 1):
+            t += group[n - i] * sums[j - i]
+        sums.append(-t % p)
+    trace = (a * ring.pack(sums[::-1]) >> (d - 1) * ring.w & ring.mask) % p
+    return _trace_squares(trace, e, n // e, p)
+
+
+def _trace_squares(trace, e, k, p):
+    """s with e(2s - k) = trace mod p, 0 <= s <= k, for p > 2ek; IntegrityError
+    if there is none."""
+    s, left = divmod((trace - p if 2 * trace > p else trace) + e * k, 2 * e)
+    if left or not 0 <= s <= k:
+        raise IntegrityError("square roots of g do not fit its factor degrees")
+    return s
 
 
 def is_irreducible(g: list[int], p: int) -> bool:
@@ -708,10 +758,15 @@ class FieldCtx:
 def _checked_value(ctx: FieldCtx, v: int) -> int:
     """v, if it is a value of ctx: not negative, no bits above its e slots,
     every slot below p.  ValueError otherwise.  A bare int does not always
-    show its field: a constant is the same value in every field of p."""
+    show its field: a constant is the same value in every field of p.
+
+    A slot c has its top bit clear iff c < 2^(w-1), and then c + 2^(w-1) - p,
+    taken in every slot at once with no borrow or carry (p < 2^(w-1)), has
+    its top bit clear iff c < p."""
     ring, p = ctx.ring, ctx.p
     if not (0 <= v < p if ring is None
-            else 0 <= v <= ring.low and all(c < p for c in ring.unpack(v))):
+            else 0 <= v <= ring.low and not v & ring._top
+            and not (v + ring._top - ring._p_slots) & ring._top):
         raise ValueError(f"{v} is not a reduced value of {ctx!r}")
     return v
 

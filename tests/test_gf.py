@@ -349,6 +349,35 @@ def test_chi_and_sqrt_reject_what_is_not_a_reduced_value_of_their_field():
     assert chi(f81, 2) == chi(cls.field, 2) == chi(f7, 2) == 1
 
 
+def unpacked_check(ring, v):
+    """v is a reduced residue of the ring, slot by slot: the reference for the
+    two mask tests of `_checked_value`."""
+    return 0 <= v <= ring.low and all(c < ring.p for c in ring.unpack(v))
+
+
+def test_value_check_masks_match_the_slot_by_slot_check():
+    # a slot at p - 1, p, 2^(w-1) or 2^w - 1 in each position, beside slots
+    # at 0 and p - 1; low + 1 and a negative v: the masks accept exactly what
+    # the unpacked check accepts
+    rng = random.Random(47)
+    for p in (3, 5, 13, 65521, P64):
+        for e in (2, 3, 5):
+            ctx = FieldCtx.checked(p, random_irreducible(p, e, rng))
+            ring, w = ctx.ring, ctx.ring.w
+            values = [ring.low + 1, ring.low, -1, -(1 << w), 0, 1]
+            for j in range(e):
+                for c in (p - 1, p, 1 << w - 1, (1 << w) - 1):
+                    for rest in (0, p - 1):
+                        values.append(sum((c if i == j else rest) << i * w for i in range(e)))
+            for v in values:
+                accepted = unpacked_check(ring, v)
+                try:
+                    assert gf._checked_value(ctx, v) == v and accepted, (p, e, v)
+                except ValueError:
+                    assert not accepted, (p, e, v)
+            assert sum(map(functools.partial(unpacked_check, ring), values)) == 2 + 2 * e
+
+
 def test_find_irreducible():
     g = find_irreducible(2, 8)
     assert is_irreducible(list(g), 2)
@@ -728,24 +757,27 @@ def kernel_calls(monkeypatch):
 
 
 def test_half_degree_kernel_matches_generic_route(kernel_calls):
-    # the kernel runs exactly on the odd primes that keep f2 squarefree, and
-    # the generic route, which never sees it, is the reference on each
+    # the kernel runs exactly on the primes above 2 deg g that keep f2
+    # squarefree, and the generic route, which never sees it, is the
+    # reference on each
     for m, bound in ((3, 2000), (4, 1000), (6, 1000)):
         primes = primes_upto(bound)
         for n in range(7, 31):
-            f2 = doubled(s_polynomial(m, n))
+            f1 = s_polynomial(m, n)
+            f2 = doubled(f1)
             disc = discriminant(f2)
             kernel_calls.clear()
             for p in primes:
                 assert degree_pattern(f2, p) == generic_pattern(f2, p), (m, n, p)
-            assert kernel_calls == [p for p in primes if p > 2 and disc % p], (m, n)
+            assert kernel_calls == [p for p in primes if p > 2 * f1.degree and disc % p], (m, n)
 
 
 def test_half_degree_kernel_on_random_even_inputs(kernel_calls):
+    # deg g = r below p/2, so that the kernel takes p
     rng = random.Random(37)
     for _ in range(300):
         p = rng.choice([3, 5, 7, 101, 65521, P63])
-        r = rng.randrange(1, 9)
+        r = rng.randrange(1, min(9, (p + 1) // 2))
         g = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(r - 1)] + [1]
         f = even_lift(g)
         assert degree_pattern(f, p) == generic_pattern(f, p), (g, p)
@@ -779,7 +811,7 @@ def test_half_degree_kernel_matches_sympy_on_f2(kernel_calls):
             _, factors = gf_factor([c % p for c in coeffs], p, ZZ)
             expected = tuple(sorted(d for g, m in factors for d in [len(g) - 1] * m))
             assert pattern == expected, (n, p)
-            assert kernel_calls or discriminant(f2) % p == 0, (n, p)
+            assert kernel_calls or discriminant(f2) % p == 0 or p <= f2.degree, (n, p)
 
 
 def test_half_degree_kernel_reads_no_character(kernel_calls, monkeypatch):
@@ -797,12 +829,12 @@ def test_half_degree_kernel_reads_no_character(kernel_calls, monkeypatch):
     f2 = doubled(s_polynomial(3, 7))
     for p in primes_upto(3000)[1:]:
         degree_pattern(f2, p)
-    assert len(kernel_calls) == len(primes_upto(3000)) - 2  # all but 2 and 7
+    assert len(kernel_calls) == len(primes_upto(3000)) - 4  # all but 2, 3, 5 and 7
 
 
 def test_half_degree_kernel_selection_rule(kernel_calls):
-    # the kernel needs g squarefree mod p (p not dividing disc g), g(0) != 0
-    # and f even over Z; on every other input the generic route answers
+    # the kernel needs p > 2 deg g, g squarefree mod p (p not dividing disc g),
+    # g(0) != 0 and f even over Z; on every other input the generic route answers
     bad = {"disc g": 0, "g(0)": 0}
     for m, n in ((m, n) for m in (3, 4, 6) for n in range(7, 20)):
         f1 = s_polynomial(m, n)
@@ -811,7 +843,8 @@ def test_half_degree_kernel_selection_rule(kernel_calls):
         for p in primes_upto(1000)[1:]:
             kernel_calls.clear()
             assert degree_pattern(f2, p) == generic_pattern(f2, p), (m, n, p)
-            assert kernel_calls == ([] if disc_g % p == 0 or g0 % p == 0 else [p]), (m, n, p)
+            taken = p > 2 * f1.degree and disc_g % p and g0 % p
+            assert kernel_calls == ([p] if taken else []), (m, n, p)
             bad["disc g"] += disc_g % p == 0
             bad["g(0)"] += g0 % p == 0
         for p in primes_upto(40)[1:]:
@@ -832,8 +865,8 @@ def test_half_degree_kernel_selection_rule(kernel_calls):
 
 
 def test_ddf_and_half_degree_kernel_leave_their_input_unchanged():
-    # the kernel's Euclid consumes each distinct-degree group in place, so no
-    # group may be the caller's list; g = f1 mod 11 (n = 7) stays one group
+    # a caller may consume a distinct-degree group in place, so no group may
+    # be the caller's list; g = f1 mod 11 (n = 7) stays one group
     g = gf._monic(gf.reduce_polynomial(s_polynomial(3, 7), 11), 11)
     assert g == [1, 3, 7, 1]
     pattern = gf._half_degree_pattern(g, 11)
@@ -917,13 +950,14 @@ def frobenius_maps(monkeypatch):
 
 
 def test_half_degree_kernel_euclid_count(kernel_calls, euclid_calls, frobenius_maps):
-    # f1 for n = 11 is irreducible of degree 5 mod 3: the distinct-degree
-    # split proves it with one Frobenius map and one gcd, and the square count
-    # of its one factor is the character of its norm, with no a_i step.  Mod
-    # 23 it splits: x^p = x ends the distinct-degree split with no map, and
-    # the square count of the five linear factors is one gcd on a_1
+    # f1 for n = 11 is irreducible of degree 5 mod 13: the distinct-degree
+    # split proves it by x^(p^5) = x after x^(p^2) != x, four Frobenius maps
+    # and no gcd, and the square count of its one factor is the character of
+    # its norm, with no a_i step.  Mod 23 it splits: x^p = x ends the
+    # distinct-degree split with no map, and the square count of the five
+    # linear factors is the trace of a_1.  Neither takes a Euclid run
     f1, f2 = s_polynomial(3, 11), doubled(s_polynomial(3, 11))
-    for p, factors, maps in ((3, (5,), 1), (23, (1,) * 5, 0)):
+    for p, factors, maps in ((13, (5,), 4), (23, (1,) * 5, 0)):
         assert factor_pattern(reduce_and_factor(f1, p)) == factors
         pattern = factor_pattern(reduce_and_factor(f2, p))
         kernel_calls.clear()
@@ -931,38 +965,41 @@ def test_half_degree_kernel_euclid_count(kernel_calls, euclid_calls, frobenius_m
         frobenius_maps[0] = 0
         assert degree_pattern(f2, p) == pattern
         assert kernel_calls == [p]
-        assert euclid_calls == ["_gcd_degree"], p
+        assert euclid_calls == [], p
         assert frobenius_maps[0] == maps, p
 
 
 def test_half_degree_kernel_norm_rule(kernel_calls):
     # an irreducible h of degree e >= 2: h(x^2) is two factors of degree e
     # iff the norm (-1)^e h(0) of a root of h is a square mod p, else one of
-    # degree 2e.  The sign matters for odd e when p = 3 mod 4
+    # degree 2e.  The sign matters for odd e when p = 3 mod 4.  The kernel
+    # takes p > 2e; the generic route answers below
     rng = random.Random(73)
     seen = set()
-    for p in (3, 5, 7, 101, 65521, P64):
+    for p in (3, 5, 7, 11, 19, 101, 65521, P64):
         for e in range(2, 10):
             for _ in range(4):
                 h = random_irreducible(p, e, rng)
                 f = even_lift(h)
                 expected = generic_pattern(f, p)
+                kernel_calls.clear()
                 assert degree_pattern(f, p) == expected, (h, p)
+                assert kernel_calls == ([p] if p > 2 * e else []), (h, p)
                 square = pow((-1) ** e * h[0], (p - 1) // 2, p) == 1
                 assert expected == ((e, e) if square else (2 * e,)), (h, p)
-                seen.add((p % 4, e % 2, square))
-    assert len(kernel_calls) == 6 * 8 * 4
+                if kernel_calls:
+                    seen.add((p % 4, e % 2, square))
     assert seen == {(r, e, square) for r in (1, 3) for e in (0, 1) for square in (False, True)}
 
 
-def test_half_degree_kernel_linear_class_takes_the_gcd(kernel_calls, euclid_calls,
-                                                       frobenius_maps):
+def test_half_degree_kernel_linear_class_reads_the_trace(kernel_calls, euclid_calls,
+                                                         frobenius_maps):
     # g = (y - c) h with h irreducible of degree e >= 2: the class of h reads
-    # its norm with no a_i step, and the linear class still takes one gcd on
-    # a_1, so every linear factor of g(x^2) comes from a_1 alone
+    # its norm with no a_i step, and the linear class reads the trace of a_1
+    # with no gcd, so every linear factor of g(x^2) comes from a_1 alone
     rng = random.Random(71)
     seen = set()
-    for p in (3, 5, 7, 101, 65521):
+    for p in (13, 17, 19, 101, 65521):  # above 2 deg g
         for e in range(2, 6):
             for _ in range(4):
                 c = rng.randrange(1, p)
@@ -979,11 +1016,72 @@ def test_half_degree_kernel_linear_class_takes_the_gcd(kernel_calls, euclid_call
                 frobenius_maps[0] = 0
                 assert degree_pattern(f, p) == expected, (g, p)
                 assert kernel_calls == [p]
-                assert euclid_calls == ddf_calls + ["_gcd_degree"], (g, p)
+                assert euclid_calls == ddf_calls, (g, p)
                 assert frobenius_maps[0] == ddf_maps, (g, p)
                 seen.add((pow(c, (p - 1) // 2, p) == 1,
                           pow((-1) ** e * h[0], (p - 1) // 2, p) == 1))
     assert seen == {(a, b) for a in (False, True) for b in (False, True)}
+
+
+def euclid_square_count(ring, a, group, e):
+    """s_e = deg gcd(a_e - 1, G_e)/e, the Euclidean square count of a degree
+    class: the reference for its trace."""
+    s, left = divmod(gf._gcd_degree(gf._sub(ring.unpack(a), [1], ring.p), list(group), ring.p), e)
+    assert left == 0 and s <= (len(group) - 1) // e
+    return s
+
+
+def test_trace_square_count_matches_the_euclidean_count(monkeypatch, kernel_calls):
+    # every degree class the kernel reads by its trace, against the gcd of
+    # a_e - 1 with the class: census moduli, and random g(x^2) of mixed
+    # degrees, monic or not, at the primes just above 2 deg g and beyond
+    checked = []
+    trace = gf._class_squares
+
+    def both(ring, a, group, e):
+        s = trace(ring, a, group, e)
+        assert s == euclid_square_count(ring, a, group, e), (ring.p, group, e)
+        checked.append((e, (len(group) - 1) // e))
+        return s
+
+    monkeypatch.setattr(gf, "_class_squares", both)
+    primes = primes_upto(1000)
+    for m in (3, 4, 6):
+        for n in range(7, 20):
+            f2 = doubled(s_polynomial(m, n))
+            for p in primes:
+                degree_pattern(f2, p)
+    rng = random.Random(43)
+    for _ in range(1500):
+        degrees = [rng.randrange(1, 5) for _ in range(rng.randrange(2, 7))]
+        r = sum(degrees)
+        above = [q for q in primes if q > 2 * r]
+        p = rng.choice(above[:3] + [rng.choice(above), 65521])
+        g = squarefree_product(p, degrees, rng)
+        if g is None or not g[0]:
+            continue
+        lead = rng.randrange(1, p)
+        f = even_lift([c * lead for c in g])
+        assert degree_pattern(f, p) == generic_pattern(f, p), (g, p)
+    assert len(kernel_calls) > 7500 and len(checked) > 4500
+    # linear classes, and classes of 2, 3 or 4 factors of degree 2, 3 or 4
+    assert {e for e, k in checked if k > 1} == {1, 2, 3, 4}
+
+
+def test_trace_decodes_exactly_the_square_counts():
+    # e(2s - k) for s = 0..k are k + 1 distinct residues for p > 2ek; each
+    # decodes to its s, and every other residue is an integrity fault
+    for e in range(1, 5):
+        for k in range(1, 6):
+            for p in [q for q in primes_upto(2 * e * k + 60) if q > 2 * e * k][:3]:
+                valid = {e * (2 * s - k) % p: s for s in range(k + 1)}
+                assert len(valid) == k + 1
+                for t in range(p):
+                    if t in valid:
+                        assert gf._trace_squares(t, e, k, p) == valid[t], (e, k, p, t)
+                    else:
+                        with pytest.raises(IntegrityError, match="do not fit"):
+                            gf._trace_squares(t, e, k, p)
 
 
 def loop_ddf(f, p):
@@ -1029,10 +1127,11 @@ def squarefree_product(p, degrees, rng):
 
 
 def test_ddf_exits_match_the_gcd_loop(euclid_calls):
-    # x^p = x ends a fully split f with no gcd, one gcd proves f irreducible,
+    # x^p = x ends a fully split f with no gcd; x^(p^d) = x proves f
+    # irreducible with no gcd when d is a prime power, one gcd otherwise;
     # x^(p^e) = x ends an equal-degree f after one gcd per proper divisor of
-    # e, and on mixed degrees that reach no exit the gcd loop runs as in the
-    # reference
+    # e; and on mixed degrees that reach no exit the gcd loop runs as in the
+    # reference, after the irreducibility gcd only when d is no prime power
     rng = random.Random(59)
     seen = set()
     for p in (2, 3, 5, 101, 65521, P64):
@@ -1060,19 +1159,58 @@ def test_ddf_exits_match_the_gcd_loop(euclid_calls):
                 euclid_calls.clear()
                 assert gf._ddf(f, p) == expected, (p, d, kind, f)
                 e = math.lcm(*degrees)  # the first i with x^(p^i) = x
+                prime_power = sum(d % q == 0 for q in primes_upto(d)) == 1
+                rabin = [] if prime_power else ["_gcd_degree"]
                 if d == 1 or kind == "split":
                     exit_calls = []
                 elif kind == "irreducible":
-                    exit_calls = ["_gcd_degree"]
+                    exit_calls = rabin
                 elif 2 * e <= d:  # one gcd per proper divisor of e
                     exit_calls = ["_gcd"] * sum(e % i == 0 for i in range(1, e))
                     kind += " at x^(p^e) = x"
                 else:
-                    exit_calls = ["_gcd_degree"] + reference_calls
+                    exit_calls = rabin + reference_calls
                 assert euclid_calls == exit_calls, (p, d, kind, f)
                 seen.add(kind)
     assert seen == {"irreducible", "split", "equal at x^(p^e) = x", "mixed",
                     "mixed at x^(p^e) = x"}
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 8, 9])
+def test_ddf_decides_prime_power_degrees_by_the_frobenius_period(r, euclid_calls,
+                                                                 frobenius_maps):
+    # deg f = r a prime power: an irreducible f is proved by x^(p^r) = x,
+    # r - 1 Frobenius maps and no Euclid run, and a reducible f that reaches
+    # no exit takes only the gcd loop of the reference, no irreducibility gcd
+    rng = random.Random(r)
+    seen = set()
+    for p in (2, 3, 5, 101, 65521, P64):
+        cases = [("irreducible", [r])]
+        for _ in range(6):
+            parts = []
+            while sum(parts) < r:
+                parts.append(rng.randrange(1, r - sum(parts) + 1))
+            if len(parts) > 1:
+                cases.append(("reducible", sorted(parts)))
+        for kind, degrees in cases:
+            f = squarefree_product(p, degrees, rng)
+            if f is None:
+                continue
+            euclid_calls.clear()
+            expected = loop_ddf(f, p)
+            reference_calls = list(euclid_calls)
+            euclid_calls.clear()
+            frobenius_maps[0] = 0
+            assert gf._ddf(f, p) == expected, (p, kind, f)
+            assert "_gcd_degree" not in euclid_calls, (p, kind, f)
+            if kind == "irreducible":
+                assert euclid_calls == [] and frobenius_maps[0] == r - 1, (p, f)
+            elif 2 * math.lcm(*degrees) > r:  # no exit at x^(p^e) = x
+                assert euclid_calls == reference_calls, (p, degrees, f)
+                kind = "reducible with no exit"
+            seen.add(kind)
+    # r = 2 has no such f: 1 + 1 ends at x^p = x
+    assert "irreducible" in seen and (r == 2 or "reducible with no exit" in seen)
 
 
 def test_series_mu_matches_the_long_division():
@@ -1106,6 +1244,8 @@ def test_memoized_layout_matches_a_fresh_computation(monkeypatch):
     shared = set()
     for d in range(1, 19):
         rings = [(p, gf._PackedModulus([1] * d + [1], p)) for p in primes]
+        for p, ring in rings:  # the top bit of each of the d slots
+            assert ring._top == sum(1 << j * ring.w + ring.w - 1 for j in range(d)), (d, p)
         for low, high in below_above:
             if fresh_layout(d, low)[0] == fresh_layout(d, high)[0]:
                 shared.add(d)
@@ -1147,7 +1287,7 @@ def test_non_monic_modulus_takes_the_loop(monkeypatch, kernel_calls):
     for lead in (2, -1):
         f = doubled(g * IntPoly([lead]))
         assert gf._half_modulus(f)[1] is None
-        for p in (3, 13, 43, 101):
+        for p in (13, 43, 101, 211):  # above 2 deg g = 10
             series_given.clear()
             kernel_calls.clear()
             assert degree_pattern(f, p) == generic_pattern(f, p), (lead, p)
@@ -1159,7 +1299,9 @@ def test_non_monic_modulus_takes_the_loop(monkeypatch, kernel_calls):
 
 def test_pattern_census_pays_per_prime_only_its_arithmetic(monkeypatch, kernel_calls):
     # one ring per kernel prime, the integer series computed once for the
-    # type, and on n = 7 (deg g = 3, so no Frobenius map) no row past x^p
+    # type, and on n = 7 (deg g = 3) rows past x^p only for an irreducible g,
+    # whose distinct-degree split reads them once to step x^(p^2) and
+    # x^(p^3); the primes 3, 5 and 7 take no kernel
     from macbeath import density
 
     rings, series_over_z, rows_built = [0], [0], [0]
@@ -1181,9 +1323,11 @@ def test_pattern_census_pays_per_prime_only_its_arithmetic(monkeypatch, kernel_c
     counted_kernel = gf._half_degree_pattern
 
     def kernel_rings(g, p, series=None):
-        before = rings[0]
+        before, rows_before = rings[0], rows_built[0]
         pattern = counted_kernel(g, p, series)
         assert rings[0] == before + 1, p
+        if len(g) == 4:  # n = 7
+            assert rows_built[0] - rows_before == (1 if min(pattern) >= 3 else 0), p
         return pattern
 
     monkeypatch.setattr(gf._PackedModulus, "__init__", counted_init)
@@ -1195,11 +1339,10 @@ def test_pattern_census_pays_per_prime_only_its_arithmetic(monkeypatch, kernel_c
     try:
         census = density.pattern_census(3, 11, 3000, workers=1)
         assert series_over_z == [1]
-        assert census.skipped == (2, 11) and census.total == len(kernel_calls)
+        assert census.skipped == (2, 11) and census.total == len(kernel_calls) + 3
         kernel_calls.clear()
-        rows_built[0] = 0
         census = density.pattern_census(3, 7, 3000, workers=1)
-        assert rows_built == [0] and census.total == len(kernel_calls) > 400
+        assert census.skipped == (2, 7) and census.total == len(kernel_calls) + 2 > 400
     finally:
         gf._half_modulus.cache_clear()
         gf._integer_series.cache_clear()

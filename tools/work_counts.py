@@ -7,7 +7,9 @@ then the calls of classify + oracle to `gf.sqrt_in_field` and `gf.chi`, the
 two entry points that check their value is a reduced residue of its field;
 then the census calls of `verify.parity(bound=2000, workers=1)`: `summary`,
 which picks each prime's route, the ladder and the factorization it runs,
-and `map_census`, which the suite never needs.
+and `map_census`, which the suite never needs; then the Euclid runs (`gf._gcd`
+and `gf._gcd_degree` calls) of `density.pattern_census(3, n, 10**4,
+workers=1)` for n = 7, 11 and 13.
 
 The counts depend only on the code and the pairs, not on the host, so they
 show a change in work that wall time on a noisy host may hide.  Stdlib
@@ -25,7 +27,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from macbeath import census, gf, verify  # noqa: E402
+from macbeath import census, density, gf, verify  # noqa: E402
 from macbeath.cli import main  # noqa: E402
 
 
@@ -106,6 +108,19 @@ def dispatch_counts() -> dict[str, int]:
     return counts
 
 
+def euclid_counts(degrees=(7, 11, 13)) -> dict[str, int]:
+    """The Euclid runs of the pattern census of m = 3 to 10^4, per n."""
+    counts = {f"n = {n}": 0 for n in degrees}
+    saved = gf._gcd, gf._gcd_degree
+    try:
+        for n in degrees:
+            gf._gcd, gf._gcd_degree = (counted(counts, f"n = {n}", fn) for fn in saved)
+            density.pattern_census(3, n, 10**4, workers=1)
+    finally:
+        gf._gcd, gf._gcd_degree = saved
+    return counts
+
+
 if __name__ == "__main__":
     pairs = golden_pairs()
     arithmetic, checks = work_counts(pairs)
@@ -116,3 +131,5 @@ if __name__ == "__main__":
               + ", ".join(f"{name} {value}" for name, value in counts.items()))
     print("verify parity --bound 2000 census dispatch: "
           + ", ".join(f"{name} {value}" for name, value in dispatch_counts().items()))
+    print("pattern census to 10^4, Euclid runs (_gcd + _gcd_degree): "
+          + ", ".join(f"{name} {value}" for name, value in euclid_counts().items()))
