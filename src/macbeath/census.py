@@ -268,10 +268,12 @@ def check_witness(m: int, n: int, p: int, s_values: list[int]
     (Euler's criterion on the residue); then `_verdicts` checks k + l =
     phi(n)/2, an integral genus and the parity verdict.
     """
-    fd = field_data(m, n, p)
+    f1 = s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
+    _check_prime(p)
+    fd = _field_data(m, n, p)
     if fd.d != 1:
         raise Inadmissible(f"p={p} is not a split prime for type {{{m},{n}}} (d={fd.d})")
-    if _product_mod_p(s_values, p) != [c % p for c in s_polynomial(m, n).coeffs]:
+    if _product_mod_p(s_values, p) != [c % p for c in f1.coeffs]:
         raise IntegrityError(f"split-route s-values do not multiply out to f1 mod {p}")
     if len(set(s_values)) != len(s_values):
         raise BadReduction(f"f1 for type {{{m},{n}}} is not squarefree mod {p}")
@@ -507,7 +509,7 @@ def route_product(m: int, n: int, p: int) -> tuple[tuple[int, ...], tuple[int, .
 
     Left: product over irreducible factors G of Psi_N mod p (N = n or 2n) of
     the characteristic polynomial prod_{i < deg G} (X - phi^i(shift - t^2))
-    of shift - t^2 in F_p[t]/(G), phi the Frobenius map on the field's rows:
+    of shift - t^2 in F_p[t]/(G), phi the field's Frobenius map:
     the minimal polynomial M to the power deg G / deg M.  Right: f1 mod p,
     squared for even n where traces come in +- pairs.  Both are returned as
     ascending coefficient tuples for comparison.
@@ -527,7 +529,7 @@ def route_product(m: int, n: int, p: int) -> tuple[tuple[int, ...], tuple[int, .
             charpoly = [ctx.sub(a, ctx.mul(conjugate, b))
                         for a, b in zip([0] + charpoly, charpoly + [0])]
             if ring is not None:
-                conjugate = ring.frobenius_map(conjugate, ring.frobenius())
+                conjugate = ring.frobenius_map(conjugate)
         if any(c >= p for c in charpoly):  # a slot above the first is set
             raise IntegrityError("characteristic polynomial coefficients left the prime field")
         left = gf._mul(left, charpoly, p)

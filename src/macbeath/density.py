@@ -92,10 +92,8 @@ def default_stream(m: int, n: int, first: int | None = None,
 def _summarize(m: int, n: int, p: int) -> PrimeSummary | tuple[int, str]:
     try:
         fd, k, l, genus, _, _ = census.summary(m, n, p)
-    except BadReduction as exc:
-        return (p, f"bad-reduction: {exc}")
-    except Inadmissible as exc:
-        return (p, f"inadmissible: {exc}")
+    except (BadReduction, Inadmissible) as exc:
+        return (p, f"{exc.code}: {exc}")
     residue = 1 if p % fd.n_modulus == 1 else -1
     return PrimeSummary(p, residue, k, l, fd.d, fd.q, genus)
 

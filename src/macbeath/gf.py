@@ -2,14 +2,17 @@
 
 Polynomials over F_p are coefficient lists, constant term first, entries in
 0..p-1, no trailing zeros ([] is zero).  Factorization runs squarefree
-decomposition, distinct degree factorization on Frobenius rows, then
+decomposition, distinct degree factorization by Frobenius maps, then
 Cantor-Zassenhaus equal degree splitting in the same ring (a trace map in
 characteristic 2); its PRNG, seeded from the input, runs only if a class splits.
-The distinct degree split proves a polynomial of prime-power degree r
-irreducible by x^(p^r) = x, with no gcd.  Degree patterns of g(x^2) are read
+The Frobenius map h -> h^p has one entry point, `_PackedModulus.frobenius_map`:
+the ring builds its rows on its first map, and no caller holds them.  The
+distinct degree split proves a polynomial of prime-power degree r irreducible
+by x^(p^r) = x, with no gcd; it and `is_irreducible` form each x^(p^i) - x
+packed, and `_gcd` is the one Euclid.  Degree patterns of g(x^2) are read
 mod g, a class's square count off a trace, with no Euclid of their own.
-Square roots in F_{p^e} descend through its subfields on the Frobenius rows
-of the field's one ring, with no power of full size.
+Square roots in F_{p^e} descend through its subfields by Frobenius maps in
+the field's one ring, with no power of full size.
 """
 
 from __future__ import annotations
@@ -34,16 +37,6 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _trim(out)
-
-
 def _mul(a, b, p):
     if not a or not b:
         return []
@@ -57,8 +50,8 @@ def _mul(a, b, p):
 
 def _rem_in_place(a, b, p):
     """a mod b for a nonzero trimmed b, taken in the list a (consumed) and
-    returned trimmed: the one remainder loop, shared by `_rem`, `_gcd` and
-    `_gcd_degree`.  It skips the zero low coefficients of b."""
+    returned trimmed: the one remainder loop, shared by `_rem` and `_gcd`.
+    It skips the zero low coefficients of b."""
     lb = len(b)
     inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
     while len(a) >= lb:
@@ -106,14 +99,6 @@ def _gcd(a, b, p):
     while b:
         a, b = b, _rem_in_place(a, b, p)
     return _monic(a, p)
-
-
-def _gcd_degree(a, b, p):
-    """deg gcd(a, b) for nonzero b: Euclid on remainders left unnormalized,
-    each taken in place (a and b are consumed)."""
-    while b:
-        a, b = b, _rem_in_place(a, b, p)
-    return len(a) - 1
 
 
 def _deriv(a, p):
@@ -244,16 +229,23 @@ class _PackedModulus:
                     r = reduce(r * a)
         return r
 
-    def frobenius_map(self, h: int, rows) -> int:
-        """h(x)**p mod f: sum h_j * x**(p*j), accumulated packed."""
+    def frobenius_map(self, h: int, times: int = 1) -> int:
+        """phi^times(h), phi(h) = h(x)**p mod f: each step is the sum of the
+        h_j * x**(p*j), j < d, accumulated packed on the Frobenius rows, which
+        the ring's first map builds past x**p (d > 1)."""
+        xp, rows = self.x_power_p(), self._frobenius
+        while len(rows) < self.d:
+            rows.append(self.reduce(rows[-1] * xp))
         w, mask = self.w, self.mask
-        acc = 0
-        for row in rows:
-            c = h & mask
-            if c:
-                acc += c * row
-            h >>= w
-        return self.normalize(acc)
+        for _ in range(times):
+            acc, v = 0, h
+            for row in rows:
+                c = v & mask
+                if c:
+                    acc += c * row
+                v >>= w
+            h = self.normalize(acc)
+        return h
 
     def x_power_p(self, xp: int | None = None) -> int:
         """x**p mod f, the Frobenius row after 1, set on first use: to xp if
@@ -262,24 +254,12 @@ class _PackedModulus:
             self._frobenius = [1, self.pow(1 << self.w, self.p) if xp is None else xp]
         return self._frobenius[1]
 
-    def frobenius(self) -> list[int]:
-        """Packed x**(p*j) mod f for j < d, to apply Frobenius in one pass;
-        the rows past x**p are built on the first call (d > 1)."""
-        xp = self.x_power_p()
-        rows = self._frobenius
-        while len(rows) < self.d:
-            rows.append(self.reduce(rows[-1] * xp))
-        return rows
-
     def frobenius_sum_power(self, a: int, terms: int, step: int = 1) -> int:
         """a**(1 + p^step + p^(2 step) + ...), `terms` terms, by Horner:
-        b <- phi^step(b) * a with phi(h) = h**p from the Frobenius rows."""
-        rows = self.frobenius() if terms > 1 else None
+        b <- phi^step(b) * a with phi(h) = h**p (`frobenius_map`)."""
         b = a
         for _ in range(terms - 1):
-            for _ in range(step):
-                b = self.frobenius_map(b, rows)
-            b = self.reduce(b * a)
+            b = self.reduce(self.frobenius_map(b, step) * a)
         return b
 
 
@@ -345,22 +325,19 @@ def _ddf(f, p, ring=None):
     # x^(p^i) mod f for i <= r/2, up to the first that is x again
     powers = [xp]
     while len(powers) < r // 2 and powers[-1] != x:
-        powers.append(ring.frobenius_map(powers[-1], ring.frobenius()))
+        powers.append(ring.frobenius_map(powers[-1]))
     if powers[-1] == x:
         # x^(p^e) = x: every factor's degree divides e, so only the proper
         # divisors of e can find one, and what is left is one group of degree e
         e, steps = len(powers), divisors(len(powers))[:-1]
     else:
         if len(_factorize(r)) == 1:  # r a prime power: x^(p^r) = x decides
-            h, rows = powers[-1], ring.frobenius()
-            for _ in range(r - len(powers)):
-                h = ring.frobenius_map(h, rows)
-            irreducible = h == x
+            irreducible = ring.frobenius_map(powers[-1], r - len(powers)) == x
         else:  # one gcd with the product of the x^(p^i) - x decides
             prod = ring.normalize(powers[0] + ring._p_slots - x)
             for h in powers[1:]:
                 prod = ring.reduce(prod * ring.normalize(h + ring._p_slots - x))
-            irreducible = _gcd_degree(ring.unpack(prod), list(f), p) == 0
+            irreducible = _gcd(ring.unpack(prod), f, p) == [1]
         if irreducible:
             return [(list(f), r)]
         e, steps = 0, range(1, len(powers) + 1)
@@ -370,7 +347,7 @@ def _ddf(f, p, ring=None):
     for i in steps:
         if not e and 2 * i > len(f) - 1:
             break
-        g = _gcd(_sub(ring.unpack(powers[i - 1]), [0, 1], p), f, p)
+        g = _gcd(ring.unpack(ring.normalize(powers[i - 1] + ring._p_slots - x)), f, p)
         if len(g) > 1:
             out.append((g, i))
             f = _quo(f, g, p)
@@ -571,7 +548,7 @@ def _half_degree_pattern(g, p, series=None):
             s = 1 if pow(-group[0] if e % 2 else group[0], (p - 1) // 2, p) == 1 else 0
         else:
             while i < e:
-                a = ring.reduce(a1 * ring.frobenius_map(a, ring.frobenius()))
+                a = ring.reduce(a1 * ring.frobenius_map(a))
                 i += 1
             s = _class_squares(ring, a, group, e)
         pattern += [e] * (2 * s) + [2 * e] * (k - s)
@@ -621,15 +598,15 @@ def is_irreducible(g: list[int], p: int) -> bool:
     if e == 1:
         return True
     ring = _PackedModulus(g, p)
-    rows = ring.frobenius()
-    powers = [1 << ring.w]  # x^(p^i) mod g, packed, for i = 0..e
+    x = 1 << ring.w
+    powers = [x]  # x^(p^i) mod g, packed, for i = 0..e
     for _ in range(e):
-        powers.append(ring.frobenius_map(powers[-1], rows))
-    if powers[e] != powers[0]:
+        powers.append(ring.frobenius_map(powers[-1]))
+    if powers[e] != x:
         return False
     for r in _factorize(e):
-        h = _sub(ring.unpack(powers[e // r]), [0, 1], p)
-        if len(_gcd(h, g, p)) > 1:
+        h = ring.normalize(powers[e // r] + ring._p_slots - x)  # x^(p^(e/r)) - x
+        if len(_gcd(ring.unpack(h), g, p)) > 1:
             return False
     return True
 
@@ -866,20 +843,17 @@ def _descent_sqrt(ring: _PackedModulus, a: int, norm: int) -> int | None:
     iota, iota = z - phi^h(z), beta = iota^2: z = x at the top, and below it
     the beta of the level above.
     """
-    p, rows = ring.p, ring.frobenius()
-
-    def conj(v, h):  # phi^h(v)
-        return functools.reduce(lambda u, _: ring.frobenius_map(u, rows), range(h), v)
+    p = ring.p
 
     def inverse(v, k):  # 1/v = v^(p + ... + p^(k-1)) / Norm(v) in F_{p^k}
         if v < p:
             return pow(v, -1, p)
-        u = ring.frobenius_map(ring.frobenius_sum_power(v, k - 1), rows)
+        u = ring.frobenius_map(ring.frobenius_sum_power(v, k - 1))
         return ring.normalize(u * pow(ring.reduce(v * u), -1, p))
 
     def unit(k):  # (iota, beta) of level k
         z = 1 << ring.w if k == ring.d else unit(2 * k)[1]
-        iota = ring.normalize(z + ring._p_slots - conj(z, k // 2))
+        iota = ring.normalize(z + ring._p_slots - ring.frobenius_map(z, k // 2))
         return iota, ring.reduce(iota * iota)
 
     def root(v, k, norm=None):  # norm: Norm(v) to F_p, if known
@@ -891,7 +865,7 @@ def _descent_sqrt(ring: _PackedModulus, a: int, norm: int) -> int | None:
         elif k % 2:
             u = ring.pow(v, (p + 1) // 2)
             s = ring.reduce(v * ring.frobenius_map(
-                ring.frobenius_sum_power(u, (k - 1) // 2, 2), rows))
+                ring.frobenius_sum_power(u, (k - 1) // 2, 2)))
             if norm is None:  # s^2 = Norm(v) * v, read at a nonzero slot of v
                 j = ((v & -v).bit_length() - 1) // ring.w * ring.w
                 norm = (ring.reduce(s * s) >> j & ring.mask) * pow(v >> j & ring.mask, -1, p) % p
@@ -899,7 +873,7 @@ def _descent_sqrt(ring: _PackedModulus, a: int, norm: int) -> int | None:
                     return None
             return ring.normalize(s * pow(_sqrt_mod_prime(norm, p), -1, p))
         h = k // 2
-        w = v if v < p else conj(v, h)  # phi^h fixes exactly F_Q
+        w = v if v < p else ring.frobenius_map(v, h)  # phi^h fixes exactly F_Q
         if w == v:  # v lies in F_Q
             r = root(v, h)
             if r is None:

@@ -300,35 +300,41 @@ def test_trace_field_modulus_matches_the_integer_composition():
 
 def test_class_fields_start_from_the_factorizations_x_power_p(monkeypatch):
     # x^p mod a factor h of f1 is (x^p mod f1) mod h: a d > 1 classify takes
-    # x^p by a power once, in f1's ring, and an oracle once more only in each
-    # trace field it adjoins; no class field computes its own
+    # x^p by a power once, in f1's ring, and an oracle once more only in a
+    # trace field it adjoins, one whose square roots take a Frobenius map; no
+    # class field computes its own
     import contextlib
     import io
 
     from macbeath.cli import main
 
-    powers = []
+    powered = []
     real = gf._PackedModulus.pow
 
     def counted(ring, a, exp):
         if (a, exp) == (1 << ring.w, ring.p):
-            powers.append(ring.d)
+            powered.append(ring)
         return real(ring, a, exp)
 
     monkeypatch.setattr(gf._PackedModulus, "pow", counted)
-    seen = set()
+    seen, trace_fields_powered = set(), 0
     for n, p in ((19, 7), (13, 5), (16, 3), (9, 7), (7, 5), (8, 7), (11, 3), (16, 7)):
         record = map_census(3, n, p)
-        f1_degree = s_polynomial(3, n).degree
-        adjoined = [2 * c.e for c in record.classes if c.t is None]
-        for command, expected in (("classify", [f1_degree]),
-                                  ("oracle", [f1_degree] + adjoined)):
-            powers.clear()
+        f1_ring = gf._PackedModulus(gf._monic(gf.reduce_polynomial(s_polynomial(3, n), p), p), p)
+        adjoined = [gf._PackedModulus(list(census_module._trace_field_modulus(c.factor, p)), p)
+                    for c in record.classes if c.t is None]
+        for command in ("classify", "oracle"):
+            powered.clear()
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main([command, "--n", str(n), "--p", str(p), "--format", "json"]) == 0
-            assert powers == expected, (command, n, p)
+            assert powered[:1] == [f1_ring], (command, n, p)
+            rest = powered[1:]
+            assert command == "oracle" or not rest, (n, p)
+            assert all(rest.count(ring) <= adjoined.count(ring) for ring in rest), (n, p)
+            trace_fields_powered += len(rest)
         seen.add((record.classes[0].e > 1, len(record.classes) > 1, bool(adjoined)))
     assert {(True, True, False), (True, False, True), (True, True, True)} <= seen, seen
+    assert trace_fields_powered > 0
 
 
 def test_seeded_class_rows_equal_fresh_ones():
@@ -351,7 +357,9 @@ def test_seeded_class_rows_equal_fresh_ones():
                     ring, fresh = c.field.ring, gf._PackedModulus(list(c.factor), p)
                     assert ring == fresh and ring._frobenius[1] == fresh.x_power_p(), \
                         (n, p, c.factor)
-                    assert ring.frobenius() == fresh.frobenius(), (n, p, c.factor)
+                    x = 1 << ring.w  # a map builds every row: x^(p^e) = x in F_{p^e}
+                    assert ring.frobenius_map(x, c.e) == fresh.frobenius_map(x, c.e) == x
+                    assert ring._frobenius == fresh._frobenius, (n, p, c.factor)
                     checked[len(classes) == 1] += 1
     assert checked[True] > 350 and checked[False] > 200, checked
 
@@ -503,7 +511,7 @@ def test_route_product_takes_its_fields_from_the_trace_factorization(monkeypatch
 def test_route_product_checks_its_characteristic_polynomials_stay_in_f_p(monkeypatch):
     # a Frobenius map that returns its input makes every conjugate s itself:
     # (X - s)^3 for the cubic Psi_7 mod 5 has coefficients outside F_5
-    monkeypatch.setattr(gf._PackedModulus, "frobenius_map", lambda ring, h, rows: h)
+    monkeypatch.setattr(gf._PackedModulus, "frobenius_map", lambda ring, h, times=1: h)
     with pytest.raises(IntegrityError, match="characteristic polynomial coefficients "
                                              "left the prime field"):
         route_product(3, 7, 5)

@@ -881,6 +881,17 @@ def test_ddf_and_half_degree_kernel_leave_their_input_unchanged():
         assert h == before, (h, p)
 
 
+def list_sub(a, b, p):
+    """a - b mod p on coefficient lists, slot by slot, trimmed: the schoolbook
+    reference for the packed x^(p^i) - x and a_e - 1."""
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return gf._trim(out)
+
+
 def _long_division_rem(a, b, p):
     """a mod b by schoolbook long division: the leading term of a cancelled
     by a multiple of b, one degree at a time."""
@@ -903,7 +914,7 @@ def _long_division_gcd(a, b, p):
 
 @pytest.mark.parametrize("p", [2, 3, 13, 10007])
 def test_remainder_loop_matches_long_division(p):
-    # _rem, _gcd and _gcd_degree share one remainder loop: each against long
+    # _rem and _gcd share one remainder loop: each against long
     # division, by a constant divisor and by a sparse one shaped like
     # census._trace_field_modulus (every odd coefficient zero)
     rng = random.Random(p)
@@ -916,34 +927,33 @@ def test_remainder_loop_matches_long_division(p):
             assert gf._rem(a, b, p) == _long_division_rem(a, b, p), (a, b, p)
             gcd = _long_division_gcd(a, b, p)
             assert gf._gcd(a, b, p) == gcd, (a, b, p)
-            assert gf._gcd_degree(list(a), list(b), p) == len(gcd) - 1, (a, b, p)
             assert a == before
 
 
 @pytest.fixture
 def euclid_calls(monkeypatch):
-    """Names of the Euclid routines called, in order."""
+    """Names of the Euclid routines called, in order: `_gcd`, the one Euclid."""
     calls = []
-    for name in ("_gcd", "_gcd_degree"):
-        real = getattr(gf, name)
+    real = gf._gcd
 
-        def counted(*args, _real=real, _name=name):
-            calls.append(_name)
-            return _real(*args)
+    def counted(*args):
+        calls.append("_gcd")
+        return real(*args)
 
-        monkeypatch.setattr(gf, name, counted)
+    monkeypatch.setattr(gf, "_gcd", counted)
     return calls
 
 
 @pytest.fixture
 def frobenius_maps(monkeypatch):
-    """A one-element list: the number of packed Frobenius maps applied."""
+    """A one-element list: the number of packed Frobenius maps applied, a
+    call of `times` maps counting `times`."""
     count = [0]
     real = gf._PackedModulus.frobenius_map
 
-    def counted(self, h, rows):
-        count[0] += 1
-        return real(self, h, rows)
+    def counted(self, h, times=1):
+        count[0] += times
+        return real(self, h, times)
 
     monkeypatch.setattr(gf._PackedModulus, "frobenius_map", counted)
     return count
@@ -1026,7 +1036,8 @@ def test_half_degree_kernel_linear_class_reads_the_trace(kernel_calls, euclid_ca
 def euclid_square_count(ring, a, group, e):
     """s_e = deg gcd(a_e - 1, G_e)/e, the Euclidean square count of a degree
     class: the reference for its trace."""
-    s, left = divmod(gf._gcd_degree(gf._sub(ring.unpack(a), [1], ring.p), list(group), ring.p), e)
+    gcd = gf._gcd(list_sub(ring.unpack(a), [1], ring.p), group, ring.p)
+    s, left = divmod(len(gcd) - 1, e)
     assert left == 0 and s <= (len(group) - 1) // e
     return s
 
@@ -1091,18 +1102,17 @@ def loop_ddf(f, p):
         return [(list(f), 1)] if len(f) == 2 else []
     out = []
     ring = gf._PackedModulus(f, p)
-    rows = ring.frobenius()
-    h = rows[1]
+    h = ring.x_power_p()
     i = 1
     while True:
-        g = gf._gcd(gf._sub(ring.unpack(h), [0, 1], p), f, p)
+        g = gf._gcd(list_sub(ring.unpack(h), [0, 1], p), f, p)
         if len(g) > 1:
             out.append((g, i))
             f = gf._quo(f, g, p)
         i += 1
         if 2 * i > len(f) - 1:
             break
-        h = ring.frobenius_map(h, rows)
+        h = ring.frobenius_map(h)
     if len(f) > 1:
         out.append((list(f), len(f) - 1))
     return out
@@ -1160,7 +1170,7 @@ def test_ddf_exits_match_the_gcd_loop(euclid_calls):
                 assert gf._ddf(f, p) == expected, (p, d, kind, f)
                 e = math.lcm(*degrees)  # the first i with x^(p^i) = x
                 prime_power = sum(d % q == 0 for q in primes_upto(d)) == 1
-                rabin = [] if prime_power else ["_gcd_degree"]
+                rabin = [] if prime_power else ["_gcd"]
                 if d == 1 or kind == "split":
                     exit_calls = []
                 elif kind == "irreducible":
@@ -1202,12 +1212,14 @@ def test_ddf_decides_prime_power_degrees_by_the_frobenius_period(r, euclid_calls
             euclid_calls.clear()
             frobenius_maps[0] = 0
             assert gf._ddf(f, p) == expected, (p, kind, f)
-            assert "_gcd_degree" not in euclid_calls, (p, kind, f)
+            e = math.lcm(*degrees)
             if kind == "irreducible":
                 assert euclid_calls == [] and frobenius_maps[0] == r - 1, (p, f)
-            elif 2 * math.lcm(*degrees) > r:  # no exit at x^(p^e) = x
+            elif 2 * e > r:  # no exit at x^(p^e) = x
                 assert euclid_calls == reference_calls, (p, degrees, f)
                 kind = "reducible with no exit"
+            else:  # one gcd per proper divisor of e: no irreducibility gcd
+                assert euclid_calls == ["_gcd"] * sum(e % i == 0 for i in range(1, e)), (p, f)
             seen.add(kind)
     # r = 2 has no such f: 1 + 1 ends at x^p = x
     assert "irreducible" in seen and (r == 2 or "reducible with no exit" in seen)
@@ -1305,8 +1317,8 @@ def test_pattern_census_pays_per_prime_only_its_arithmetic(monkeypatch, kernel_c
     from macbeath import density
 
     rings, series_over_z, rows_built = [0], [0], [0]
-    ring_init, series_mu, frobenius = (gf._PackedModulus.__init__, gf._series_mu,
-                                       gf._PackedModulus.frobenius)
+    ring_init, series_mu, frobenius_map = (gf._PackedModulus.__init__, gf._series_mu,
+                                           gf._PackedModulus.frobenius_map)
 
     def counted_init(self, *args):
         rings[0] += 1
@@ -1316,9 +1328,9 @@ def test_pattern_census_pays_per_prime_only_its_arithmetic(monkeypatch, kernel_c
         series_over_z[0] += not p
         return series_mu(f, p)
 
-    def counted_rows(self):
-        rows_built[0] += 1
-        return frobenius(self)
+    def counted_rows(self, h, times=1):  # a map that finds the rows unbuilt builds them
+        rows_built[0] += self._frobenius is None or len(self._frobenius) < self.d
+        return frobenius_map(self, h, times)
 
     counted_kernel = gf._half_degree_pattern
 
@@ -1332,7 +1344,7 @@ def test_pattern_census_pays_per_prime_only_its_arithmetic(monkeypatch, kernel_c
 
     monkeypatch.setattr(gf._PackedModulus, "__init__", counted_init)
     monkeypatch.setattr(gf, "_series_mu", counted_series)
-    monkeypatch.setattr(gf._PackedModulus, "frobenius", counted_rows)
+    monkeypatch.setattr(gf._PackedModulus, "frobenius_map", counted_rows)
     monkeypatch.setattr(gf, "_half_degree_pattern", kernel_rings)
     gf._half_modulus.cache_clear()
     gf._integer_series.cache_clear()  # the series cache behind it
@@ -1428,7 +1440,7 @@ def recursive_edf(f, d, p, rng):
             g = gf._gcd(a, f, p)
             if len(g) <= 1:
                 b = ring.pow(ring.frobenius_sum_power(ring.pack(a), d), (p - 1) // 2)
-                g = gf._gcd(gf._sub(ring.unpack(b), [1], p), f, p)
+                g = gf._gcd(list_sub(ring.unpack(b), [1], p), f, p)
         if 1 < len(g) < len(f):
             return recursive_edf(g, d, p, rng) + recursive_edf(gf._quo(f, g, p), d, p, rng)
 
@@ -1707,6 +1719,43 @@ def test_linear_group_split_builds_no_frobenius_rows(monkeypatch):
     f = (x - IntPoly([1])) * (x - IntPoly([2])) * (x * x + IntPoly([2]))
     assert factor_pattern(reduce_and_factor(f, 101)) == (1, 1, 2)
     assert calls == [(4, 101), (2, 50)]
+
+
+def test_frobenius_map_steps_times_maps_on_rows_built_once(monkeypatch):
+    # phi^t(h) for t = 0..d + 1 is t single maps and h^(p^t), on a ring that
+    # takes its own x^p and on one seeded with it; the first map builds the
+    # d rows, x^(p*j) for j < d, and no later map builds any
+    reductions = [0]
+    real_reduce = gf._PackedModulus.reduce
+
+    def counted(self, prod):
+        reductions[0] += 1
+        return real_reduce(self, prod)
+
+    rng = random.Random(53)
+    for p in (2, 3, 13, 499):
+        for d in (2, 3, 5, 8):
+            f = list(find_irreducible(p, d))
+            xp = gf._PackedModulus(f, p).x_power_p()
+            for seeded in (False, True):
+                ring = gf._PackedModulus(f, p)
+                if seeded:
+                    ring.x_power_p(xp)
+                h = ring.pack(trim([rng.randrange(p) for _ in range(d)]))
+                monkeypatch.setattr(gf._PackedModulus, "reduce", counted)
+                reductions[0] = 0
+                maps = [ring.frobenius_map(h, t) for t in range(d + 2)]
+                monkeypatch.setattr(gf._PackedModulus, "reduce", real_reduce)
+                # d - 2 rows past x^p, and x^p itself by a power if not seeded
+                powered = 0 if seeded else p.bit_length() - 1
+                assert reductions[0] - powered == d - 2, (p, d, seeded)
+                x = 1 << ring.w
+                assert ring._frobenius == [ring.pow(x, p * j) for j in range(d)], (p, d)
+                single = h
+                for t, mapped in enumerate(maps):
+                    assert mapped == single == ring.pow(h, p ** t), (p, d, seeded, t)
+                    single = ring.frobenius_map(single)
+                assert maps[d] == h
 
 
 def test_frobenius_sum_power_matches_plain_power():

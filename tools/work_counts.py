@@ -8,8 +8,10 @@ two entry points that check their value is a reduced residue of its field;
 then the census calls of `verify.parity(bound=2000, workers=1)`: `summary`,
 which picks each prime's route, the ladder and the factorization it runs,
 and `map_census`, which the suite never needs; then the Euclid runs (`gf._gcd`
-and `gf._gcd_degree` calls) of `density.pattern_census(3, n, 10**4,
-workers=1)` for n = 7, 11 and 13.
+calls, the one Euclid) of `density.pattern_census(3, n, 10**4, workers=1)`
+for n = 7, 11 and 13; then the Frobenius maps (`frobenius_map` calls, each
+counting its `times`) of classify + oracle and of the trace route over the
+golden pairs, and of that pattern census.
 
 The counts depend only on the code and the pairs, not on the host, so they
 show a change in work that wall time on a noisy host may hide.  Stdlib
@@ -108,28 +110,53 @@ def dispatch_counts() -> dict[str, int]:
     return counts
 
 
-def euclid_counts(degrees=(7, 11, 13)) -> dict[str, int]:
-    """The Euclid runs of the pattern census of m = 3 to 10^4, per n."""
+@contextlib.contextmanager
+def frobenius_maps(counts, name):
+    """Add to counts[name] the Frobenius maps applied inside, `times` per call."""
+    ring = gf._PackedModulus
+    real = ring.frobenius_map
+
+    def frobenius_map(self, h, times=1):
+        counts[name] = counts.get(name, 0) + times
+        return real(self, h, times)
+
+    ring.frobenius_map = frobenius_map
+    try:
+        yield
+    finally:
+        ring.frobenius_map = real
+
+
+def euclid_counts(maps, degrees=(7, 11, 13)) -> dict[str, int]:
+    """The Euclid runs of the pattern census of m = 3 to 10^4, per n; its
+    Frobenius maps are added to `maps`."""
     counts = {f"n = {n}": 0 for n in degrees}
-    saved = gf._gcd, gf._gcd_degree
+    saved = gf._gcd
     try:
         for n in degrees:
-            gf._gcd, gf._gcd_degree = (counted(counts, f"n = {n}", fn) for fn in saved)
-            density.pattern_census(3, n, 10**4, workers=1)
+            gf._gcd = counted(counts, f"n = {n}", saved)
+            with frobenius_maps(maps, f"pattern census n = {n}"):
+                density.pattern_census(3, n, 10**4, workers=1)
     finally:
-        gf._gcd, gf._gcd_degree = saved
+        gf._gcd = saved
     return counts
 
 
 if __name__ == "__main__":
     pairs = golden_pairs()
-    arithmetic, checks = work_counts(pairs)
+    maps: dict[str, int] = {}
+    with frobenius_maps(maps, "classify + oracle"):
+        arithmetic, checks = work_counts(pairs)
+    with frobenius_maps(maps, "route_product"):
+        route = route_counts(pairs)
     for label, counts in (("classify + oracle", arithmetic),
-                          ("route_product", route_counts(pairs)),
+                          ("route_product", route),
                           ("classify + oracle value checks", checks)):
         print(f"{label} over {len(pairs)} golden extension pairs: "
               + ", ".join(f"{name} {value}" for name, value in counts.items()))
     print("verify parity --bound 2000 census dispatch: "
           + ", ".join(f"{name} {value}" for name, value in dispatch_counts().items()))
-    print("pattern census to 10^4, Euclid runs (_gcd + _gcd_degree): "
-          + ", ".join(f"{name} {value}" for name, value in euclid_counts().items()))
+    print("pattern census to 10^4, Euclid runs (_gcd): "
+          + ", ".join(f"{name} {value}" for name, value in euclid_counts(maps).items()))
+    print("Frobenius maps (times summed), golden pairs and pattern census to 10^4: "
+          + ", ".join(f"{name} {value}" for name, value in maps.items()))
