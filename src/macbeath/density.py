@@ -16,7 +16,6 @@ import json
 import math
 import operator
 import os
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import census, gf
@@ -99,18 +98,19 @@ def _summarize(m: int, n: int, p: int) -> PrimeSummary | tuple[int, str]:
 
 
 def _fan_out(func, items: list, workers: int | None) -> list:
-    """[func(x) for x in items], shared out over w forked children when
-    w > 1 and the platform can fork, w being `clamp_workers(workers)` cut to
-    len(items).
+    """[func(x) for x in items], shared out over w workers when w > 1 and the
+    platform can fork, w being `clamp_workers(workers)` cut to len(items).
 
-    Child i computes items[i::w] and writes its results, or the exception
-    that stopped it, pickled down its own pipe, then leaves by os._exit
-    without returning into the caller's stack.  The parent reads every pipe
-    to EOF and reaps every child (killing those still running when it is
-    interrupted itself), re-raises the first worker's exception, and
-    interleaves the shares back into input order.  A child that ends without
-    sending anything raises WorkerError.  The caller must hold no threads:
-    a fork copies only the calling one.
+    The caller is worker 1: it forks w - 1 children, then computes
+    items[0::w] itself.  Child i (worker i + 1 of w) computes items[i::w] and
+    writes its results, or the exception that stopped it, pickled down its
+    own pipe, then leaves by os._exit without returning into the caller's
+    stack.  The caller then reads every pipe to EOF and reaps every child
+    (killing those still running when its own share raises or it is
+    interrupted), re-raises the first worker's exception, and interleaves
+    the shares back into input order.  A child that ends without sending
+    anything raises WorkerError.  The caller must hold no threads: a fork
+    copies only the calling one.
     """
     w = min(clamp_workers(workers), len(items))
     if w < 2 or not hasattr(os, "fork"):
@@ -121,7 +121,7 @@ def _fan_out(func, items: list, workers: int | None) -> list:
     pids: list[int] = []
     pipes = []
     try:
-        for i in range(w):
+        for i in range(1, w):
             read_end, write_end = os.pipe()
             pipes.append(os.fdopen(read_end, "rb"))
             try:
@@ -131,6 +131,8 @@ def _fan_out(func, items: list, workers: int | None) -> list:
                 pids.append(pid)
             finally:
                 os.close(write_end)  # the child never gets here
+        results = [None] * len(items)
+        results[0::w] = [func(x) for x in items[0::w]]
         payloads = [pipe.read() for pipe in pipes]
         statuses = []
         while pids:
@@ -139,14 +141,13 @@ def _fan_out(func, items: list, workers: int | None) -> list:
     finally:
         for pipe in pipes:
             pipe.close()
-        for pid in pids:  # left only when the parent itself was interrupted
+        for pid in pids:  # left only when the caller's share or wait was cut short
             try:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):
                 pass
-    results = [None] * len(items)
-    for i, (data, status) in enumerate(zip(payloads, statuses)):
+    for i, (data, status) in enumerate(zip(payloads, statuses), 1):
         if not data:
             raise WorkerError(f"worker {i + 1} of {w} ended with status {status} "
                               f"before sending its results")
@@ -217,6 +218,8 @@ def _tally(m: int, n: int, stream: PrimeStream,
         counts[k] = counts.get(k, 0) + c
         key = (k, "+" if residue == 1 else "-")
         split[key] = split.get(key, 0) + c
+    from fractions import Fraction
+
     total = len(records)
     frequencies = {k: Fraction(c, total) if total else Fraction(0)
                    for k, c in counts.items()}
@@ -341,6 +344,8 @@ def _odd_orbit_weights(t: int, structure: str) -> list[Fraction]:
     independently of the others, so i is Binomial(t, 1/2).  The even
     subgroup keeps the vectors with even total flips, that is even i.
     """
+    from fractions import Fraction
+
     if structure == FULL_WREATH:
         out = [Fraction(math.comb(t, i), 2**t) for i in range(t + 1)]
     elif structure == EVEN_SUBGROUP:
@@ -376,6 +381,8 @@ def wreath_cycle_distribution(n: int, structure: str = FULL_WREATH
     one with even flips two L-cycles, so i odd orbits give the pattern
     [2L]^i + [L]^(2(t - i)), with i distributed as _odd_orbit_weights(t).
     """
+    from fractions import Fraction
+
     reps = trace_indices(n)
     orders = collections.Counter(mult_order_signed(a, n) for a in reps)
     out: dict[tuple[int, ...], Fraction] = {}
@@ -454,6 +461,8 @@ def pattern_census(m: int, n: int, bound: int, *,
             checked += 1
             if pattern.count(1) != 2 * k_census:
                 violations += 1
+    from fractions import Fraction
+
     total = sum(counts.values())
     freqs = {pat: Fraction(c, total) for pat, c in sorted(counts.items())}
     model = galois_model(m, n)

@@ -9,7 +9,6 @@ f(x^2), and exact discriminants via resultants.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
@@ -207,17 +206,18 @@ def psi(n: int) -> IntPoly:
     return result
 
 
-# prod_{e | d} Psi_e(1) by residue of e mod 12, as exact rationals
-# (zero for e = 0 mod 6, half-integers for the remaining even e).
+# prod_{e | d} Psi_e(1) by residue of e mod 12: integers for odd e, and
+# twice the value for even e (zero for e = 0 mod 6, half-integers otherwise).
 _B_ODD = {1: -1, 3: -2, 5: -1, 7: 1, 9: 2, 11: 1}
-_B_EVEN = {0: Fraction(0), 2: Fraction(-3, 2), 4: Fraction(-3, 2),
-           6: Fraction(0), 8: Fraction(3, 2), 10: Fraction(3, 2)}
+_B_EVEN_TWICE = {0: 0, 2: -3, 4: -3, 6: 0, 8: 3, 10: 3}
 
 
 def _b_value(e: int) -> Fraction:
+    from fractions import Fraction
+
     if e % 2:
         return Fraction(_B_ODD[e % 12])
-    return _B_EVEN[e % 12]
+    return Fraction(_B_EVEN_TWICE[e % 12], 2)
 
 
 class PsiOne(NamedTuple):
@@ -239,6 +239,8 @@ def psi_at_one(n: int) -> PsiOne:
     """
     if n < 3:
         raise ValueError("n must be >= 3")
+    from fractions import Fraction
+
     direct = psi(n)(1)
     num = Fraction(1)
     den = Fraction(1)

@@ -10,7 +10,6 @@ tests.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import census, density, refdata
@@ -47,6 +46,8 @@ def _over(checked: int, name: str, ok: bool, expected: str, actual: str) -> Chec
 
 
 def table1() -> SuiteReport:
+    from fractions import Fraction
+
     start = time.time()
     checks = []
     for n, expected in sorted(refdata.PSI_AT_ONE_TABLE.items()):
@@ -254,6 +255,8 @@ def oracle(bound: int = 500, workers: int | None = None) -> SuiteReport:
 
 
 def patterns(bound: int = 10**6, workers: int | None = None) -> SuiteReport:
+    from fractions import Fraction
+
     start = time.time()
     result = density.pattern_census(3, 7, bound, workers=workers)
     checks = []

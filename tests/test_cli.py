@@ -629,21 +629,21 @@ try:
     children_left = True
 except ChildProcessError:
     children_left = False
-print(json.dumps([codes, [name for name in ("dataclasses", "inspect", "multiprocessing",
-                                            "threading")
+print(json.dumps([codes, [name for name in json.loads(sys.argv[2])
                           if name in sys.modules and name not in before],
                   children_left]))
 """
 
 
-def _cold_start(commands):
+def _cold_start(commands, modules=("dataclasses", "inspect", "multiprocessing", "threading")):
     """Exit codes of the commands, run in-process in a fresh interpreter, which
-    of the heavy optional modules the package and the commands loaded, and
-    whether a child process was left behind."""
+    of the modules (by default the heavy optional ones) the package and the
+    commands loaded, and whether a child process was left behind."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(macbeath.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("MACBEATH_WORKERS", None)
-    proc = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(commands),
+                           json.dumps(modules)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -656,6 +656,17 @@ def test_one_worker_commands_load_no_heavy_modules():
         ["sweep", "--n", "7", "--first", "20", "--workers", "1"],
         ["pattern", "--n", "7", "--bound", "300", "--workers", "1"]])
     assert codes == [0, 0, 0, 0]
+    assert loaded == []
+
+
+def test_classify_and_oracle_load_no_fractions():
+    # neither builds a Fraction, so neither fractions nor the decimal it
+    # imports is loaded
+    codes, loaded, _ = _cold_start([
+        ["classify", "--n", "7", "--p", "13", "--format", "json"],
+        ["oracle", "--n", "7", "--p", "13", "--format", "json"]],
+        ("fractions", "decimal"))
+    assert codes == [0, 0]
     assert loaded == []
 
 

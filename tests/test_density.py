@@ -148,12 +148,38 @@ def test_fan_out_reports_a_worker_that_dies_without_results(four_cpus):
     parent = os.getpid()
 
     def func(x):
-        if x == 4 and os.getpid() != parent:
+        if x == 5 and os.getpid() != parent:  # 5 is in the child's share, items[1::2]
             os._exit(3)
         return x
 
-    with pytest.raises(WorkerError, match="worker 1 of 2 ended with status 3"):
+    with pytest.raises(WorkerError, match="worker 2 of 2 ended with status 3"):
         _fan_out(func, list(range(6)), 2)
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_fan_out_computes_the_first_share_in_the_caller(workers, four_cpus):
+    parent = os.getpid()
+    pids = _fan_out(lambda x: os.getpid(), list(range(3 * workers)), workers)
+    assert set(pids[0::workers]) == {parent}
+    children = [set(pids[i::workers]) for i in range(1, workers)]
+    assert all(len(share) == 1 and parent not in share for share in children)
+    assert len(set.union(*children)) == workers - 1  # one child per share
+    assert _no_child_left()
+
+
+def test_fan_out_raises_the_callers_exception_without_waiting(four_cpus):
+    parent = os.getpid()
+
+    def func(x):
+        if os.getpid() == parent:
+            raise ValueError(f"item {x}")
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="item 0"):
+        _fan_out(func, [0, 1], 2)
+    assert time.monotonic() - start < 30
     assert _no_child_left()
 
 
@@ -176,8 +202,8 @@ def test_fan_out_stops_its_children_when_interrupted(four_cpus):
 
 def test_fan_out_caps_a_library_call_at_the_cpu_count(monkeypatch):
     # the cap holds for a library call as for the CLI: eight items with
-    # workers=8 on two CPUs fork two children, not eight
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # workers=8 on two CPUs make two workers, the caller and one child, not
+    # eight; on four CPUs, the caller and three children
     forks = []
     real_fork = os.fork
 
@@ -188,9 +214,12 @@ def test_fan_out_caps_a_library_call_at_the_cpu_count(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    assert _fan_out(abs, [-i for i in range(8)], 8) == list(range(8))
-    assert len(forks) == 2
-    assert _no_child_left()
+    for cpus in (2, 4):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        forks.clear()
+        assert _fan_out(abs, [-i for i in range(8)], 8) == list(range(8))
+        assert len(forks) == cpus - 1
+        assert _no_child_left()
 
 
 def test_oracle_suite_rows_do_not_depend_on_workers():

@@ -1033,6 +1033,29 @@ def test_half_degree_kernel_linear_class_reads_the_trace(kernel_calls, euclid_ca
     assert seen == {(a, b) for a in (False, True) for b in (False, True)}
 
 
+def test_class_squares_reads_the_true_a_e(monkeypatch):
+    # every a the kernel hands _class_squares is y^((p^e-1)/2) mod g itself,
+    # not only a value with the same square count: at n = 17, the primes
+    # below 5000 where f1 = g is two quartics read a_4, three a_i steps in
+    reads = []
+    real = gf._class_squares
+
+    def checked(ring, a, group, e):
+        p, y = ring.p, 1 << ring.w  # y mod g, deg g = 8
+        assert ring.unpack(a) == ring.unpack(ring.pow(y, (p**e - 1) // 2)), (p, e)
+        reads.append((p, e))
+        return real(ring, a, group, e)
+
+    monkeypatch.setattr(gf, "_class_squares", checked)
+    f1 = s_polynomial(3, 17)
+    f2 = doubled(f1)
+    quartics = [p for p in primes_upto(5000) if p > 16 and degree_pattern(f1, p) == (4, 4)]
+    for p in quartics:
+        degree_pattern(f2, p)
+    assert len(quartics) == 160
+    assert {p for p, e in reads if e == 4} == set(quartics)
+
+
 def euclid_square_count(ring, a, group, e):
     """s_e = deg gcd(a_e - 1, G_e)/e, the Euclidean square count of a degree
     class: the reference for its trace."""

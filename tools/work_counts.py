@@ -11,7 +11,9 @@ and `map_census`, which the suite never needs; then the Euclid runs (`gf._gcd`
 calls, the one Euclid) of `density.pattern_census(3, n, 10**4, workers=1)`
 for n = 7, 11 and 13; then the Frobenius maps (`frobenius_map` calls, each
 counting its `times`) of classify + oracle and of the trace route over the
-golden pairs, and of that pattern census.
+golden pairs, and of that pattern census; last, the `os.fork` calls of one
+in-process `pattern --n 7 --bound 2000 --workers 2`, w - 1 = 1 on a host with
+at least two CPUs (0 on one CPU).
 
 The counts depend only on the code and the pairs, not on the host, so they
 show a change in work that wall time on a noisy host may hide.  Stdlib
@@ -23,6 +25,7 @@ only; from the root of a checkout:
 import ast
 import contextlib
 import io
+import os
 import pathlib
 import sys
 
@@ -142,6 +145,20 @@ def euclid_counts(maps, degrees=(7, 11, 13)) -> dict[str, int]:
     return counts
 
 
+def fork_count() -> int:
+    """The os.fork calls of one in-process two-worker pattern census."""
+    counts = {"forks": 0}
+    real = os.fork
+    os.fork = counted(counts, "forks", real)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if main(["pattern", "--n", "7", "--bound", "2000", "--workers", "2"]):
+                raise SystemExit("pattern --n 7 --bound 2000 --workers 2 failed")
+    finally:
+        os.fork = real
+    return counts["forks"]
+
+
 if __name__ == "__main__":
     pairs = golden_pairs()
     maps: dict[str, int] = {}
@@ -160,3 +177,4 @@ if __name__ == "__main__":
           + ", ".join(f"{name} {value}" for name, value in euclid_counts(maps).items()))
     print("Frobenius maps (times summed), golden pairs and pattern census to 10^4: "
           + ", ".join(f"{name} {value}" for name, value in maps.items()))
+    print(f"pattern --n 7 --bound 2000 --workers 2, os.fork calls: {fork_count()}")
