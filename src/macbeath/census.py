@@ -5,12 +5,15 @@ s-polynomial mod p; the class is inner regular exactly when its s-value is a
 square in the ambient field F_q.  This module builds the census records,
 checks the parity prediction, and provides an independent matrix-witness
 oracle for the criterion.
+
+A type's constants are one `MapType` record, built and validated once by
+`map_type(m, n)`; every public (m, n[, p]) entry point calls it first, and
+the private helpers take the record instead of (m, n).
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from collections.abc import Iterable, Iterator
 from itertools import chain, count, islice
 from math import gcd, lcm
@@ -22,13 +25,34 @@ from .intpoly import _W_SQUARE, IntPoly, psi, s_polynomial
 from .numkit import (_factorize, divisors, euler_phi, genus_of_prime_power, is_prime,
                      lucas_v, moebius, mult_order_signed, trace_indices, trace_modulus)
 
-# modulus that controls existence of order-m rotations in PSL(2,q)
-_M_MODULUS = {m: trace_modulus(m) for m in _W_SQUARE}
-# 4 - w_m^2 where +-w_m is the order-m rotation trace; t^2 = this - s
-_T_SQUARE_SHIFT = {m: 4 - w2 for m, w2 in _W_SQUARE.items()}
-
 INNER = "inner"
 OUTER = "outer"
+
+
+class MapType(NamedTuple):  # the constants of a type {m, n}, never a per-prime result
+    m: int
+    n: int
+    f1: IntPoly                  # the s-polynomial
+    n_modulus: int               # N: n for odd n, 2n for even n
+    m_modulus: int               # 3, 8 or 12: it controls the order-m rotations
+    shift: int                   # 4 - w_m^2, +-w_m the order-m trace: t^2 = shift - s
+    exponents: tuple[int, ...]   # N/q for the primes q | N
+    indices: tuple[int, ...]     # the trace indices j (`trace_indices`)
+    half_phi: int                # phi(n)/2, the degree of f1
+    psi_one: int                 # Psi_n(1), whose character predicts the parity of l
+    chi_shortcut: tuple[int, ...] | None  # _chi_shortcut(n, r), r = p mod 8; odd n only
+
+
+@functools.lru_cache(maxsize=None)
+def map_type(m: int, n: int) -> MapType:
+    """The validated constants of type {m, n}: `s_polynomial` rejects an
+    unsupported m or a non-hyperbolic type, and nothing else checks them."""
+    f1 = s_polynomial(m, n)
+    n_mod = trace_modulus(n)
+    return MapType(m, n, f1, n_mod, trace_modulus(m), 4 - _W_SQUARE[m],
+                   tuple(n_mod // q for q in _factorize(n_mod)), trace_indices(n),
+                   euler_phi(n) // 2, psi(n)(1),
+                   tuple(_chi_shortcut(n, r) for r in range(8)) if n % 2 else None)
 
 
 class FieldData(NamedTuple):
@@ -48,26 +72,24 @@ def _check_prime(p: int) -> None:
 
 def field_data(m: int, n: int, p: int) -> FieldData:
     """Degree and order of the field F_q carrying the type-{m,n} maps in char p."""
-    s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
+    mt = map_type(m, n)
     _check_prime(p)
-    return _field_data(m, n, p)
+    return _field_data(mt, p)
 
 
-def _field_data(m: int, n: int, p: int) -> FieldData:
-    # for a type s_polynomial has accepted
-    n_mod = trace_modulus(n)
-    if gcd(p, n_mod) != 1:
-        raise Inadmissible(f"p={p} divides {n_mod}")
-    if m == 4 and p == 2:
+def _field_data(mt: MapType, p: int) -> FieldData:
+    if gcd(p, mt.n_modulus) != 1:
+        raise Inadmissible(f"p={p} divides {mt.n_modulus}")
+    if mt.m == 4 and p == 2:
         raise Inadmissible("PSL(2,2^d) has no elements of order 4")
-    if m == 6 and p in (2, 3):
+    if mt.m == 6 and p in (2, 3):
         raise Inadmissible(f"no order-6 rotations in characteristic {p}")
-    d = mult_order_signed(p, n_mod)
-    if m != 3:
-        d = lcm(d, mult_order_signed(p, _M_MODULUS[m]))
+    d = mult_order_signed(p, mt.n_modulus)
+    if mt.m != 3:
+        d = lcm(d, mult_order_signed(p, mt.m_modulus))
     # m = 3 needs no side condition: p = 3 gives unipotent order-3 elements,
     # and any other p already has p = +-1 mod 3.
-    return FieldData(m, n, p, n_mod, _M_MODULUS[m], d, p**d)
+    return FieldData(mt.m, mt.n, p, mt.n_modulus, mt.m_modulus, d, p**d)
 
 
 class TraceClass(NamedTuple):
@@ -116,8 +138,8 @@ def map_census(m: int, n: int, p: int, *, traces: bool = True) -> CensusRecord:
     `traces=False` skips the optional square-root representative t on each
     class (the expensive part of a record); everything else is unchanged.
     """
+    half_phi = map_type(m, n).half_phi
     fd, k, l, genus, parity, classes = summary(m, n, p, traces=traces)
-    half_phi = _half_phi(n)
     closed_form = half_phi // fd.d if half_phi % fd.d == 0 else -1
     return CensusRecord(m, n, p, fd, genus, tuple(classes), k, l,
                         parity, closed_form, closed_form != k + l)
@@ -131,79 +153,66 @@ def summary(m: int, n: int, p: int, *, traces: bool = False
     when read, so a sweep builds none; any other p (or one the ladder gives
     no witness for) takes the factorization of f1 mod p, and `classes` is a list.
     """
-    f1 = s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
-    ladder = _ladder(m, n, p)
+    mt = map_type(m, n)
+    ladder = _ladder(mt, p)
     if ladder is not None:
         s_values, t_values = ladder
         fd, k, l, genus, characters, parity = check_witness(m, n, p, s_values)
         return fd, k, l, genus, parity, _split_classes(p, s_values, characters,
                                                        t_values, traces)
     _check_prime(p)
-    fd, classes = _factored_classes(m, n, p, f1, traces)
-    k, l, genus, parity = _verdicts(m, n, p, fd, [c.chi for c in classes], classes[0].e)
+    fd, classes = _factored_classes(mt, p, traces)
+    k, l, genus, parity = _verdicts(mt, p, fd, [c.chi for c in classes], classes[0].e)
     return fd, k, l, genus, parity, classes
 
 
-def _verdicts(m: int, n: int, p: int, fd: FieldData, characters: list[int],
+def _verdicts(mt: MapType, p: int, fd: FieldData, characters: list[int],
               e: int) -> tuple[int, int, int, ParityVerdict]:
     """(k, l, genus, parity) from the classes' nonzero characters, every class
     of degree e: both census routes end here.  Checks that there are
     phi(n)/2e classes, an integral genus and the parity verdict."""
     k = characters.count(1)
     l = len(characters) - k
-    if k + l != _half_phi(n) // e:
-        raise IntegrityError(f"class count {k + l} != phi(n)/2e for ({m},{n},{p})")
-    return k, l, genus_of_prime_power(m, n, fd.q), _parity(m, n, p, fd.d, l)
+    if k + l != mt.half_phi // e:
+        raise IntegrityError(f"class count {k + l} != phi(n)/2e for ({mt.m},{mt.n},{p})")
+    return k, l, genus_of_prime_power(mt.m, mt.n, fd.q), _parity(mt, p, fd.d, l)
 
 
-def _s_zero(m: int, n: int, p: int) -> BadReduction:
-    return BadReduction(f"s = 0 occurs for ({m},{n},{p}); no generating triple "
-                        f"has t^2 = {_T_SQUARE_SHIFT[m]}")
+def _s_zero(mt: MapType, p: int) -> BadReduction:
+    return BadReduction(f"s = 0 occurs for ({mt.m},{mt.n},{p}); no generating triple "
+                        f"has t^2 = {mt.shift}")
 
 
-def _trace_class(m: int, n: int, p: int, ctx: gf.FieldCtx, traces: bool) -> TraceClass:
+def _trace_class(mt: MapType, p: int, ctx: gf.FieldCtx, traces: bool) -> TraceClass:
     # the class of the factor ctx.modulus (`FactorList.field`), s its generator
     s = ctx.gen()
     character = gf.chi(ctx, s)
     if character == 0:
-        raise _s_zero(m, n, p)
-    t = gf.sqrt_in_field(ctx, ctx.sub(_T_SQUARE_SHIFT[m] % p, s)) if traces else None
+        raise _s_zero(mt, p)
+    t = gf.sqrt_in_field(ctx, ctx.sub(mt.shift % p, s)) if traces else None
     return TraceClass(ctx.modulus, ctx.degree, s, character,
                       INNER if character == 1 else OUTER, t, ctx)
 
 
-def _factored_classes(m: int, n: int, p: int, f1: IntPoly,
-                      traces: bool) -> tuple[FieldData, list[TraceClass]]:
+def _factored_classes(mt: MapType, p: int, traces: bool) -> tuple[FieldData, list[TraceClass]]:
     """Field data and the classes from the irreducible factors of f1 mod p
     (any d); a bad reduction is reported before an inadmissible p."""
-    factored = gf.reduce_and_factor(f1, p)
+    factored = gf.reduce_and_factor(mt.f1, p)
     if not factored.squarefree:
-        raise BadReduction(f"f1 for type {{{m},{n}}} is not squarefree mod {p}")
-    fd = _field_data(m, n, p)
+        raise BadReduction(f"f1 for type {{{mt.m},{mt.n}}} is not squarefree mod {p}")
+    fd = _field_data(mt, p)
     degrees = {len(g) - 1 for g, _ in factored.factors}
     if len(degrees) != 1:
-        raise IntegrityError(f"unequal factor degrees {degrees} for ({m},{n},{p})")
+        raise IntegrityError(f"unequal factor degrees {degrees} for ({mt.m},{mt.n},{p})")
     e = degrees.pop()
     if fd.d % e:
         raise IntegrityError(f"factor degree {e} does not divide d={fd.d}")
     factors = sorted((g for g, _ in factored.factors),
                      key=lambda g: _class_sort_key(g, p))
-    return fd, [_trace_class(m, n, p, factored.field(g, fd.d), traces) for g in factors]
+    return fd, [_trace_class(mt, p, factored.field(g, fd.d), traces) for g in factors]
 
 
-@functools.lru_cache(maxsize=None)
-def _half_phi(n: int) -> int:
-    return euler_phi(n) // 2
-
-
-@functools.lru_cache(maxsize=None)
-def _split_plan(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """N, the exponents N/q for the primes q | N, and the trace indices."""
-    n_mod = trace_modulus(n)
-    return n_mod, tuple(n_mod // q for q in _factorize(n_mod)), trace_indices(n)
-
-
-def _ladder(m: int, n: int, p: int) -> tuple[list[int], list[int]] | None:
+def _ladder(mt: MapType, p: int) -> tuple[list[int], list[int]] | None:
     """The j-ordered s-values and traces t_j on a split prime, no factoring.
 
     Both branches find t_1 = z + 1/z for a z of order exactly N; then t_j =
@@ -218,8 +227,7 @@ def _ladder(m: int, n: int, p: int) -> tuple[list[int], list[int]] | None:
     primes in range.  The ladder assumes p prime but never relies on it: an Euler
     value of w other than +-1, or of c^2 - 4 other than 0, +-1, gives None.
     """
-    n_mod, exponents, indices = _split_plan(n)
-    m_mod = _M_MODULUS[m]
+    n_mod, m_mod, exponents = mt.n_modulus, mt.m_modulus, mt.exponents
     if not 2 < p < 1 << 64 or p % n_mod not in (1, n_mod - 1) \
             or p % m_mod not in (1, m_mod - 1):
         return None
@@ -245,13 +253,12 @@ def _ladder(m: int, n: int, p: int) -> tuple[list[int], list[int]] | None:
                 break
         else:
             raise IntegrityError(f"no trace of order {n_mod} found mod {p}")
-    shift = _T_SQUARE_SHIFT[m]
     # t_j = V_j(t_1) for every index, in one pass of V_(j+1) = t_1 V_j - V_(j-1)
     v = [2, t1]
-    while len(v) <= indices[-1]:
+    while len(v) <= mt.indices[-1]:
         v.append((t1 * v[-1] - v[-2]) % p)
-    t_values = [v[j] for j in indices]
-    return [(shift - t * t) % p for t in t_values], t_values
+    t_values = [v[j] for j in mt.indices]
+    return [(mt.shift - t * t) % p for t in t_values], t_values
 
 
 def check_witness(m: int, n: int, p: int, s_values: list[int]
@@ -268,19 +275,19 @@ def check_witness(m: int, n: int, p: int, s_values: list[int]
     (Euler's criterion on the residue); then `_verdicts` checks k + l =
     phi(n)/2, an integral genus and the parity verdict.
     """
-    f1 = s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
+    mt = map_type(m, n)
     _check_prime(p)
-    fd = _field_data(m, n, p)
+    fd = _field_data(mt, p)
     if fd.d != 1:
         raise Inadmissible(f"p={p} is not a split prime for type {{{m},{n}}} (d={fd.d})")
-    if _product_mod_p(s_values, p) != [c % p for c in f1.coeffs]:
+    if _product_mod_p(s_values, p) != [c % p for c in mt.f1.coeffs]:
         raise IntegrityError(f"split-route s-values do not multiply out to f1 mod {p}")
     if len(set(s_values)) != len(s_values):
         raise BadReduction(f"f1 for type {{{m},{n}}} is not squarefree mod {p}")
     characters = _characters(s_values, p)
     if 0 in characters:
-        raise _s_zero(m, n, p)
-    k, l, genus, parity = _verdicts(m, n, p, fd, characters, 1)
+        raise _s_zero(mt, p)
+    k, l, genus, parity = _verdicts(mt, p, fd, characters, 1)
     return fd, k, l, genus, characters, parity
 
 
@@ -319,7 +326,6 @@ def _characters(values, p: int) -> list[int]:
     return [(pow(value, half, p) + 1) % p - 1 for value in values]
 
 
-@functools.lru_cache(maxsize=None)
 def _chi_shortcut(n: int, p: int) -> int:
     # section-free restatement of the tabulated chi(b_e) cases; valid for odd
     # n and q = p odd, where every b_e is +-1 or +-2
@@ -340,32 +346,26 @@ def _chi_shortcut(n: int, p: int) -> int:
     return sign
 
 
-@functools.lru_cache(maxsize=None)
-def _psi_one(n: int) -> int:
-    return psi(n)(1)
-
-
 # the verdicts a record can carry, by (predicted, observed): shared, not
 # built per prime
 _VERDICTS = {(None, obs): ParityVerdict(False, None, obs, None) for obs in ("even", "odd")}
 _VERDICTS.update({(obs, obs): ParityVerdict(True, obs, obs, True) for obs in ("even", "odd")})
 
 
-def _parity(m: int, n: int, p: int, d: int, l: int) -> ParityVerdict:
+def _parity(mt: MapType, p: int, d: int, l: int) -> ParityVerdict:
     observed = "even" if l % 2 == 0 else "odd"
-    if m != 3 or d % 2 == 0:
+    if mt.m != 3 or d % 2 == 0:
         return _VERDICTS[None, observed]
-    psi_one = _psi_one(n)
-    character = _characters((psi_one,), p)[0]
+    character = _characters((mt.psi_one,), p)[0]
     if character == 0:
-        raise IntegrityError(f"Psi_{n}(1) = {psi_one} vanishes mod {p} on a good prime")
-    if d == 1 and n % 2 and p != 2:
-        if _chi_shortcut(n, p % 8) != character:  # it reads p only mod 8
-            raise IntegrityError(f"chi(b_e) shortcut disagrees for n={n}, p={p}")
+        raise IntegrityError(f"Psi_{mt.n}(1) = {mt.psi_one} vanishes mod {p} on a good prime")
+    if d == 1 and mt.chi_shortcut and p != 2:
+        if mt.chi_shortcut[p % 8] != character:  # it reads p only mod 8
+            raise IntegrityError(f"chi(b_e) shortcut disagrees for n={mt.n}, p={p}")
     predicted = "even" if character == 1 else "odd"
     if predicted != observed:
         raise IntegrityError(
-            f"parity prediction falsified at ({m},{n},{p}): predicted l {predicted}, "
+            f"parity prediction falsified at ({mt.m},{mt.n},{p}): predicted l {predicted}, "
             f"observed l={l}")
     return _VERDICTS[predicted, observed]
 
@@ -514,16 +514,16 @@ def route_product(m: int, n: int, p: int) -> tuple[tuple[int, ...], tuple[int, .
     squared for even n where traces come in +- pairs.  Both are returned as
     ascending coefficient tuples for comparison.
     """
+    mt = map_type(m, n)
     fd = field_data(m, n, p)
     factored = gf.reduce_and_factor(psi(fd.n_modulus), p)
     if not factored.squarefree:
         raise BadReduction(f"Psi_{fd.n_modulus} is not squarefree mod {p}")
-    shift = _T_SQUARE_SHIFT[m]
     left = [1]
     for factor, _ in factored.factors:
         ctx = factored.field(factor, len(factor) - 1)
         ring, t = ctx.ring, ctx.gen()
-        conjugate = ctx.sub(shift % p, ctx.mul(t, t))
+        conjugate = ctx.sub(mt.shift % p, ctx.mul(t, t))
         charpoly = [1]  # times X - conjugate, for each conjugate in turn
         for _ in range(ctx.degree):
             charpoly = [ctx.sub(a, ctx.mul(conjugate, b))
@@ -533,7 +533,7 @@ def route_product(m: int, n: int, p: int) -> tuple[tuple[int, ...], tuple[int, .
         if any(c >= p for c in charpoly):  # a slot above the first is set
             raise IntegrityError("characteristic polynomial coefficients left the prime field")
         left = gf._mul(left, charpoly, p)
-    right = gf.reduce_polynomial(s_polynomial(m, n), p)
+    right = gf.reduce_polynomial(mt.f1, p)
     if n % 2 == 0:
         right = gf._mul(right, right, p)
     return tuple(left), tuple(right)
@@ -579,6 +579,8 @@ def record_from_json(text: str) -> CensusRecord:
     """The census record a `classify --format json` report names, recomputed:
     only m, n, p and whether its classes carry traces are read, and ValueError
     is raised unless its d, q and class factors are the recomputed ones."""
+    import json
+
     data = json.loads(text)
     classes = data["classes"]
     record = map_census(data["m"], data["n"], data["p"],

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import sys
 
 from . import census, density, verify
@@ -28,10 +27,12 @@ def _meta(args) -> dict:
 
 def _emit(args, payload: dict | None, table_lines: list[str] | None,
           csv_header=None, csv_rows=None) -> None:
-    # reads only what args.format prints, so a caller may pass None for the rest
+    # reads only what args.format prints, so a caller may pass None for the
+    # rest; json is imported by the formats that write it, never for a table
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         if args.format == "json":
+            import json
             # dumps, unlike dump, runs the C encoder; the bytes are the same
             out.write(json.dumps({"meta": _meta(args), **payload}, sort_keys=True) + "\n")
         elif args.format == "csv":
@@ -39,7 +40,7 @@ def _emit(args, payload: dict | None, table_lines: list[str] | None,
             out.write(f"# macbeath {meta['version']} workers={meta['workers']}\n")
             writer = csv.writer(out, lineterminator="\n")
             if csv_header is None:
-                # generic two-column dump of the payload
+                import json  # generic two-column dump of the payload
                 writer.writerow(("key", "value"))
                 for key, value in sorted(payload.items()):
                     writer.writerow((key, json.dumps(value, sort_keys=True)))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import json
 import math
 import operator
 import os
@@ -20,9 +19,9 @@ from typing import NamedTuple
 
 from . import census, gf
 from .errors import BadReduction, Inadmissible, WorkerError
+# s_polynomial has no caller here: bench/layers.py traces it under this name
 from .intpoly import discriminant, doubled, s_polynomial
-from .numkit import (PrimeStream, euler_phi, mult_order_signed, primes_in_classes,
-                     trace_indices, trace_modulus)
+from .numkit import PrimeStream, mult_order_signed, primes_in_classes, trace_indices
 
 FULL_WREATH = "full_wreath"
 EVEN_SUBGROUP = "even_subgroup"
@@ -84,8 +83,7 @@ class SweepResult(NamedTuple):
 def default_stream(m: int, n: int, first: int | None = None,
                    bound: int | None = None) -> PrimeStream:
     """Primes p = +-1 mod N, the ones carrying PSL(2,p) maps of type {m,n}."""
-    s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
-    return PrimeStream.plus_minus_one(trace_modulus(n), first=first, bound=bound)
+    return PrimeStream.plus_minus_one(census.map_type(m, n).n_modulus, first=first, bound=bound)
 
 
 def _summarize(m: int, n: int, p: int) -> PrimeSummary | tuple[int, str]:
@@ -184,7 +182,7 @@ def sweep(m: int, n: int, stream: PrimeStream, *,
     are skipped and reported in the tally.  Partitioning the work over
     several workers does not change the result.
     """
-    s_polynomial(m, n)  # an inadmissible type fails here, before any prime
+    census.map_type(m, n)  # an inadmissible type fails here, before any prime
     primes = primes_in_classes(stream)
     cached: dict[int, PrimeSummary] = {}
     cache_end = 0
@@ -210,9 +208,9 @@ def sweep(m: int, n: int, stream: PrimeStream, *,
 def _tally(m: int, n: int, stream: PrimeStream,
            records: tuple[PrimeSummary, ...],
            skipped: tuple[tuple[int, str], ...]) -> SigmaTally:
-    r = euler_phi(n) // 2
-    counts = {k: 0 for k in range(r + 1)}
-    split = {(k, sign): 0 for k in range(r + 1) for sign in "+-"}
+    model = galois_model(m, n)
+    counts = {k: 0 for k in range(model.r + 1)}
+    split = {(k, sign): 0 for k in range(model.r + 1) for sign in "+-"}
     for (k, residue), c in collections.Counter(
             map(operator.attrgetter("k", "residue"), records)).items():
         counts[k] = counts.get(k, 0) + c
@@ -223,7 +221,6 @@ def _tally(m: int, n: int, stream: PrimeStream,
     total = len(records)
     frequencies = {k: Fraction(c, total) if total else Fraction(0)
                    for k, c in counts.items()}
-    model = galois_model(m, n)
     predicted = None if model.structure == UNKNOWN else \
         tuple(predicted_sigma_densities(model))
     deviation = None
@@ -250,6 +247,8 @@ def _read_cache(path: str, m: int, n: int) -> tuple[dict[int, PrimeSummary], int
     it is skipped, and the next append starts at that offset.  Any other
     malformed line raises ValueError.
     """
+    import json
+
     with open(path, "rb") as fh:
         data = fh.read()
     end = data.rfind(b"\n") + 1
@@ -301,11 +300,11 @@ def negative_root_count(n: int, m: int = 3) -> int:
     |cos(theta)| > sqrt(3)/2; the cutoffs above are that condition cleared of
     irrationals.
     """
-    s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
+    indices = census.map_type(m, n).indices
     odd_low, odd_high, even_low = _NEGATIVE_ROOT_CUTOFFS[m]
     if n % 2:
-        return sum(odd_low * j < n or odd_low * j > odd_high * n for j in trace_indices(n))
-    return sum(even_low * j < n for j in trace_indices(n))
+        return sum(odd_low * j < n or odd_low * j > odd_high * n for j in indices)
+    return sum(even_low * j < n for j in indices)
 
 
 class GaloisModel(NamedTuple):
@@ -322,8 +321,7 @@ def galois_model(m: int, n: int, override: str | None = None) -> GaloisModel:
     The table is not computed here; `override` substitutes a structure for
     n outside it (or forces one for experiments).
     """
-    s_polynomial(m, n)  # rejects an unsupported m or a non-hyperbolic type
-    r = euler_phi(n) // 2
+    r = census.map_type(m, n).half_phi
     if override is not None:
         if override not in (FULL_WREATH, EVEN_SUBGROUP, UNKNOWN):
             raise ValueError(f"unknown structure override {override!r}")
@@ -413,15 +411,14 @@ class PatternCensus(NamedTuple):
     bridge_violations: int
 
 
-def _pattern_row(m: int, n: int, f2, p: int) -> tuple | None:
+def _pattern_row(mt: census.MapType, f2, p: int) -> tuple | None:
     """(degree pattern of f2 mod p, k') for one prime, k' None off the split
     primes; None when p has bad reduction."""
     pattern = gf.degree_pattern(f2, p)
-    modulus = trace_modulus(n)
-    if p % modulus not in (1, modulus - 1):
+    if p % mt.n_modulus not in (1, mt.n_modulus - 1):
         return pattern, None
     try:
-        fd, k, _, _, _, classes = census.summary(m, n, p)
+        fd, k, _, _, _, classes = census.summary(mt.m, mt.n, p)
     except (BadReduction, Inadmissible):
         return None
     # f2 has two linear factors per class whose s is a square in its own
@@ -442,12 +439,13 @@ def pattern_census(m: int, n: int, bound: int, *,
     cross-checked against 2k', k' the number of census classes whose s is a
     square in its own field F_{p^e} (the census k when d/e is odd).
     """
-    f2 = doubled(s_polynomial(m, n))
+    mt = census.map_type(m, n)
+    f2 = doubled(mt.f1)
     disc = discriminant(f2)
     primes = primes_in_classes(PrimeStream(1, {0}, bound=bound))
     # the kernel's per-type constants, computed here once for every worker
     gf._half_modulus(f2)
-    rows = _fan_out(functools.partial(_pattern_row, m, n, f2), primes, workers)
+    rows = _fan_out(functools.partial(_pattern_row, mt, f2), primes, workers)
     counts: dict[tuple[int, ...], int] = {}
     skipped = []
     checked = violations = 0

@@ -280,7 +280,6 @@ def psi_at_one(n: int) -> PsiOne:
 _W_SQUARE = {3: 1, 4: 2, 6: 3}
 
 
-@functools.lru_cache(maxsize=None)
 def s_polynomial(m: int, n: int) -> IntPoly:
     """Monic polynomial of degree phi(n)/2 whose roots are the s-parameters
     of trace classes for maps of type {m,n}.

@@ -191,7 +191,6 @@ def trace_modulus(n: int) -> int:
     return n if n % 2 else 2 * n
 
 
-@functools.lru_cache(maxsize=None)
 def trace_indices(n: int) -> tuple[int, ...]:
     """The j with 1 <= j < n/2 and gcd(j, N) = 1, N = trace_modulus(n), one per
     class of (Z/n)*/{+-1}: with z of order N, t_j = z^j + z^-j gives each root

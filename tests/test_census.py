@@ -581,7 +581,7 @@ def _factorization_route():
     """The census with the ladder giving no witness, as it gives none off the
     split primes: the factorization route on every p, the reference."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(census_module, "_ladder", lambda m, n, p: None)
+        patch.setattr(census_module, "_ladder", lambda mt, p: None)
         yield
 
 
@@ -621,12 +621,12 @@ def _without_traces(record):
 
 @pytest.mark.parametrize("m, bound", [(3, 5000), (4, 2000), (6, 2000)])
 def test_split_route_matches_factorization_route(m, bound):
-    shift = census_module._T_SQUARE_SHIFT[m]
     checked = 0
     primes = primes_upto(bound)
     for n in range(4, 41):
         if (m - 2) * (n - 2) <= 4:
             continue
+        shift = census_module.map_type(m, n).shift
         n_mod = n if n % 2 else 2 * n
         for p in primes:
             if p % n_mod not in (1, n_mod - 1) and n_mod % p:
@@ -662,7 +662,7 @@ def test_split_route_matches_factorization_route(m, bound):
 def test_split_route_matches_factorization_route_at_64_bits(p):
     # the first two are = 1 mod 7 (the F_p* branch), the last = -1 mod 7 (the
     # norm-one torus); all three are = 1 or -1 mod 3, so d = 1 for m = 3
-    assert census_module._ladder(3, 7, p) is not None
+    assert census_module._ladder(census_module.map_type(3, 7), p) is not None
     for traces in (False, True):
         got = map_census(3, 7, p, traces=traces)
         with _factorization_route():
@@ -679,15 +679,16 @@ def test_split_route_errors_match_on_bad_p():
     # Carmichael number 2465 = 5 * 17 * 29 = 1 mod 7 passes the Euler step at
     # w = 2 and gets a witness.  Both routes' prime check, and summary's,
     # reject every p here with one message.
-    assert census_module._ladder(3, 7, 5 * 17 * 29) is not None
+    type_37 = census_module.map_type(3, 7)
+    assert census_module._ladder(type_37, 5 * 17 * 29) is not None
     for p in (-13, 0, 1, 15, 55, 91, 43 * 71, 5 * 17 * 29, 1 << 64, (1 << 64) + 13):
         for route in _ROUTES:
             with route(), pytest.raises(Inadmissible, match="not a prime below 2"):
                 map_census(3, 7, p, traces=False)
         _summary_matches(3, 7, p, ("Inadmissible", f"p={p} is not a prime below 2^64"))
-    assert census_module._ladder(3, 7, 43 * 71) is None
-    assert pow(3 * 3 - 4, 27, 55) == 25 and census_module._ladder(3, 7, 55) is None
-    assert census_module._ladder(3, 7, (1 << 64) + 13) is None
+    assert census_module._ladder(type_37, 43 * 71) is None
+    assert pow(3 * 3 - 4, 27, 55) == 25 and census_module._ladder(type_37, 55) is None
+    assert census_module._ladder(type_37, (1 << 64) + 13) is None
     for m, n, p in ((3, 7, 7), (4, 7, 2), (6, 7, 3), (6, 7, 2), (4, 9, 17)):
         _summary_matches(m, n, p, _outcome(m, n, p, False, _factorization_route))
     # bad (m, n) is reported before p is looked at, as by the factorization route
@@ -696,6 +697,37 @@ def test_split_route_errors_match_on_bad_p():
             map_census(5, 7, 15, traces=False)
         with route(), pytest.raises(Inadmissible, match="not hyperbolic"):
             map_census(3, 6, 15, traces=False)
+
+
+_BAD_TYPES = {
+    (5, 7): "m=5 is unsupported: the order-5 trace square is irrational",
+    (2, 9): "m=2 is unsupported: the order-2 trace square is irrational",
+    (3, 6): "type {3,6} is not hyperbolic",
+    (4, 4): "type {4,4} is not hyperbolic",
+    (6, 3): "type {6,3} is not hyperbolic",
+}
+
+
+@pytest.mark.parametrize("m, n", sorted(_BAD_TYPES))
+def test_every_public_entry_point_rejects_a_bad_type_before_reading_p(m, n):
+    # None for p (and for the stream, the bound and the witness) fails on
+    # any use, so each call shows that map_type's check came first
+    calls = {
+        "map_census": lambda: map_census(m, n, None),
+        "summary": lambda: census_module.summary(m, n, None),
+        "field_data": lambda: field_data(m, n, None),
+        "check_witness": lambda: census_module.check_witness(m, n, None, None),
+        "route_product": lambda: route_product(m, n, None),
+        "default_stream": lambda: density.default_stream(m, n, first=None, bound=None),
+        "sweep": lambda: density.sweep(m, n, None, workers=1),
+        "pattern_census": lambda: density.pattern_census(m, n, None, workers=1),
+        "galois_model": lambda: density.galois_model(m, n),
+        "negative_root_count": lambda: density.negative_root_count(n, m),
+    }
+    for name, call in calls.items():
+        with pytest.raises(Inadmissible) as caught:
+            call()
+        assert str(caught.value) == _BAD_TYPES[m, n], name
 
 
 def test_split_route_never_factors(monkeypatch):
@@ -828,17 +860,18 @@ def test_packed_product_at_the_carry_bound():
 
 
 def test_split_route_checks_still_fire(monkeypatch):
-    f1 = s_polynomial(3, 7)
-    monkeypatch.setattr(census_module, "s_polynomial",
-                        lambda m, n: IntPoly([f1.coeffs[0] + 1, *f1.coeffs[1:]]))
+    # the type's record with one constant altered, in every census lookup
+    real = census_module.map_type(3, 7)
+    f1 = real.f1
+    monkeypatch.setattr(census_module, "map_type", lambda m, n: real._replace(
+        f1=IntPoly([f1.coeffs[0] + 1, *f1.coeffs[1:]])))
     with pytest.raises(IntegrityError, match=r"^split-route s-values do not multiply "
                                              r"out to f1 mod 13$"):
         map_census(3, 7, 13)
     monkeypatch.undo()
     # a repeated s_j that got past the product is a bad reduction
-    n_mod, exponents, indices = census_module._split_plan(7)
-    monkeypatch.setattr(census_module, "_split_plan",
-                        lambda n: (n_mod, exponents, indices[:1] + indices))
+    monkeypatch.setattr(census_module, "map_type",
+                        lambda m, n: real._replace(indices=real.indices[:1] + real.indices))
     monkeypatch.setattr(census_module, "_product_mod_p",
                         lambda roots, p: [c % p for c in f1.coeffs])
     with pytest.raises(BadReduction,
@@ -848,7 +881,7 @@ def test_split_route_checks_still_fire(monkeypatch):
 
 def test_check_witness_rejects_a_bad_witness():
     m, n, p = 3, 7, 13
-    good, _ = census_module._ladder(m, n, p)
+    good, _ = census_module._ladder(census_module.map_type(m, n), p)
     assert good == [6, 4, 7]  # j = 1, 2, 3: the ladder's order, not sorted
     checked = census_module.check_witness(m, n, p, good)
     record = map_census(m, n, p)
@@ -865,7 +898,7 @@ def test_check_witness_rejects_a_bad_witness():
         census_module.check_witness(m, n, 15, good)
     # for m = 4, p = 13 splits f1 (13 = -1 mod 7), whose roots are the m = 3
     # ones minus 1, but not the order-4 rotations (13 = 5 mod 8): d = 2
-    assert census_module._ladder(4, 7, 13) is None
+    assert census_module._ladder(census_module.map_type(4, 7), 13) is None
     with pytest.raises(Inadmissible, match=r"^p=13 is not a split prime for type "
                                            r"\{4,7\} \(d=2\)$"):
         census_module.check_witness(4, 7, 13, [s - 1 for s in good])
@@ -911,12 +944,18 @@ def test_check_witness_reports_repeated_and_zero_values(monkeypatch):
 
 
 def test_chi_shortcut_cache_matches_formula():
-    primes = primes_upto(400)
+    # the type's table by p mod 8 is the formula at p, and both are the
+    # character of Psi_n(1) mod p wherever that is nonzero
+    checked = 0
     for n in range(7, 100, 2):
-        for r in (1, 3, 5, 7):
-            for p in [q for q in primes if q % 8 == r][:3]:
-                assert (census_module._chi_shortcut(n, p % 8)
-                        == census_module._chi_shortcut.__wrapped__(n, p)), (n, p)
+        mt = census_module.map_type(3, n)
+        for p in primes_upto(2000)[1:]:
+            assert mt.chi_shortcut[p % 8] == census_module._chi_shortcut(n, p), (n, p)
+            character = census_module._characters((mt.psi_one,), p)[0]
+            if character:
+                assert mt.chi_shortcut[p % 8] == character, (n, p)
+                checked += 1
+    assert checked == 14194
 
 
 @pytest.mark.parametrize("m, bound", [(3, 5000), (4, 2000), (6, 2000)])

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -668,6 +669,30 @@ def test_classify_and_oracle_load_no_fractions():
         ("fractions", "decimal"))
     assert codes == [0, 0]
     assert loaded == []
+
+
+# _COLD_START reads and prints with json itself, so this one passes its
+# argv through ast.literal_eval and prints with repr instead
+_COLD_START_WITHOUT_JSON = """
+import ast, contextlib, io, sys
+preloaded = "json" in sys.modules
+import macbeath.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [macbeath.cli.main(argv) for argv in ast.literal_eval(sys.argv[1])]
+print(repr([codes, preloaded, "json" in sys.modules]))
+"""
+
+
+def test_table_classify_and_oracle_load_no_json():
+    # json is imported by the formats that write it and by the readers of
+    # a report or a sweep cache, never by a table-format command
+    src = os.path.dirname(os.path.dirname(os.path.abspath(macbeath.__file__)))
+    commands = [["classify", "--n", "7", "--p", "13"], ["oracle", "--n", "7", "--p", "13"]]
+    proc = subprocess.run([sys.executable, "-c", _COLD_START_WITHOUT_JSON, repr(commands)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == [[0, 0], False, False]
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs to fork workers")

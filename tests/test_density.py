@@ -445,20 +445,23 @@ def test_pattern_bridge_catches_a_flipped_witness_character(monkeypatch):
     # its shortcut), k becomes l and every internal check still holds, so
     # only the degree patterns can catch it
     assert pattern_census(3, 7, 3000, workers=1).bridge_violations == 0
-    characters, shortcut = census._characters, census._chi_shortcut
+    characters, map_type = census._characters, census.map_type
     monkeypatch.setattr(census, "_characters",
                         lambda values, p: [-c for c in characters(values, p)])
-    monkeypatch.setattr(census, "_chi_shortcut", lambda n, p: -shortcut(n, p))
+    monkeypatch.setattr(census, "map_type", lambda m, n: map_type(m, n)._replace(
+        chi_shortcut=tuple(-c for c in map_type(m, n).chi_shortcut)))
     res = pattern_census(3, 7, 3000, workers=1)
     assert res.bridge_violations == res.bridge_checked > 100
 
 
 def _count_calls(monkeypatch, name):
+    # keyed by (m, n, p), whether the function takes (m, n, p) or (map type, p)
     counter, original = Counter(), getattr(census, name)
 
-    def counting(m, n, p, *args, **kwargs):
-        counter[(m, n, p)] += 1
-        return original(m, n, p, *args, **kwargs)
+    def counting(*args, **kwargs):
+        mt = args[0]
+        counter[(mt.m, mt.n, args[1]) if isinstance(mt, census.MapType) else args[:3]] += 1
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(census, name, counting)
     return counter
@@ -479,7 +482,8 @@ def test_parity_suite_classifies_each_prime_once(monkeypatch):
     assert summaries == ladders == once
     assert not records
     monkeypatch.undo()
-    assert factored == Counter({key: 1 for key in once if census._ladder(*key) is None})
+    assert factored == Counter({(m, n, p): 1 for m, n, p in once
+                                if census._ladder(census.map_type(m, n), p) is None})
 
 
 def _tally_by_hand(m, n, records):

@@ -7,7 +7,8 @@ then the calls of classify + oracle to `gf.sqrt_in_field` and `gf.chi`, the
 two entry points that check their value is a reduced residue of its field;
 then the census calls of `verify.parity(bound=2000, workers=1)`: `summary`,
 which picks each prime's route, the ladder and the factorization it runs,
-and `map_census`, which the suite never needs; then the Euclid runs (`gf._gcd`
+and `map_census`, which the suite never needs, and its `census.map_type`
+misses, one per type; then the Euclid runs (`gf._gcd`
 calls, the one Euclid) of `density.pattern_census(3, n, 10**4, workers=1)`
 for n = 7, 11 and 13; then the Frobenius maps (`frobenius_map` calls, each
 counting its `times`) of classify + oracle and of the trace route over the
@@ -16,8 +17,11 @@ in-process `pattern --n 7 --bound 2000 --workers 2`, w - 1 = 1 on a host with
 at least two CPUs (0 on one CPU).
 
 The counts depend only on the code and the pairs, not on the host, so they
-show a change in work that wall time on a noisy host may hide.  Stdlib
-only; from the root of a checkout:
+show a change in work that wall time on a noisy host may hide.
+`labelled_counts()` returns them, one label per printed line;
+tests/test_work_counts.py compares them with the ledger
+tests/work_counts.json, the fork count with the CPU count pinned to 2.
+Stdlib only; from the root of a checkout:
 
     python tools/work_counts.py
 """
@@ -97,20 +101,22 @@ def route_counts(pairs) -> dict[str, int]:
     return counts
 
 
-def dispatch_counts() -> dict[str, int]:
-    """The census calls of the parity suite to 2000, in one process."""
+def dispatch_counts() -> tuple[dict[str, int], dict[str, int]]:
+    """The census calls of the parity suite to 2000, in one process, and the
+    `map_type` misses of that run from an empty cache."""
     names = ("summary", "_ladder", "_factored_classes", "map_census")
     counts = {f"{name} calls": 0 for name in names}
     saved = [getattr(census, name) for name in names]
     for name, fn in zip(names, saved):
         setattr(census, name, counted(counts, f"{name} calls", fn))
+    census.map_type.cache_clear()
     try:
         if not verify.parity(bound=2000, workers=1).passed:
             raise SystemExit("verify.parity(bound=2000) failed")
     finally:
         for name, fn in zip(names, saved):
             setattr(census, name, fn)
-    return counts
+    return counts, {"map_type misses": census.map_type.cache_info().misses}
 
 
 @contextlib.contextmanager
@@ -145,7 +151,7 @@ def euclid_counts(maps, degrees=(7, 11, 13)) -> dict[str, int]:
     return counts
 
 
-def fork_count() -> int:
+def fork_count() -> dict[str, int]:
     """The os.fork calls of one in-process two-worker pattern census."""
     counts = {"forks": 0}
     real = os.fork
@@ -156,25 +162,32 @@ def fork_count() -> int:
                 raise SystemExit("pattern --n 7 --bound 2000 --workers 2 failed")
     finally:
         os.fork = real
-    return counts["forks"]
+    return {"os.fork calls": counts["forks"]}
 
 
-if __name__ == "__main__":
+def labelled_counts() -> dict[str, dict[str, int]]:
+    """Every count above, by the label of the line that prints it."""
     pairs = golden_pairs()
+    over = f"over {len(pairs)} golden extension pairs"
     maps: dict[str, int] = {}
     with frobenius_maps(maps, "classify + oracle"):
         arithmetic, checks = work_counts(pairs)
     with frobenius_maps(maps, "route_product"):
         route = route_counts(pairs)
-    for label, counts in (("classify + oracle", arithmetic),
-                          ("route_product", route),
-                          ("classify + oracle value checks", checks)):
-        print(f"{label} over {len(pairs)} golden extension pairs: "
-              + ", ".join(f"{name} {value}" for name, value in counts.items()))
-    print("verify parity --bound 2000 census dispatch: "
-          + ", ".join(f"{name} {value}" for name, value in dispatch_counts().items()))
-    print("pattern census to 10^4, Euclid runs (_gcd): "
-          + ", ".join(f"{name} {value}" for name, value in euclid_counts(maps).items()))
-    print("Frobenius maps (times summed), golden pairs and pattern census to 10^4: "
-          + ", ".join(f"{name} {value}" for name, value in maps.items()))
-    print(f"pattern --n 7 --bound 2000 --workers 2, os.fork calls: {fork_count()}")
+    dispatch, types = dispatch_counts()
+    euclid = euclid_counts(maps)
+    return {
+        f"classify + oracle {over}": arithmetic,
+        f"route_product {over}": route,
+        f"classify + oracle value checks {over}": checks,
+        "verify parity --bound 2000 census dispatch": dispatch,
+        "verify parity --bound 2000 map types built": types,
+        "pattern census to 10^4, Euclid runs (_gcd)": euclid,
+        "Frobenius maps (times summed), golden pairs and pattern census to 10^4": maps,
+        "pattern --n 7 --bound 2000 --workers 2": fork_count(),
+    }
+
+
+if __name__ == "__main__":
+    for label, counts in labelled_counts().items():
+        print(f"{label}: " + ", ".join(f"{name} {value}" for name, value in counts.items()))
